@@ -36,15 +36,20 @@ class MaskTable:
 
 
 def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> MaskTable:
-    """Build the table for every connected mask in [mask_lo, mask_hi)."""
+    """Build the table for every connected mask in [mask_lo, mask_hi), a
+    range within the 2^C(n,2) edge subsets (the whole space by default)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > 16:
-        raise ValueError(f"mask tables are for small orders, got n={n}")
     pairs = pair_order(n)
     nedges = len(pairs)
+    if nedges > 32:
+        raise ValueError(f"masks are uint32, so C(n,2) <= 32 and n <= 8; got n={n}")
     if mask_hi is None:
         mask_hi = 1 << nedges
+    if not 0 <= mask_lo <= mask_hi <= 1 << nedges:
+        raise ValueError(
+            f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << nedges}) at n={n}"
+        )
     masks = np.arange(mask_lo, mask_hi, dtype=np.uint32)
 
     bits = [((masks >> np.uint32(e)) & np.uint32(1)).astype(np.uint8) for e in range(nedges)]

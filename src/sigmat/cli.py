@@ -155,6 +155,10 @@ def _add_format_flag(sub) -> None:
     sub.add_argument("--format", choices=("json", "table"), default="json")
 
 
+SHARDS_HELP = ("power-of-two count of worker threads over fixed chunks of the mask space; "
+               "output is identical for any value and memory stays bounded")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmat",
@@ -188,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("max", "min"), required=True)
     p.add_argument("--filter", choices=("triangle-free", "tree", "nonregular", "none"),
                    default="none")
-    p.add_argument("--shards", type=int, default=1, help="power-of-two shard count")
+    p.add_argument("--shards", type=int, default=1, help=SHARDS_HELP)
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
 
@@ -196,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=int, required=True)
     _add_input_flags(p, required=False)
-    p.add_argument("--shards", type=int, default=1, help="power-of-two shard count")
+    p.add_argument("--shards", type=int, default=1, help=SHARDS_HELP)
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
 

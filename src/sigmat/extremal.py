@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .graph import Graph
-from .invariants import sigma, sigma_t
+from .invariants import sigma_t
 
 
 def make_split(a: int, b: int) -> Graph:
@@ -222,8 +222,3 @@ def make_generalized_kpartite(parts: Sequence[tuple[int, int]]) -> Graph:
                 for v in range(starts[j], starts[j] + parts[j][0]):
                     edges.append((u, v))
     return Graph(n, edges)
-
-
-def sigma_equals_sigma_t(g: Graph) -> bool:
-    """Edge-sum route for the same predicate; used as a cross-check."""
-    return sigma(g) == sigma_t(g)

@@ -7,9 +7,10 @@ labeled trees) proves the same statements while avoiding canonical forms.
 Internal limits are n <= 7 for graphs and n <= 9 for trees; larger orders
 arrive through graph6 line streams produced by external generators.
 
-Searches over the edge-subset space can be split into shards by the
-high-order edge bits. Shards are independent, may run concurrently, and are
-merged in mask order, so results are identical for any shard count.
+Searches over the edge-subset space walk it in fixed chunks of CHUNK_MASKS
+masks, so memory stays bounded whatever the order. ``shards`` sets how many
+worker threads scan chunks; partials merge in chunk order, so the output is
+identical for any value.
 """
 
 from __future__ import annotations
@@ -22,16 +23,19 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
+import numpy as np
+
 from . import bulk
 from .extremal import max_bipartite_split
 from .graph import Graph, Graph6Error, encode_graph6, is_connected, is_triangle_free, pair_order, parse_graph6
-from .invariants import degree_variance, sigma, sigma_t_pairsum, zagreb_m1
+from .invariants import degree_variance, sigma, sigma_t, sigma_t_pairsum, zagreb_m1
 
 log = logging.getLogger("sigmat.oracle")
 
 MAX_ENUM_ORDER = 7
 MAX_TREE_ORDER = 9
 WITNESS_CAP = 16
+CHUNK_MASKS = 1 << 16
 
 
 class LimitError(ValueError):
@@ -55,7 +59,8 @@ def graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]] | None = Non
 
 def enumerate_connected_graphs(n: int, mask_range: tuple[int, int] | None = None) -> Iterator[Graph]:
     """Every labeled simple connected graph on n vertices, exactly once, in
-    ascending edge-mask order."""
+    ascending edge-mask order. Independent of :mod:`sigmat.bulk`, whose tables
+    are checked against it."""
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise LimitError(
             f"internal enumeration covers 1 <= n <= {MAX_ENUM_ORDER}; "
@@ -63,29 +68,10 @@ def enumerate_connected_graphs(n: int, mask_range: tuple[int, int] | None = None
         )
     pairs = pair_order(n)
     lo, hi = mask_range if mask_range is not None else (0, 1 << len(pairs))
-    full = (1 << n) - 1
     for mask in range(lo, hi):
-        masks = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            i, j = pairs[low.bit_length() - 1]
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-            mm ^= low
-        seen = 1
-        frontier = masks[0]
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= masks[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~seen
-        if seen == full:
-            yield Graph.from_masks(n, tuple(masks))
+        g = graph_from_mask(n, mask, pairs)
+        if is_connected(g):
+            yield g
 
 
 def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -186,8 +172,74 @@ class SearchResult:
         }
 
 
-def _better(objective: str, new: int, best: int) -> bool:
-    return new > best if objective == "max" else new < best
+class Extreme:
+    """Running max or min of sigma_t over a family: the exact tie count, the
+    first WITNESS_CAP witnesses in visiting order, and the graphs visited.
+
+    Witnesses are Graphs (from a stream) or edge masks (from a sweep chunk);
+    they are encoded once, by :meth:`result`. Merging chunk partials in
+    chunk order gives the same state as one pass over the whole family.
+    """
+
+    def __init__(self, objective: str):
+        if objective not in ("max", "min"):
+            raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
+        self.objective = objective
+        self.value: int | None = None
+        self.ties = 0
+        self.witnesses: list = []
+        self.visited = 0
+
+    @classmethod
+    def of_chunk(cls, objective: str, values: np.ndarray, masks: np.ndarray) -> "Extreme":
+        """Partial for one chunk, where ``values[k]`` is sigma_t of ``masks[k]``."""
+        part = cls(objective)
+        part.visited = int(values.size)
+        if values.size:
+            part.value = int(values.max() if objective == "max" else values.min())
+            hits = masks[values == part.value]
+            part.ties = int(hits.size)
+            part.witnesses = hits[:WITNESS_CAP].tolist()
+        return part
+
+    def add(self, value: int, witness) -> None:
+        self.visited += 1
+        self._fold(value, 1, [witness])
+
+    def merge(self, part: "Extreme") -> None:
+        self.visited += part.visited
+        if part.value is not None:
+            self._fold(part.value, part.ties, part.witnesses)
+
+    def _fold(self, value: int, ties: int, witnesses: list) -> None:
+        best = self.value
+        if best is None or (value > best if self.objective == "max" else value < best):
+            self.value, self.ties, self.witnesses = value, ties, witnesses[:WITNESS_CAP]
+        elif value == best:
+            self.ties += ties
+            self.witnesses.extend(witnesses[:WITNESS_CAP - len(self.witnesses)])
+
+    def result(self, n: int, description: str, missing: str) -> SearchResult:
+        """The finished search; an empty family, named by ``missing``, raises."""
+        if self.value is None:
+            raise ValueError(f"empty family: no {missing}")
+        return SearchResult(
+            family_description=description,
+            n=n,
+            objective=f"{self.objective}-sigma-t",
+            extreme_value=self.value,
+            witnesses=_graph6(n, self.witnesses),
+            tie_count=self.ties,
+            graphs_visited=self.visited,
+        )
+
+
+def _graph6(n: int, items: list) -> tuple[str, ...]:
+    """graph6 strings for Graphs or edge masks of order n."""
+    pairs = pair_order(n)
+    return tuple(
+        encode_graph6(w if isinstance(w, Graph) else graph_from_mask(n, w, pairs)) for w in items
+    )
 
 
 def search_extremal(
@@ -198,12 +250,7 @@ def search_extremal(
 ) -> SearchResult:
     """Scan a graph stream for the max or min sigma_t; deterministic given
     the stream order."""
-    if objective not in ("max", "min"):
-        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    best: int | None = None
-    witnesses: list[str] = []
-    ties = 0
-    visited = 0
+    best = Extreme(objective)
     n_seen: int | None = None
     for g in graphs:
         if predicate is not None and not predicate(g):
@@ -212,63 +259,35 @@ def search_extremal(
             n_seen = g.n
         elif g.n != n_seen:
             raise ValueError(f"mixed graph orders in stream: {n_seen} and {g.n}")
-        visited += 1
-        val = n_seen * zagreb_m1(g) - 4 * g.m * g.m
-        if best is None or _better(objective, val, best):
-            best = val
-            ties = 1
-            witnesses = [encode_graph6(g)]
-        elif val == best:
-            ties += 1
-            if len(witnesses) < WITNESS_CAP:
-                witnesses.append(encode_graph6(g))
-    if best is None:
-        raise ValueError("empty family: no graphs left after filtering")
-    return SearchResult(
-        family_description=description,
-        n=n_seen,
-        objective=f"{objective}-sigma-t",
-        extreme_value=best,
-        witnesses=tuple(witnesses),
-        tie_count=ties,
-        graphs_visited=visited,
-    )
+        best.add(sigma_t(g), g)
+    return best.result(n_seen, description, "graphs left after filtering")
 
 
 GRAPH_FILTERS = ("none", "triangle-free", "nonregular", "tree")
 
 
-def shard_ranges(n: int, shards: int) -> list[tuple[int, int]]:
-    """Split the edge-subset mask space by fixed high-order bits into
-    ``shards`` equal contiguous ranges (shards must be a power of two)."""
-    nbits = n * (n - 1) // 2
+def check_shards(n: int, shards: int) -> None:
+    """Reject worker counts that are not a power of two or exceed the
+    2^C(n,2) edge subsets at order n."""
     if shards < 1 or shards & (shards - 1):
         raise ValueError(f"shard count must be a power of two, got {shards}")
-    if shards > 1 << nbits:
-        raise ValueError(f"{shards} shards exceed the {1 << nbits} edge subsets at n={n}")
-    width = (1 << nbits) // shards
-    return [(k * width, (k + 1) * width) for k in range(shards)]
+    subsets = 1 << (n * (n - 1) // 2)
+    if shards > subsets:
+        raise ValueError(f"{shards} shards exceed the {subsets} edge subsets at n={n}")
 
 
-def _shard_scan(n: int, objective: str, graph_filter: str, lo: int, hi: int):
-    """One shard of a labeled connected search: local extreme, capped
-    witness masks, exact tie count, and the family size scanned."""
-    table = bulk.connected_table(n, lo, hi)
-    if graph_filter == "triangle-free":
-        keep = table.triangle_free
-    elif graph_filter == "nonregular":
-        keep = table.max_deg != table.min_deg
-    elif graph_filter == "tree":
-        keep = table.m == n - 1
-    else:
-        keep = slice(None)
-    values = table.sigma_t[keep]
-    masks = table.masks[keep]
-    if values.size == 0:
-        return None
-    best = int(values.max() if objective == "max" else values.min())
-    hits = masks[values == best]
-    return (best, [int(x) for x in hits[:WITNESS_CAP]], int(hits.size), int(values.size))
+def chunk_ranges(n: int) -> list[tuple[int, int]]:
+    """Consecutive [lo, hi) ranges of CHUNK_MASKS masks tiling the edge-subset
+    space at order n; the last one may be shorter."""
+    total = 1 << (n * (n - 1) // 2)
+    return [(lo, min(lo + CHUNK_MASKS, total)) for lo in range(0, total, CHUNK_MASKS)]
+
+
+def _sweep(n: int, shards: int, scan: Callable[[bulk.MaskTable], object]) -> Iterator:
+    """``scan`` of the connected table of every chunk, yielded in chunk order;
+    chunks are built and scanned on ``min(shards, 8)`` worker threads."""
+    with ThreadPoolExecutor(max_workers=min(shards, 8)) as pool:
+        yield from pool.map(lambda r: scan(bulk.connected_table(n, r[0], r[1])), chunk_ranges(n))
 
 
 def search_connected(
@@ -278,14 +297,10 @@ def search_connected(
     shards: int = 1,
 ) -> SearchResult:
     """Extremal sigma_t over all labeled connected graphs on n vertices
-    (optionally filtered), via the vectorized mask tables.
-
-    With ``shards`` > 1 the mask space is partitioned by high-order edge
-    bits and the shards are scanned concurrently; the merge keeps mask
-    order, so the result is identical for every shard count.
+    (optionally filtered), via the vectorized mask tables, chunk by chunk
+    on ``shards`` worker threads; the result is the same for every count.
     """
-    if objective not in ("max", "min"):
-        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
+    best = Extreme(objective)
     if graph_filter not in GRAPH_FILTERS:
         raise ValueError(f"unknown filter {graph_filter!r}; expected one of {GRAPH_FILTERS}")
     if not 1 <= n <= MAX_ENUM_ORDER:
@@ -293,46 +308,23 @@ def search_connected(
             f"internal search covers 1 <= n <= {MAX_ENUM_ORDER}; "
             f"for n={n} use search_extremal on a graph6 stream"
         )
-    ranges = shard_ranges(n, shards)
-    if shards == 1:
-        partials = [_shard_scan(n, objective, graph_filter, lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=min(shards, 8)) as pool:
-            partials = list(
-                pool.map(lambda r: _shard_scan(n, objective, graph_filter, r[0], r[1]), ranges)
-            )
-    best: int | None = None
-    witness_masks: list[int] = []
-    ties = 0
-    visited = 0
-    for part in partials:
-        if part is None:
-            continue
-        value, masks, count, seen = part
-        visited += seen
-        if best is None or _better(objective, value, best):
-            best = value
-            ties = count
-            witness_masks = list(masks)
-        elif value == best:
-            ties += count
-            witness_masks.extend(masks)
-    if best is None:
-        raise ValueError(f"empty family: no {graph_filter} connected graphs at n={n}")
-    pairs = pair_order(n)
-    witnesses = tuple(
-        encode_graph6(graph_from_mask(n, mask, pairs)) for mask in witness_masks[:WITNESS_CAP]
-    )
+    check_shards(n, shards)
+
+    def scan(table: bulk.MaskTable) -> Extreme:
+        if graph_filter == "triangle-free":
+            keep = table.triangle_free
+        elif graph_filter == "nonregular":
+            keep = table.max_deg != table.min_deg
+        elif graph_filter == "tree":
+            keep = table.m == n - 1
+        else:
+            keep = slice(None)
+        return Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep])
+
+    for part in _sweep(n, shards, scan):
+        best.merge(part)
     label = "connected" if graph_filter == "none" else f"connected {graph_filter}"
-    return SearchResult(
-        family_description=f"{label} graphs on {n} vertices",
-        n=n,
-        objective=f"{objective}-sigma-t",
-        extreme_value=best,
-        witnesses=witnesses,
-        tie_count=ties,
-        graphs_visited=visited,
-    )
+    return best.result(n, f"{label} graphs on {n} vertices", f"{graph_filter} connected graphs at n={n}")
 
 
 # ---------------------------------------------------------------------------
@@ -548,27 +540,6 @@ class ConjectureReport:
         return out
 
 
-def _triangle_free_shard(n: int, reference: int, lo: int, hi: int):
-    """One shard of the internal triangle-free scan: local max, capped
-    witness masks, exact tie count, capped offender masks, family size."""
-    table = bulk.connected_table(n, lo, hi)
-    keep = table.triangle_free
-    values = table.sigma_t[keep]
-    masks = table.masks[keep]
-    if values.size == 0:
-        return None
-    best = int(values.max())
-    hits = masks[values == best]
-    bad = masks[values > reference]
-    return (
-        best,
-        [int(x) for x in hits[:WITNESS_CAP]],
-        int(hits.size),
-        [int(x) for x in bad[:WITNESS_CAP]],
-        int(values.size),
-    )
-
-
 def verify_conjecture1(
     n: int,
     graphs: Iterable[Graph] | None = None,
@@ -578,92 +549,55 @@ def verify_conjecture1(
     best complete bipartite sigma_t.
 
     Without an external stream the check enumerates internally (n <= 7),
-    optionally split into mask-range shards that scan concurrently; a
-    stream is filtered to connected triangle-free graphs of order n.
+    chunk by chunk on ``shards`` worker threads; a stream is filtered to
+    connected triangle-free graphs of order n.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     reference = max_bipartite_split(n).value
+    best = Extreme("max")
+    offenders: list = []
     if graphs is None:
         if n > MAX_ENUM_ORDER:
             raise LimitError(
                 f"internal enumeration covers n <= {MAX_ENUM_ORDER}; "
                 f"pass a graph6 stream for n={n}"
             )
-        ranges = shard_ranges(n, shards)
-        if shards == 1:
-            parts = [_triangle_free_shard(n, reference, lo, hi) for lo, hi in ranges]
-        else:
-            with ThreadPoolExecutor(max_workers=min(shards, 8)) as pool:
-                parts = list(pool.map(
-                    lambda r: _triangle_free_shard(n, reference, r[0], r[1]), ranges
-                ))
-        best = -1
-        ties = 0
-        visited = 0
-        witness_masks: list[int] = []
-        bad_masks: list[int] = []
-        for part in parts:
-            if part is None:
-                continue
-            value, hits, count, bad, seen = part
-            visited += seen
-            bad_masks.extend(bad)
-            if value > best:
-                best = value
-                ties = count
-                witness_masks = list(hits)
-            elif value == best:
-                ties += count
-                witness_masks.extend(hits)
-        pairs = pair_order(n)
-        witnesses = tuple(
-            encode_graph6(graph_from_mask(n, mask, pairs))
-            for mask in witness_masks[:WITNESS_CAP]
-        )
-        counterexamples = tuple(
-            encode_graph6(graph_from_mask(n, mask, pairs))
-            for mask in bad_masks[:WITNESS_CAP]
-        )
+        check_shards(n, shards)
+
+        def scan(table: bulk.MaskTable) -> tuple[Extreme, list[int]]:
+            values = table.sigma_t[table.triangle_free]
+            masks = table.masks[table.triangle_free]
+            return Extreme.of_chunk("max", values, masks), masks[values > reference][:WITNESS_CAP].tolist()
+
+        for part, bad in _sweep(n, shards, scan):
+            best.merge(part)
+            offenders.extend(bad[:WITNESS_CAP - len(offenders)])
+        missing = f"connected triangle-free graphs at n={n}"
     else:
-        best = -1
-        ties = 0
-        visited = 0
-        witness_list: list[str] = []
-        counter_list: list[str] = []
         for g in graphs:
             if g.n != n:
                 raise ValueError(f"stream graph has order {g.n}, expected {n}")
             if not is_connected(g) or not is_triangle_free(g):
                 continue
-            visited += 1
-            val = n * zagreb_m1(g) - 4 * g.m * g.m
-            if val > best:
-                best = val
-                ties = 1
-                witness_list = [encode_graph6(g)]
-            elif val == best:
-                ties += 1
-                if len(witness_list) < WITNESS_CAP:
-                    witness_list.append(encode_graph6(g))
-            if val > reference and len(counter_list) < WITNESS_CAP:
-                counter_list.append(encode_graph6(g))
-        if visited == 0:
-            raise ValueError("stream contained no connected triangle-free graphs")
-        witnesses = tuple(witness_list)
-        counterexamples = tuple(counter_list)
+            value = sigma_t(g)
+            best.add(value, g)
+            if value > reference and len(offenders) < WITNESS_CAP:
+                offenders.append(g)
+        missing = "connected triangle-free graphs in the stream"
+    found = best.result(n, "connected triangle-free graphs", missing)
     log.debug("conjecture 1 at n=%d: max %d vs bipartite %d over %d graphs",
-              n, best, reference, visited)
+              n, found.extreme_value, reference, found.graphs_visited)
     return ConjectureReport(
         conjecture_id=1,
         n_range=(n, n),
-        status="verified" if not counterexamples else "counterexample",
-        counterexamples=counterexamples,
-        extremal_witnesses=witnesses,
-        max_value=best,
+        status="verified" if not offenders else "counterexample",
+        counterexamples=_graph6(n, offenders),
+        extremal_witnesses=found.witnesses,
+        max_value=found.extreme_value,
         reference_value=reference,
-        tie_count=ties,
-        graphs_visited=visited,
+        tie_count=found.tie_count,
+        graphs_visited=found.graphs_visited,
     )
 
 

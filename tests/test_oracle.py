@@ -1,10 +1,14 @@
 """Enumeration counts, Prüfer decoding, stream ingestion, search and
 conjecture harnesses, and the bulk mask-table cross-validation."""
 
+import tracemalloc
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from sigmat import bulk
+from sigmat import bulk, oracle
 from sigmat.extremal import (
     is_generalized_complete_kpartite,
     make_complete_bipartite,
@@ -26,6 +30,8 @@ from sigmat.graph import (
 from sigmat.invariants import sigma, sigma_t
 from sigmat.oracle import (
     LimitError,
+    check_shards,
+    chunk_ranges,
     enumerate_connected_graphs,
     enumerate_trees,
     graph_from_mask,
@@ -35,7 +41,6 @@ from sigmat.oracle import (
     search_connected,
     search_extremal,
     search_trees,
-    shard_ranges,
     tree_sweep,
     verify_conjecture1,
     verify_conjecture2,
@@ -62,10 +67,11 @@ class TestEnumeration:
         with pytest.raises(LimitError):
             next(enumerate_connected_graphs(0))
 
-    def test_mask_range_partitions_the_space(self):
+    def test_mask_range_partitions_the_space(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_MASKS", 16)
         whole = list(enumerate_connected_graphs(4))
         pieces = []
-        for lo, hi in shard_ranges(4, 4):
+        for lo, hi in chunk_ranges(4):
             pieces.extend(enumerate_connected_graphs(4, mask_range=(lo, hi)))
         assert pieces == whole
 
@@ -219,17 +225,104 @@ class TestSearchConnected:
             assert search_connected(6, "max", "none", shards=shards) == base
 
     def test_shard_validation(self):
-        with pytest.raises(ValueError, match="power of two"):
-            shard_ranges(5, 3)
+        for shards in (3, 0, -4, 6):
+            with pytest.raises(ValueError, match="power of two"):
+                check_shards(5, shards)
         with pytest.raises(ValueError, match="exceed"):
-            shard_ranges(2, 4)
-        assert shard_ranges(4, 1) == [(0, 64)]
+            check_shards(2, 4)
+        with pytest.raises(ValueError, match="exceed"):
+            check_shards(1, 2)
+        for shards in (1, 2, 1024):
+            check_shards(5, shards)
+        with pytest.raises(ValueError, match="power of two"):
+            search_connected(5, "max", shards=3)
+        with pytest.raises(ValueError, match="exceed"):
+            verify_conjecture1(2, shards=4)
+
+    @pytest.mark.parametrize("n,width", [
+        (1, 8), (2, 1), (4, 3), (4, 64), (4, 1 << 16), (6, 1 << 7), (7, 1 << 16),
+    ])
+    def test_chunks_tile_the_space_in_order(self, monkeypatch, n, width):
+        monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
+        ranges = chunk_ranges(n)
+        total = 1 << (n * (n - 1) // 2)
+        assert ranges[0][0] == 0 and ranges[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(0 < hi - lo <= width for lo, hi in ranges)
+        assert len(ranges) == -(-total // width)
 
     def test_limits_and_filters(self):
         with pytest.raises(LimitError):
             search_connected(8, "max")
         with pytest.raises(ValueError, match="unknown filter"):
             search_connected(4, "max", "planar")
+
+
+@lru_cache(maxsize=None)
+def _reference(n, objective, graph_filter):
+    predicate = {
+        "none": None,
+        "triangle-free": is_triangle_free,
+        "nonregular": lambda g: len(set(g.degrees())) > 1,
+        "tree": is_tree,
+    }[graph_filter]
+    return search_extremal(enumerate_connected_graphs(n), objective, predicate)
+
+
+class TestChunkBoundaries:
+    """Chunk widths far below the default, so sweeps cross many chunk
+    boundaries and meet chunks with no connected (or no kept) graph."""
+
+    @pytest.mark.parametrize("n,width", [(5, 1 << 3), (6, 1 << 7)])
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    @pytest.mark.parametrize("graph_filter", ["none", "triangle-free", "nonregular", "tree"])
+    def test_search_connected_matches_stream_search(self, monkeypatch, n, width, objective,
+                                                    graph_filter):
+        slow = _reference(n, objective, graph_filter)
+        monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
+        for shards in (1, 2, 8):
+            fast = search_connected(n, objective, graph_filter, shards=shards)
+            assert fast.extreme_value == slow.extreme_value
+            assert fast.tie_count == slow.tie_count
+            assert fast.witnesses == slow.witnesses
+            assert fast.graphs_visited == slow.graphs_visited
+
+    @pytest.mark.parametrize("n,width", [(5, 1 << 3), (6, 1 << 7)])
+    def test_conjecture1_matches_stream_run(self, monkeypatch, n, width):
+        graphs = list(enumerate_connected_graphs(n))
+        slow = verify_conjecture1(n, graphs)
+        monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
+        # the first chunk holds no connected graph
+        assert bulk.connected_table(n, *chunk_ranges(n)[0]).masks.size == 0
+        for shards in (1, 2, 8):
+            assert verify_conjecture1(n, shards=shards) == slow
+
+    def test_counterexamples_are_capped_across_chunks(self, monkeypatch):
+        # a reference of 0 makes every irregular triangle-free graph an
+        # offender; the first WITNESS_CAP of them in mask order are reported
+        monkeypatch.setattr(oracle, "max_bipartite_split", lambda n: SimpleNamespace(value=0))
+        offenders = [
+            encode_graph6(g) for g in enumerate_connected_graphs(5)
+            if is_triangle_free(g) and sigma_t(g) > 0
+        ]
+        stream = verify_conjecture1(5, enumerate_connected_graphs(5))
+        monkeypatch.setattr(oracle, "CHUNK_MASKS", 1 << 3)
+        for shards in (1, 2):
+            report = verify_conjecture1(5, shards=shards)
+            assert report.status == "counterexample"
+            assert report.counterexamples == tuple(offenders[:oracle.WITNESS_CAP])
+            assert report == stream
+
+    def test_sweep_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = search_connected(7, "max")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.graphs_visited == 1866256
+        assert peak < 64 * 2 ** 20
 
 
 class TestSearchTrees:
@@ -391,8 +484,26 @@ class TestBulkCrossValidation:
             assert mu2[k] == pytest.approx(summary.mu2, abs=1e-9)
             assert mu_max[k] == pytest.approx(summary.mu_max, abs=1e-9)
 
-    def test_mask_range_slices(self):
+    def test_mask_range_slices(self, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK_MASKS", 16)
         full = bulk.connected_table(4)
-        parts = [bulk.connected_table(4, lo, hi) for lo, hi in shard_ranges(4, 4)]
+        parts = [bulk.connected_table(4, lo, hi) for lo, hi in chunk_ranges(4)]
         assert np.concatenate([p.masks for p in parts]).tolist() == full.masks.tolist()
         assert np.concatenate([p.sigma_t for p in parts]).tolist() == full.sigma_t.tolist()
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 10), (10, 5), (0, 65), (0, 1000), (64, 65)])
+    def test_mask_range_outside_the_space_is_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="mask range"):
+            bulk.connected_table(4, lo, hi)
+
+    def test_mask_range_edges_are_accepted(self):
+        assert bulk.connected_table(4, 0, 64).masks.size == 38
+        assert bulk.connected_table(4, 64, 64).masks.size == 0
+        assert bulk.connected_table(4, 5, 5).masks.size == 0
+
+    def test_order_limit_follows_the_mask_width(self):
+        assert bulk.connected_table(8, 0, 1 << 10).masks.size == 0
+        with pytest.raises(ValueError, match="uint32"):
+            bulk.connected_table(9, 0, 1)
+        with pytest.raises(ValueError, match="n >= 1"):
+            bulk.connected_table(0)
