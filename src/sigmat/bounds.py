@@ -5,7 +5,8 @@ Checks that are algebraic in the degrees compare exact integers or
 Fractions; checks involving radicals or eigenvalues compare floats within
 the spectral tolerance, and their equality flags are advisory only.
 Individual checks raise PreconditionError when their hypotheses fail;
-``check_all`` downgrades those to skip markers so batch reports are total.
+``check_all`` evaluates each graph once into a ``GraphFacts`` record and
+downgrades those failures to skip markers so batch reports are total.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graph import (
     Graph,
@@ -21,10 +23,9 @@ from .graph import (
     is_complete_bipartite,
     is_connected,
     is_path_graph,
-    is_regular,
 )
 from .invariants import sigma, sigma_t
-from .spectral import graph_energy, laplacian_spectrum, spectral_tolerance
+from .spectral import SpectralSummary, laplacian_spectrum, spectral_tolerance
 
 
 class PreconditionError(ValueError):
@@ -74,79 +75,98 @@ def _skipped(bound_id: str, reason: str) -> BoundCheck:
     return BoundCheck(bound_id, None, None, True, False, "", False, skipped=reason)
 
 
-def _require_connected(g: Graph, bound_id: str) -> None:
-    if not is_connected(g):
-        raise PreconditionError(f"{bound_id}: graph is disconnected")
+class GraphFacts:
+    """What the graph bounds read about one graph, each computed once:
+    degree statistics, connectivity, sigma_t, the spectral tolerance and,
+    on first use, both spectra."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.stats = degree_stats(g)
+        self.connected = is_connected(g)
+        self.sigma_t = sigma_t(g)
+        self.tol = spectral_tolerance(g)
+
+    @cached_property
+    def spectrum(self) -> SpectralSummary:
+        return laplacian_spectrum(self.graph)
+
+    def require_connected(self, bound_id: str) -> None:
+        if not self.connected:
+            raise PreconditionError(f"{bound_id}: graph is disconnected")
 
 
-def check_triangle_free_upper(g: Graph) -> BoundCheck:
+def _facts(g: Graph | GraphFacts) -> GraphFacts:
+    return g if isinstance(g, GraphFacts) else GraphFacts(g)
+
+
+def _toleranced(bound_id: str, lhs: float, rhs: float, tol: float, cert: str = "") -> BoundCheck:
+    return BoundCheck(bound_id, lhs, rhs, lhs <= rhs + tol, abs(lhs - rhs) <= tol, cert, exact=False)
+
+
+def check_triangle_free_upper(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t <= m(n^2 - 4m) for triangle-free graphs; equality exactly on
     complete bipartite graphs."""
-    tri = find_triangle(g)
+    f = _facts(g)
+    tri = find_triangle(f.graph)
     if tri is not None:
         raise PreconditionError(f"triangle-free-upper: vertices {tri} form a triangle")
-    lhs = sigma_t(g)
-    m = g.m
-    rhs = m * (g.n * g.n - 4 * m)
+    lhs = f.sigma_t
+    m = f.stats.m
+    rhs = m * (f.stats.n ** 2 - 4 * m)
     eq = lhs == rhs
     cert = ""
     if eq:
-        cert = "complete bipartite" if is_complete_bipartite(g) else "equality without complete-bipartite structure"
+        cert = "complete bipartite" if is_complete_bipartite(f.graph) else "equality without complete-bipartite structure"
     return BoundCheck("triangle-free-upper", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
 
 
-def check_sigma_t_upper_degree(g: Graph) -> BoundCheck:
+def check_sigma_t_upper_degree(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t <= 4(sqrt(2mn) - n*sqrt(mindeg))(n^2 maxdeg^2 + 4m^2) / (n*sqrt(mindeg))
     for connected graphs with at least one edge."""
-    _require_connected(g, "degree-upper")
-    stats = degree_stats(g)
+    f = _facts(g)
+    f.require_connected("degree-upper")
+    stats = f.stats
     if stats.m < 1:
         raise PreconditionError("degree-upper: graph has no edges")
     n, m = stats.n, stats.m
     nsd = n * math.sqrt(stats.min_degree)
     rhs = 4 * (math.sqrt(2 * m * n) - nsd) * (n * n * stats.max_degree ** 2 + 4 * m * m) / nsd
-    lhs = float(sigma_t(g))
-    tol = spectral_tolerance(g)
-    return BoundCheck(
-        "degree-upper", lhs, rhs, lhs <= rhs + tol, abs(lhs - rhs) <= tol, "", exact=False
-    )
+    return _toleranced("degree-upper", float(f.sigma_t), rhs, f.tol)
 
 
-def check_energy_upper(g: Graph) -> BoundCheck:
+def check_energy_upper(g: Graph | GraphFacts) -> BoundCheck:
     """energy <= sqrt(2mn) - n*sqrt(mindeg)*sigma_t / (4(n^2 maxdeg^2 + 4m^2))
     for connected graphs; tightens the sqrt(2mn) energy bound whenever
     sigma_t > 0."""
-    _require_connected(g, "energy-upper")
-    stats = degree_stats(g)
+    f = _facts(g)
+    f.require_connected("energy-upper")
+    stats = f.stats
     n, m = stats.n, stats.m
-    st = sigma_t(g)
     mcclelland = math.sqrt(2 * m * n)
-    if st == 0:
+    if f.sigma_t == 0:
         rhs = mcclelland
         cert = "reduces to sqrt(2mn) (regular)"
     else:
-        rhs = mcclelland - n * math.sqrt(stats.min_degree) * st / (
+        rhs = mcclelland - n * math.sqrt(stats.min_degree) * f.sigma_t / (
             4 * (n * n * stats.max_degree ** 2 + 4 * m * m)
         )
         cert = ""
-    lhs = graph_energy(g)
-    tol = spectral_tolerance(g)
-    return BoundCheck(
-        "energy-upper", lhs, rhs, lhs <= rhs + tol, abs(lhs - rhs) <= tol, cert, exact=False
-    )
+    return _toleranced("energy-upper", f.spectrum.energy, rhs, f.tol, cert)
 
 
-def check_max_count_lower(g: Graph) -> BoundCheck:
+def check_max_count_lower(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t >= k/(n-k) * (n*maxdeg - 2m)^2 where k counts the max-degree
     vertices of a connected non-regular graph; equality exactly when the
     other n-k degrees are all equal."""
-    _require_connected(g, "max-count-lower")
-    stats = degree_stats(g)
+    f = _facts(g)
+    f.require_connected("max-count-lower")
+    stats = f.stats
     k, n = stats.max_degree_count, stats.n
     if k == n:
         raise PreconditionError("max-count-lower: graph is regular (k = n)")
     lhs = Fraction(k, n - k) * (n * stats.max_degree - 2 * stats.m) ** 2
-    rhs = sigma_t(g)
+    rhs = f.sigma_t
     eq = lhs == rhs
     cert = ""
     if eq:
@@ -155,16 +175,17 @@ def check_max_count_lower(g: Graph) -> BoundCheck:
     return BoundCheck("max-count-lower", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
 
 
-def check_simple_lower(g: Graph) -> BoundCheck:
+def check_simple_lower(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t >= (n*maxdeg - 2m)^2 / (n-1) for connected graphs on
     n >= 2 vertices."""
-    _require_connected(g, "simple-lower")
-    stats = degree_stats(g)
+    f = _facts(g)
+    f.require_connected("simple-lower")
+    stats = f.stats
     if stats.n < 2:
         raise PreconditionError("simple-lower: need n >= 2")
     n = stats.n
     lhs = Fraction((n * stats.max_degree - 2 * stats.m) ** 2, n - 1)
-    rhs = sigma_t(g)
+    rhs = f.sigma_t
     eq = lhs == rhs
     cert = ""
     if eq:
@@ -175,68 +196,55 @@ def check_simple_lower(g: Graph) -> BoundCheck:
     return BoundCheck("simple-lower", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
 
 
-def check_tree_lower(g: Graph) -> BoundCheck:
+def check_tree_lower(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t >= 2n - 4 for trees on n >= 2 vertices; equality exactly on
     paths."""
-    if g.n < 2:
+    f = _facts(g)
+    n = f.stats.n
+    if n < 2:
         raise PreconditionError("tree-lower: need n >= 2")
-    if g.m != g.n - 1 or not is_connected(g):
+    if f.stats.m != n - 1 or not f.connected:
         raise PreconditionError("tree-lower: graph is not a tree")
-    lhs = 2 * g.n - 4
-    rhs = sigma_t(g)
+    lhs = 2 * n - 4
+    rhs = f.sigma_t
     eq = lhs == rhs
-    cert = "path" if eq and is_path_graph(g) else ("equality on a non-path" if eq else "")
+    cert = "path" if eq and is_path_graph(f.graph) else ("equality on a non-path" if eq else "")
     return BoundCheck("tree-lower", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
 
 
-def check_nonregular_min(g: Graph) -> BoundCheck:
+def check_nonregular_min(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t >= n-1 (n odd) or 2n-4 (n even) for non-regular graphs."""
-    if is_regular(g):
+    f = _facts(g)
+    stats = f.stats
+    if stats.max_degree == stats.min_degree:
         raise PreconditionError("nonregular-min: graph is regular")
-    lhs = g.n - 1 if g.n % 2 else 2 * g.n - 4
-    rhs = sigma_t(g)
+    n = stats.n
+    lhs = n - 1 if n % 2 else 2 * n - 4
+    rhs = f.sigma_t
     eq = lhs == rhs
     cert = ""
     if eq:
-        degs = sorted(set(g.degrees()))
+        degs = sorted(set(stats.degrees))
         cert = f"near-regular degrees {degs}" if len(degs) == 2 and degs[1] - degs[0] == 1 else "equality"
     return BoundCheck("nonregular-min", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
 
 
-def check_laplacian_sandwich(g: Graph) -> tuple[BoundCheck, BoundCheck]:
+def check_laplacian_sandwich(g: Graph | GraphFacts) -> tuple[BoundCheck, BoundCheck]:
     """The pair sigma <= (mu_max/n) sigma_t and sigma_t <= (n/mu2) sigma for
     a connected graph; regular graphs report the degenerate 0 <= 0 without
     touching the spectrum."""
-    _require_connected(g, "laplacian-sandwich")
-    st = sigma_t(g)
+    f = _facts(g)
+    f.require_connected("laplacian-sandwich")
+    st = f.sigma_t
     if st == 0:
         cert = "holds (degenerate 0 <= 0)"
         upper = BoundCheck("laplacian-sigma-upper", 0, 0, True, True, cert, exact=True)
         lower = BoundCheck("laplacian-sigma-t-upper", 0, 0, True, True, cert, exact=True)
         return (upper, lower)
-    sg = sigma(g)
-    summary = laplacian_spectrum(g)
-    tol = spectral_tolerance(g)
-    rhs_upper = summary.mu_max / g.n * st
-    upper = BoundCheck(
-        "laplacian-sigma-upper",
-        float(sg),
-        rhs_upper,
-        sg <= rhs_upper + tol,
-        abs(sg - rhs_upper) <= tol,
-        "",
-        exact=False,
-    )
-    rhs_lower = g.n / summary.mu2 * sg
-    lower = BoundCheck(
-        "laplacian-sigma-t-upper",
-        float(st),
-        rhs_lower,
-        st <= rhs_lower + tol,
-        abs(st - rhs_lower) <= tol,
-        "",
-        exact=False,
-    )
+    sg = sigma(f.graph)
+    n, spectrum = f.stats.n, f.spectrum
+    upper = _toleranced("laplacian-sigma-upper", float(sg), spectrum.mu_max / n * st, f.tol)
+    lower = _toleranced("laplacian-sigma-t-upper", float(st), n / spectrum.mu2 * sg, f.tol)
     return (upper, lower)
 
 
@@ -317,34 +325,31 @@ def check_bhatia_davis(seq, upper, lower) -> BoundCheck:
     return BoundCheck("bhatia-davis", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
 
 
-def check_all(g: Graph) -> list[BoundCheck]:
-    """Run every graph bound, downgrading precondition failures to skip
-    markers; the result is ordered by bound id."""
-    results: list[BoundCheck] = []
+_GRAPH_CHECKS = (
+    (("triangle-free-upper",), check_triangle_free_upper),
+    (("degree-upper",), check_sigma_t_upper_degree),
+    (("energy-upper",), check_energy_upper),
+    (("max-count-lower",), check_max_count_lower),
+    (("simple-lower",), check_simple_lower),
+    (("tree-lower",), check_tree_lower),
+    (("nonregular-min",), check_nonregular_min),
+    (("laplacian-sigma-upper", "laplacian-sigma-t-upper"), check_laplacian_sandwich),
+)
 
-    def run(bound_id, fn):
+
+def check_all(g: Graph) -> list[BoundCheck]:
+    """Evaluate the graph once into a GraphFacts record and run every graph
+    bound of ``_GRAPH_CHECKS`` on it; a failed precondition becomes one skip
+    marker per bound id of its check. The result is ordered by bound id."""
+    facts = GraphFacts(g)
+    results: list[BoundCheck] = []
+    for bound_ids, check in _GRAPH_CHECKS:
         try:
-            out = fn(g)
+            out = check(facts)
         except PreconditionError as exc:
             reason = str(exc).split(": ", 1)[-1]
-            if bound_id == "laplacian-sandwich":
-                results.append(_skipped("laplacian-sigma-upper", reason))
-                results.append(_skipped("laplacian-sigma-t-upper", reason))
-            else:
-                results.append(_skipped(bound_id, reason))
-            return
-        if isinstance(out, tuple):
-            results.extend(out)
-        else:
-            results.append(out)
-
-    run("triangle-free-upper", check_triangle_free_upper)
-    run("degree-upper", check_sigma_t_upper_degree)
-    run("energy-upper", check_energy_upper)
-    run("max-count-lower", check_max_count_lower)
-    run("simple-lower", check_simple_lower)
-    run("tree-lower", check_tree_lower)
-    run("nonregular-min", check_nonregular_min)
-    run("laplacian-sandwich", check_laplacian_sandwich)
+            results.extend(_skipped(bound_id, reason) for bound_id in bound_ids)
+            continue
+        results.extend(out if isinstance(out, tuple) else (out,))
     results.sort(key=lambda c: c.bound_id)
     return results

@@ -4,7 +4,9 @@ conjecture, and verify-identities subcommands with JSON or table output.
 JSON is byte-stable: fixed key order per command and floats rendered in
 12-significant-digit shortest form, so re-serializing parsed output
 reproduces the bytes. Exit codes: 0 success, 1 verification failure
-(violated bound or conjecture counterexample), 2 usage or input error.
+(violated bound or conjecture counterexample), 2 usage or input error,
+3 internal error (a failed eigensolve or any other unexpected exception;
+the traceback is logged at debug level, see ``SIGMAT_LOG``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import os
 import sys
 from fractions import Fraction
 from typing import Iterable, Iterator
+
+from numpy.linalg import LinAlgError
 
 from .bounds import BoundCheck, check_all
 from .extremal import (
@@ -376,9 +380,16 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
         return _COMMANDS[args.command](args)
+    except LinAlgError as exc:  # a ValueError, but not the user's
+        internal = exc
     except (UsageError, Graph6Error, LimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        internal = exc
+    log.debug("internal error in %s", args.command, exc_info=internal)
+    print(f"error: internal: {type(internal).__name__}: {internal}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Laplacian and adjacency spectra, graph energy, and the Rayleigh-quotient
-ratio that brackets between the algebraic connectivity and the largest
-Laplacian eigenvalue.
+"""Laplacian and adjacency spectra (with the graph energy) and the
+Rayleigh-quotient ratio that brackets between the algebraic connectivity
+and the largest Laplacian eigenvalue.
 
 All comparisons against eigenvalues use an absolute tolerance scaled by
 n*maxdeg; eigenvalues live in [0, 2*maxdeg], so a relative tolerance would
@@ -75,11 +75,6 @@ def laplacian_spectrum(g: Graph) -> SpectralSummary:
         mu2=float(lap[1]) if g.n >= 2 else None,
         mu_max=float(lap[-1]),
     )
-
-
-def graph_energy(g: Graph) -> float:
-    """Sum of absolute adjacency eigenvalues."""
-    return float(np.abs(np.linalg.eigvalsh(adjacency_matrix(g))).sum())
 
 
 def rayleigh_ratio(g: Graph, x: Sequence[float]) -> float:

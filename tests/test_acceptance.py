@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from sigmat.bounds import check_all, check_energy_upper, check_laplacian_sandwich
+from sigmat.bounds import GraphFacts, check_all, check_energy_upper, check_laplacian_sandwich
 from sigmat.extremal import (
     max_bipartite_split,
     max_split_sigma_t,
@@ -42,7 +42,7 @@ from sigmat.oracle import (
     verify_conjecture2,
     verify_identity_suite,
 )
-from sigmat.spectral import laplacian_spectrum, rayleigh_ratio, spectral_tolerance
+from sigmat.spectral import rayleigh_ratio, spectral_tolerance
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 RANDOM_SEED = 0x5EED1234
@@ -246,8 +246,8 @@ def test_criterion_08_rayleigh_and_sandwich():
     for n in range(2, 7):  # n=1 admits no nonconstant vector
         for g in enumerate_connected_graphs(n):
             graphs += 1
-            summary = laplacian_spectrum(g)
-            tol = spectral_tolerance(g)
+            facts = GraphFacts(g)  # one eigensolve pair, shared with the sandwich below
+            summary, tol = facts.spectrum, facts.tol
             lo = summary.mu2 - tol
             hi = summary.mu_max + tol
             for _ in range(100):
@@ -255,7 +255,7 @@ def test_criterion_08_rayleigh_and_sandwich():
                 assert lo <= rayleigh_ratio(g, x) <= hi
             if not is_regular(g):
                 assert lo <= rayleigh_ratio(g, g.degrees()) <= hi
-            upper, lower = check_laplacian_sandwich(g)
+            upper, lower = check_laplacian_sandwich(facts)
             assert upper.holds and lower.holds
     elapsed = time.perf_counter() - start
     print(f"criterion 8: PASS (Rayleigh ratio bracketed on {graphs} graphs x 100 vectors, "

@@ -5,9 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sigmat import bounds
 from sigmat.bounds import (
+    BoundCheck,
     PreconditionError,
     check_all,
     check_amgm_refinement,
@@ -23,6 +26,7 @@ from sigmat.bounds import (
     check_variance_shift,
 )
 from sigmat.graph import Graph, pair_order
+from sigmat.oracle import graph_from_mask
 from tests.test_graph import complete, complete_bipartite, cycle, path, star
 
 
@@ -345,3 +349,61 @@ class TestCheckAll:
             }
         frac = next(c for c in checks if c.bound_id == "simple-lower").to_json_dict()
         assert frac["lhs"] == {"num": 4, "den": 3}
+
+
+class TestGraphFacts:
+    # every public graph check with the bound ids it reports
+    CHECKS = (
+        (("triangle-free-upper",), check_triangle_free_upper),
+        (("degree-upper",), check_sigma_t_upper_degree),
+        (("energy-upper",), check_energy_upper),
+        (("max-count-lower",), check_max_count_lower),
+        (("simple-lower",), check_simple_lower),
+        (("tree-lower",), check_tree_lower),
+        (("nonregular-min",), check_nonregular_min),
+        (("laplacian-sigma-upper", "laplacian-sigma-t-upper"), check_laplacian_sandwich),
+    )
+
+    def test_check_all_matches_checks_on_bare_graphs(self):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_mask(n, mask)
+                expected = []
+                for ids, check in self.CHECKS:
+                    try:
+                        out = check(g)
+                    except PreconditionError as exc:
+                        reason = str(exc).split(": ", 1)[1]
+                        expected += [BoundCheck(i, None, None, True, False, "", False, skipped=reason)
+                                     for i in ids]
+                        continue
+                    expected += out if isinstance(out, tuple) else [out]
+                expected.sort(key=lambda c: c.bound_id)
+                assert check_all(g) == expected, (n, mask)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("degree_stats", "is_connected", "sigma_t", "laplacian_spectrum"):
+            monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        return counts
+
+    @pytest.mark.parametrize("g, spectra", [
+        (path(5), 1),
+        (Graph(5, [(0, 1), (2, 3)]), 0),
+        (cycle(6), 1),  # sandwich degenerate, but the energy bound needs the spectrum
+    ])
+    def test_each_fact_is_computed_once(self, calls, g, spectra):
+        check_all(g)
+        once = {"degree_stats": 1, "is_connected": 1, "sigma_t": 1}
+        if spectra:
+            once.update(laplacian_spectrum=1, eigvalsh=2)
+        assert calls == once

@@ -2,7 +2,13 @@
 
 import io
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sigmat import cli
@@ -261,7 +267,50 @@ class TestPlumbing:
         code, out, _ = run(capsys, ["compute", "--graph6", P4])
         assert code == 0 and json.loads(out)["sigmaT"] == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--graph6", P4],
+        ["bounds", "--graph6", P4],
+        ["search", "--n", "5", "--objective", "max"],
+    ])
+    def test_debug_logging_leaves_stdout_unchanged(self, monkeypatch, argv):
+        # a child process, so SIGMAT_LOG really installs a stderr handler
+        src = str(Path(cli.__file__).resolve().parents[1])
+
+        def child():
+            return subprocess.run([sys.executable, "-m", "sigmat.cli", *argv], capture_output=True,
+                                  env=dict(os.environ, PYTHONPATH=src), timeout=120)
+
+        monkeypatch.delenv("SIGMAT_LOG", raising=False)
+        plain = child()
+        monkeypatch.setenv("SIGMAT_LOG", "debug")
+        logged = child()
+        assert plain.returncode == logged.returncode == 0
+        assert plain.stdout and logged.stdout == plain.stdout
+
     def test_float_format_idempotent(self):
         for x in (0.1, 2 - 2 ** 0.5, 1 / 3, 123456.789012345, 1e-30):
             once = cli.format_float(x)
             assert cli.format_float(float(once)) == once
+
+
+class TestInternalErrors:
+    def test_failed_eigensolve_exits_3(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run(capsys, ["spectral", "--graph6", P4])
+        assert code == 3 and out == ""
+        assert err == "error: internal: LinAlgError: Eigenvalues did not converge\n"
+
+    def test_unexpected_exception_exits_3_with_debug_traceback(self, capsys, monkeypatch, caplog):
+        def fail(n):
+            raise ArithmeticError("closed form disagrees with the scan")
+
+        monkeypatch.setattr(cli, "max_split_sigma_t", fail)
+        caplog.set_level(logging.DEBUG, logger="sigmat.cli")
+        code, out, err = run(capsys, ["extremal", "--family", "split", "--n", "8"])
+        assert code == 3 and out == ""
+        assert err == "error: internal: ArithmeticError: closed form disagrees with the scan\n"
+        (record,) = [r for r in caplog.records if r.name == "sigmat.cli"]
+        assert record.levelno == logging.DEBUG and record.exc_info[0] is ArithmeticError

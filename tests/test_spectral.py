@@ -11,7 +11,6 @@ from sigmat.graph import Graph, is_connected
 from sigmat.invariants import sigma, sigma_t
 from sigmat.spectral import (
     adjacency_matrix,
-    graph_energy,
     laplacian_matrix,
     laplacian_spectrum,
     rayleigh_ratio,
@@ -42,16 +41,17 @@ def test_complete4_laplacian():
 
 
 def test_star4_energy():
-    assert graph_energy(star(4)) == pytest.approx(2 * math.sqrt(3), abs=1e-9)
+    assert laplacian_spectrum(star(4)).energy == pytest.approx(2 * math.sqrt(3), abs=1e-9)
 
 
 def test_path4_energy():
-    assert graph_energy(path(4)) == pytest.approx(2 * math.sqrt(5), abs=1e-9)
-    assert graph_energy(path(4)) == pytest.approx(4.4721, abs=1e-4)
+    energy = laplacian_spectrum(path(4)).energy
+    assert energy == pytest.approx(2 * math.sqrt(5), abs=1e-9)
+    assert energy == pytest.approx(4.4721, abs=1e-4)
 
 
 def test_empty_graph_energy():
-    assert graph_energy(Graph(3)) == 0.0
+    assert laplacian_spectrum(Graph(3)).energy == 0.0
 
 
 def test_single_vertex():
