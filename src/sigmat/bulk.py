@@ -1,12 +1,14 @@
-"""Vectorized mask-table sweeps over all labeled graphs of a small order.
+"""Vectorized table sweeps over all labeled graphs or trees of a small order.
 
 Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
 degree data, connectivity, triangle-freeness, the sigma indices, and (in
-chunks) both spectra, and is the fast engine behind the order-6/7 searches;
-the stream-based enumerator in :mod:`sigmat.oracle` is the reference
-implementation it is validated against.
+chunks) both spectra, and is the fast engine behind the order-6/7 searches.
+Every labeled tree is likewise one Prüfer rank in ``arange(n**(n-2))``;
+:func:`tree_table` decodes a range of them in lock step for the tree sweep.
+The stream-based enumerators in :mod:`sigmat.oracle` are the reference
+implementations both are validated against.
 """
 
 from __future__ import annotations
@@ -98,6 +100,68 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         max_count=(deg[:, keep] == deg[:, keep].max(axis=0)).sum(axis=0).astype(np.int64),
         gen_kpartite=~bad_pair[keep],
     )
+
+
+@dataclass
+class TreeTable:
+    """Columns for the labeled trees whose Prüfer ranks lie in one range."""
+
+    n: int
+    ranks: np.ndarray        # int64, ascending
+    max_deg: np.ndarray      # int16
+    sigma_t: np.ndarray      # int64
+    sigma: np.ndarray        # int64
+
+
+def tree_table(n: int, rank_lo: int = 0, rank_hi: int | None = None) -> TreeTable:
+    """Build the table for every labeled tree whose Prüfer sequence has its
+    rank in [rank_lo, rank_hi), a range within the n^(n-2) sequences (all of
+    them by default).
+
+    A rank reads the sequence as base-n digits, most significant first, so
+    ranks ascend in ``itertools.product`` order. All sequences of the range
+    are decoded in lock step: at each step every tree joins its smallest leaf
+    (the first vertex with one edge left) to the next sequence entry, and the
+    last edge joins the remaining leaf to n-1.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    total = n ** (n - 2)
+    if total >= 1 << 63:
+        raise ValueError(f"ranks are int64, so n^(n-2) < 2^63 and n <= 17; got n={n}")
+    if rank_hi is None:
+        rank_hi = total
+    if not 0 <= rank_lo <= rank_hi <= total:
+        raise ValueError(f"rank range [{rank_lo}, {rank_hi}) is not within [0, {total}) at n={n}")
+    ranks = np.arange(rank_lo, rank_hi, dtype=np.int64)
+    k = ranks.size
+    row = np.arange(0, k * n, n)  # flat index of vertex 0 in each tree's row
+
+    # int16 holds every degree, squared degree and squared difference at n <= 17
+    seq = np.empty((n - 2, k), dtype=np.int16)
+    rest = ranks
+    for j in range(n - 3, -1, -1):
+        rest, seq[j] = np.divmod(rest, n)
+    deg = np.ones(k * n, dtype=np.int16)
+    for x in seq:
+        deg[row + x] += 1
+    rows = deg.reshape(k, n)
+    sigma_t = n * (rows * rows).sum(axis=1, dtype=np.int64) - 4 * (n - 1) ** 2
+
+    work = deg.copy()
+    left = work.reshape(k, n)  # a view: edges each vertex has not yet used
+    sigma = np.zeros(k, dtype=np.int64)
+    for x in seq:
+        leaf = row + (left == 1).argmax(axis=1)
+        at = row + x
+        d = deg[leaf] - deg[at]
+        sigma += d * d
+        work[leaf] = 0
+        work[at] -= 1
+    d = deg[row + (left == 1).argmax(axis=1)] - deg[row + (n - 1)]
+    sigma += d * d
+
+    return TreeTable(n=n, ranks=ranks, max_deg=rows.max(axis=1), sigma_t=sigma_t, sigma=sigma)
 
 
 def batched_spectra(n: int, masks: np.ndarray, chunk: int = 65536):

@@ -159,8 +159,9 @@ def _add_format_flag(sub) -> None:
     sub.add_argument("--format", choices=("json", "table"), default="json")
 
 
-SHARDS_HELP = ("power-of-two count of worker threads over fixed chunks of the mask space; "
-               "output is identical for any value and memory stays bounded")
+SHARDS_HELP = ("power-of-two count of worker threads over fixed chunks of the mask space "
+               "(of the Prüfer ranks for trees); output is identical for any value and "
+               "memory stays bounded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +320,7 @@ def _cmd_search(args) -> int:
         if args.n is None:
             raise UsageError("search needs --n or an input stream")
         if args.filter == "tree":
-            result = search_trees(args.n, args.objective)
+            result = search_trees(args.n, args.objective, shards=args.shards)
         else:
             result = search_connected(args.n, args.objective, args.filter, shards=args.shards)
     _emit(args, result)
@@ -334,7 +335,7 @@ def _cmd_conjecture(args) -> int:
     else:
         if stream:
             raise UsageError("conjecture 2 is tree-enumeration only; drop the input stream")
-        report = verify_conjecture2(args.n)
+        report = verify_conjecture2(args.n, shards=args.shards)
     _emit(args, report)
     return 0 if report.status == "verified" else 1
 

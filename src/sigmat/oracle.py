@@ -8,15 +8,18 @@ Internal limits are n <= 7 for graphs and n <= 9 for trees; larger orders
 arrive through graph6 line streams produced by external generators.
 
 Searches over the edge-subset space walk it in fixed chunks of CHUNK_MASKS
-masks, so memory stays bounded whatever the order. ``shards`` sets how many
-worker threads scan chunks; partials merge in chunk order, so the output is
-identical for any value.
+masks, and the tree sweep walks the Prüfer ranks in fixed chunks of
+CHUNK_TREES ranks, so memory stays bounded whatever the order. Both run on
+one sweep engine: ``shards`` sets how many worker threads scan chunks, and
+partials merge in chunk order, so the output is identical for any value.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+import time
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +39,7 @@ MAX_ENUM_ORDER = 7
 MAX_TREE_ORDER = 9
 WITNESS_CAP = 16
 CHUNK_MASKS = 1 << 16
+CHUNK_TREES = 1 << 12
 
 
 class LimitError(ValueError):
@@ -96,6 +100,17 @@ def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             leaf = ptr
     edges.append((leaf, n - 1))
     return edges
+
+
+def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
+    """The length n-2 Prüfer sequence with the given rank: its base-n digits,
+    most significant first, so rank k is the k-th sequence of
+    :func:`enumerate_trees`."""
+    digits = []
+    for _ in range(n - 2):
+        rank, digit = divmod(rank, n)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -266,28 +281,60 @@ def search_extremal(
 GRAPH_FILTERS = ("none", "triangle-free", "nonregular", "tree")
 
 
+def _check_power_of_two(shards: int) -> None:
+    if shards < 1 or shards & (shards - 1):
+        raise ValueError(f"shard count must be a power of two, got {shards}")
+
+
 def check_shards(n: int, shards: int) -> None:
     """Reject worker counts that are not a power of two or exceed the
     2^C(n,2) edge subsets at order n."""
-    if shards < 1 or shards & (shards - 1):
-        raise ValueError(f"shard count must be a power of two, got {shards}")
+    _check_power_of_two(shards)
     subsets = 1 << (n * (n - 1) // 2)
     if shards > subsets:
         raise ValueError(f"{shards} shards exceed the {subsets} edge subsets at n={n}")
 
 
+def _tiles(total: int, width: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+
+
 def chunk_ranges(n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) ranges of CHUNK_MASKS masks tiling the edge-subset
     space at order n; the last one may be shorter."""
-    total = 1 << (n * (n - 1) // 2)
-    return [(lo, min(lo + CHUNK_MASKS, total)) for lo in range(0, total, CHUNK_MASKS)]
+    return _tiles(1 << (n * (n - 1) // 2), CHUNK_MASKS)
 
 
-def _sweep(n: int, shards: int, scan: Callable[[bulk.MaskTable], object]) -> Iterator:
-    """``scan`` of the connected table of every chunk, yielded in chunk order;
-    chunks are built and scanned on ``min(shards, 8)`` worker threads."""
-    with ThreadPoolExecutor(max_workers=min(shards, 8)) as pool:
-        yield from pool.map(lambda r: scan(bulk.connected_table(n, r[0], r[1])), chunk_ranges(n))
+def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], shards: int,
+           scan: Callable) -> Iterator:
+    """``scan(build(n, lo, hi))`` for every chunk range, yielded in chunk
+    order; chunks are built and scanned on ``min(shards, 8)`` worker threads,
+    at most two per worker in flight, so memory does not grow with the number
+    of chunks. One worker is the calling thread itself: handing each chunk's
+    result across threads made ``conjecture --id 2 --n 9`` (1168 chunks)
+    about a quarter slower.
+
+    ``build`` is a :mod:`sigmat.bulk` table builder that callers read from the
+    module when they are called, so a wrapper installed on ``bulk`` sees every
+    chunk.
+    """
+    _check_power_of_two(shards)
+    workers = min(shards, 8)
+
+    def chunk(lo: int, hi: int):
+        return scan(build(n, lo, hi))
+
+    if workers == 1:
+        yield from (chunk(lo, hi) for lo, hi in ranges)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for lo, hi in ranges:
+            pending.append(pool.submit(chunk, lo, hi))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def search_connected(
@@ -321,7 +368,7 @@ def search_connected(
             keep = slice(None)
         return Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep])
 
-    for part in _sweep(n, shards, scan):
+    for part in _sweep(bulk.connected_table, n, chunk_ranges(n), shards, scan):
         best.merge(part)
     label = "connected" if graph_filter == "none" else f"connected {graph_filter}"
     return best.result(n, f"{label} graphs on {n} vertices", f"{graph_filter} connected graphs at n={n}")
@@ -355,132 +402,90 @@ class TreeSweep:
     star_count: int
 
 
-@lru_cache(maxsize=None)
-def tree_sweep(n: int) -> TreeSweep:
-    """Single pass over all n^(n-2) labeled trees collecting the extremal
+@lru_cache(maxsize=MAX_TREE_ORDER - 1)
+def tree_sweep(n: int, shards: int = 1) -> TreeSweep:
+    """One pass over all n^(n-2) labeled trees collecting the extremal
     values, the sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t
-    set. Results are cached per order; the Prüfer decode is inlined for
-    speed and cross-validated against :func:`enumerate_trees` in the test
-    suite."""
+    set.
+
+    The Prüfer ranks are walked in fixed chunks of CHUNK_TREES, each decoded
+    by :func:`sigmat.bulk.tree_table` on ``shards`` worker threads; partials
+    merge in rank order, so the result is the same for every count and memory
+    stays bounded. Witnesses are the first WITNESS_CAP trees in rank order.
+    The cache holds at most eight small records: one per order 2..9 (the
+    orders are capped by MAX_TREE_ORDER) at one shard count.
+    """
     if not 2 <= n <= MAX_TREE_ORDER:
         raise LimitError(f"tree sweep covers 2 <= n <= {MAX_TREE_ORDER}, got n={n}")
-    factor = n - 2
-    four_m2 = 4 * (n - 1) * (n - 1)
-    max_value = -1
-    max_count = 0
-    max_all_stars = True
-    max_seqs: list[tuple[int, ...]] = []
-    min_value = 1 << 62
-    min_count = 0
-    min_all_paths = True
-    min_seqs: list[tuple[int, ...]] = []
-    violations = 0
-    violation_seqs: list[tuple[int, ...]] = []
-    eq_count = 0
-    eq_all_paths = True
-    eq_seqs: list[tuple[int, ...]] = []
-    sig_eq_count = 0
-    sig_eq_all_stars = True
-    star_count = 0
-    trees = 0
+    start = time.perf_counter()
 
-    for seq in product(range(n), repeat=n - 2):
-        trees += 1
-        deg = [1] * n
-        for x in seq:
-            deg[x] += 1
-        m1 = 0
-        for d in deg:
-            m1 += d * d
-        st = n * m1 - four_m2
+    def scan(table: bulk.TreeTable):
+        st, ranks = table.sigma_t, table.ranks
+        # a tree is the star iff a degree reaches n-1, a path iff none exceeds 2
+        star, path = table.max_deg == n - 1, table.max_deg <= 2
+        bound = (n - 2) * table.sigma
+        over, equal, sigma_eq = st > bound, st == bound, st == table.sigma
+        extremes = (
+            Extreme.of_chunk("max", st, ranks),
+            Extreme.of_chunk("min", st, ranks),
+            Extreme.of_chunk("max", st[~star], ranks[~star]),
+            Extreme.of_chunk("min", st[~path], ranks[~path]),
+        )
+        counts = {
+            "over": over, "equal": equal, "equal_nonpath": equal & ~path,
+            "sigma_eq": sigma_eq, "sigma_eq_nonstar": sigma_eq & ~star, "star": star,
+        }
+        return (extremes, {k: int(np.count_nonzero(v)) for k, v in counts.items()},
+                ranks[over][:WITNESS_CAP].tolist(), ranks[equal][:WITNESS_CAP].tolist())
 
-        # Prüfer decode, accumulating sigma over the edges as they appear
-        work = deg[:]
-        ptr = 0
-        while work[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        sig = 0
-        for x in seq:
-            d = deg[leaf] - deg[x]
-            sig += d * d
-            work[x] -= 1
-            if work[x] == 1 and x < ptr:
-                leaf = x
-            else:
-                ptr += 1
-                while work[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        d = deg[leaf] - deg[n - 1]
-        sig += d * d
+    top, bottom, nonstar_top, nonpath_bottom = extremes = (
+        Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"))
+    tally: Counter = Counter()
+    over: list[int] = []
+    equal: list[int] = []
+    ranges = _tiles(n ** (n - 2), CHUNK_TREES)
+    for parts, counts, part_over, part_equal in _sweep(bulk.tree_table, n, ranges, shards, scan):
+        for whole, part in zip(extremes, parts):
+            whole.merge(part)
+        tally.update(counts)
+        over.extend(part_over[:WITNESS_CAP - len(over)])
+        equal.extend(part_equal[:WITNESS_CAP - len(equal)])
 
-        is_star = deg.count(n - 1) == 1 or n == 2
-        if is_star:
-            star_count += 1
-        if st > max_value:
-            max_value, max_count, max_all_stars = st, 1, is_star
-            max_seqs = [seq]
-        elif st == max_value:
-            max_count += 1
-            max_all_stars = max_all_stars and is_star
-            if len(max_seqs) < WITNESS_CAP:
-                max_seqs.append(seq)
-        is_path = max(deg) <= 2
-        if st < min_value:
-            min_value, min_count, min_all_paths = st, 1, is_path
-            min_seqs = [seq]
-        elif st == min_value:
-            min_count += 1
-            min_all_paths = min_all_paths and is_path
-            if len(min_seqs) < WITNESS_CAP:
-                min_seqs.append(seq)
+    seconds = time.perf_counter() - start
+    log.debug("tree sweep at n=%d: %d trees in %d chunks, %.3f s, %.0f trees/s",
+              n, top.visited, len(ranges), seconds, top.visited / seconds)
 
-        bound = factor * sig
-        if st > bound:
-            violations += 1
-            if len(violation_seqs) < WITNESS_CAP:
-                violation_seqs.append(seq)
-        elif st == bound:
-            eq_count += 1
-            eq_all_paths = eq_all_paths and is_path
-            if len(eq_seqs) < WITNESS_CAP:
-                eq_seqs.append(seq)
-
-        if sig == st:
-            sig_eq_count += 1
-            sig_eq_all_stars = sig_eq_all_stars and is_star
-
-    def witness(seqs):
-        return tuple(encode_graph6(Graph(n, prufer_edges(s, n))) for s in seqs)
+    def witness(ranks: list[int]) -> tuple[str, ...]:
+        return tuple(encode_graph6(Graph(n, prufer_edges(prufer_sequence(r, n), n))) for r in ranks)
 
     return TreeSweep(
         n=n,
-        trees=trees,
-        max_value=max_value,
-        max_count=max_count,
-        max_all_stars=max_all_stars,
-        max_witnesses=witness(max_seqs),
-        min_value=min_value,
-        min_count=min_count,
-        min_all_paths=min_all_paths,
-        min_witnesses=witness(min_seqs),
-        ratio_violations=violations,
-        ratio_violation_witnesses=witness(violation_seqs),
-        ratio_equality_count=eq_count,
-        ratio_equality_all_paths=eq_all_paths,
-        ratio_equality_witnesses=witness(eq_seqs),
-        sigma_eq_count=sig_eq_count,
-        sigma_eq_all_stars=sig_eq_all_stars,
-        star_count=star_count,
+        trees=top.visited,
+        max_value=top.value,
+        max_count=top.ties,
+        max_all_stars=nonstar_top.value is None or nonstar_top.value < top.value,
+        max_witnesses=witness(top.witnesses),
+        min_value=bottom.value,
+        min_count=bottom.ties,
+        min_all_paths=nonpath_bottom.value is None or nonpath_bottom.value > bottom.value,
+        min_witnesses=witness(bottom.witnesses),
+        ratio_violations=tally["over"],
+        ratio_violation_witnesses=witness(over),
+        ratio_equality_count=tally["equal"],
+        ratio_equality_all_paths=tally["equal_nonpath"] == 0,
+        ratio_equality_witnesses=witness(equal),
+        sigma_eq_count=tally["sigma_eq"],
+        sigma_eq_all_stars=tally["sigma_eq_nonstar"] == 0,
+        star_count=tally["star"],
     )
 
 
-def search_trees(n: int, objective: str) -> SearchResult:
-    """Extremal sigma_t over all labeled trees on n vertices."""
+def search_trees(n: int, objective: str, shards: int = 1) -> SearchResult:
+    """Extremal sigma_t over all labeled trees on n vertices, swept on
+    ``shards`` worker threads; the result is the same for every count."""
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    sweep = tree_sweep(n)
+    sweep = tree_sweep(n, shards)
     if objective == "max":
         value, count, witnesses = sweep.max_value, sweep.max_count, sweep.max_witnesses
     else:
@@ -570,7 +575,7 @@ def verify_conjecture1(
             masks = table.masks[table.triangle_free]
             return Extreme.of_chunk("max", values, masks), masks[values > reference][:WITNESS_CAP].tolist()
 
-        for part, bad in _sweep(n, shards, scan):
+        for part, bad in _sweep(bulk.connected_table, n, chunk_ranges(n), shards, scan):
             best.merge(part)
             offenders.extend(bad[:WITNESS_CAP - len(offenders)])
         missing = f"connected triangle-free graphs at n={n}"
@@ -601,12 +606,12 @@ def verify_conjecture1(
     )
 
 
-def verify_conjecture2(n: int) -> ConjectureReport:
+def verify_conjecture2(n: int, shards: int = 1) -> ConjectureReport:
     """Check sigma_t(T) <= (n-2) * sigma(T) over every labeled tree, with
-    equality exactly on paths."""
+    equality exactly on paths, sweeping on ``shards`` worker threads."""
     if not 3 <= n <= MAX_TREE_ORDER:
         raise LimitError(f"conjecture 2 runs for 3 <= n <= {MAX_TREE_ORDER}, got n={n}")
-    sweep = tree_sweep(n)
+    sweep = tree_sweep(n, shards)
     ok = sweep.ratio_violations == 0 and sweep.ratio_equality_all_paths
     counterexamples = sweep.ratio_violation_witnesses
     if sweep.ratio_violations == 0 and not sweep.ratio_equality_all_paths:

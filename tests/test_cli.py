@@ -26,6 +26,17 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_child(argv, log_level=None):
+    """``sigmat`` in a child process, so SIGMAT_LOG really installs a stderr
+    handler (under pytest the root logger already has handlers)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("SIGMAT_LOG", None)
+    if log_level is not None:
+        env["SIGMAT_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "sigmat.cli", *argv], capture_output=True,
+                          env=env, timeout=120)
+
+
 class TestCompute:
     def test_p4_json(self, capsys):
         code, out, _ = run(capsys, ["compute", "--graph6", P4])
@@ -206,6 +217,28 @@ class TestConjecture:
         assert code == 2
 
 
+class TestTreeShards:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "4", "--filter", "tree", "--objective", "max"],
+        ["conjecture", "--id", "2", "--n", "4"],
+    ])
+    @pytest.mark.parametrize("shards", ["3", "0", "-2", "6"])
+    def test_shards_must_be_a_power_of_two(self, capsys, argv, shards):
+        code, out, err = run(capsys, [*argv, "--shards", shards])
+        assert code == 2 and out == ""
+        assert err == f"error: shard count must be a power of two, got {shards}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "6", "--filter", "tree", "--objective", "min"],
+        ["conjecture", "--id", "2", "--n", "6"],
+    ])
+    def test_shards_reproduce_bytes(self, capsys, argv):
+        _, base, _ = run(capsys, argv)
+        for shards in ("2", "4"):
+            code, sharded, _ = run(capsys, [*argv, "--shards", shards])
+            assert code == 0 and sharded == base
+
+
 class TestVerifyIdentities:
     def test_enumerated(self, capsys):
         code, out, _ = run(capsys, ["verify-identities", "--n", "4"])
@@ -262,28 +295,29 @@ class TestPlumbing:
             parsed = json.loads(line)
             assert cli.canonical_json(parsed) == line
 
-    def test_log_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SIGMAT_LOG", "debug")
-        code, out, _ = run(capsys, ["compute", "--graph6", P4])
-        assert code == 0 and json.loads(out)["sigmaT"] == 4
+    def test_log_env(self):
+        for argv, line in [
+            (["conjecture", "--id", "1", "--n", "4"],
+             b"DEBUG:sigmat.oracle:conjecture 1 at n=4: max 12 vs bipartite 12 over 19 graphs\n"),
+            (["conjecture", "--id", "2", "--n", "5"],
+             b"DEBUG:sigmat.oracle:tree sweep at n=5: 125 trees in 1 chunks, "),
+        ]:
+            plain = run_child(argv)
+            logged = run_child(argv, "debug")
+            assert plain.returncode == logged.returncode == 0
+            assert plain.stderr == b""
+            assert line in logged.stderr
+            assert plain.stdout and logged.stdout == plain.stdout
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--graph6", P4],
         ["bounds", "--graph6", P4],
         ["search", "--n", "5", "--objective", "max"],
+        ["conjecture", "--id", "2", "--n", "6"],
     ])
-    def test_debug_logging_leaves_stdout_unchanged(self, monkeypatch, argv):
-        # a child process, so SIGMAT_LOG really installs a stderr handler
-        src = str(Path(cli.__file__).resolve().parents[1])
-
-        def child():
-            return subprocess.run([sys.executable, "-m", "sigmat.cli", *argv], capture_output=True,
-                                  env=dict(os.environ, PYTHONPATH=src), timeout=120)
-
-        monkeypatch.delenv("SIGMAT_LOG", raising=False)
-        plain = child()
-        monkeypatch.setenv("SIGMAT_LOG", "debug")
-        logged = child()
+    def test_debug_logging_leaves_stdout_unchanged(self, argv):
+        plain = run_child(argv)
+        logged = run_child(argv, "debug")
         assert plain.returncode == logged.returncode == 0
         assert plain.stdout and logged.stdout == plain.stdout
 

@@ -1,8 +1,12 @@
 """Enumeration counts, Prüfer decoding, stream ingestion, search and
-conjecture harnesses, and the bulk mask-table cross-validation."""
+conjecture harnesses, and the cross-validation of the bulk mask and tree
+tables."""
 
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
+from itertools import islice, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +41,7 @@ from sigmat.oracle import (
     graph_from_mask,
     ingest_graph6,
     prufer_edges,
+    prufer_sequence,
     random_graphs,
     search_connected,
     search_extremal,
@@ -112,6 +117,11 @@ class TestTrees:
             for seq in product(range(n), repeat=n - 2):
                 fast = {tuple(sorted(e)) for e in prufer_edges(seq, n)}
                 assert fast == naive_prufer(seq, n)
+
+    def test_ranks_follow_the_enumeration_order(self):
+        for n in (2, 3, 4, 5):
+            assert [prufer_sequence(k, n) for k in range(n ** (n - 2))] == list(
+                product(range(n), repeat=n - 2))
 
     def test_limits(self):
         with pytest.raises(LimitError):
@@ -313,6 +323,19 @@ class TestChunkBoundaries:
             assert report.counterexamples == tuple(offenders[:oracle.WITNESS_CAP])
             assert report == stream
 
+    @pytest.mark.parametrize("shards", [1, 2, 8])
+    def test_sweep_keeps_few_chunks_in_flight(self, shards):
+        built, seen = [], []
+
+        def build(n, lo, hi):
+            built.append(lo)
+            return lo
+
+        for lo in oracle._sweep(build, 0, [(i, i + 1) for i in range(200)], shards, lambda t: t):
+            seen.append(lo)
+            assert len(built) - len(seen) < 2 * min(shards, 8)
+        assert seen == list(range(200))
+
     def test_sweep_memory_is_bounded(self):
         tracemalloc.start()
         try:
@@ -364,6 +387,178 @@ class TestTreeSweep:
             sweep = tree_sweep(n)
             expected = sum(1 for t in enumerate_trees(n) if sigma(t) == sigma_t(t))
             assert sweep.sigma_eq_count == expected
+
+
+@lru_cache(maxsize=None)
+def _tree_reference(n):
+    """The TreeSweep of n from enumerate_trees and the scalar invariants,
+    independent of the rank decode and the lock-step Prüfer decode."""
+    trees = []
+    for t in enumerate_trees(n):
+        st, sg = sigma_t(t), sigma(t)
+        trees.append(SimpleNamespace(g6=encode_graph6(t), st=st, sigma=sg, bound=(n - 2) * sg,
+                                     star=is_star_graph(t), path=is_path_graph(t)))
+    top = max(t.st for t in trees)
+    bottom = min(t.st for t in trees)
+    maxima = [t for t in trees if t.st == top]
+    minima = [t for t in trees if t.st == bottom]
+    over = [t for t in trees if t.st > t.bound]
+    equal = [t for t in trees if t.st == t.bound]
+    sigma_eq = [t for t in trees if t.st == t.sigma]
+
+    def first(family):
+        return tuple(t.g6 for t in family[:oracle.WITNESS_CAP])
+
+    return oracle.TreeSweep(
+        n=n,
+        trees=len(trees),
+        max_value=top,
+        max_count=len(maxima),
+        max_all_stars=all(t.star for t in maxima),
+        max_witnesses=first(maxima),
+        min_value=bottom,
+        min_count=len(minima),
+        min_all_paths=all(t.path for t in minima),
+        min_witnesses=first(minima),
+        ratio_violations=len(over),
+        ratio_violation_witnesses=first(over),
+        ratio_equality_count=len(equal),
+        ratio_equality_all_paths=all(t.path for t in equal),
+        ratio_equality_witnesses=first(equal),
+        sigma_eq_count=len(sigma_eq),
+        sigma_eq_all_stars=all(t.star for t in sigma_eq),
+        star_count=sum(t.star for t in trees),
+    )
+
+
+class TestTreeSweepFastPath:
+    """The chunked lock-step decode against independent references."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_field_matches_the_reference(self, n):
+        assert tree_sweep.__wrapped__(n) == _tree_reference(n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_table_matches_scalar_path(self, n):
+        table = bulk.tree_table(n)
+        for k, t in enumerate(enumerate_trees(n)):
+            assert int(table.ranks[k]) == k
+            assert int(table.sigma_t[k]) == sigma_t(t)
+            assert int(table.sigma[k]) == sigma(t)
+            assert int(table.max_deg[k]) == max(t.degrees())
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_values_match_the_mask_table_trees(self, mask_tables, n):
+        trees = bulk.tree_table(n)
+        table = mask_tables[n]
+        is_tree = table.m == n - 1
+        assert trees.ranks.tolist() == list(range(n ** (n - 2)))
+        assert Counter(zip(trees.sigma_t.tolist(), trees.sigma.tolist())) == Counter(
+            zip(table.sigma_t[is_tree].tolist(), table.sigma[is_tree].tolist()))
+        assert Counter(trees.max_deg.tolist()) == Counter(table.max_deg[is_tree].tolist())
+
+    @pytest.mark.parametrize("width", [1, 7, 64])
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_chunk_boundaries(self, monkeypatch, n, width):
+        monkeypatch.setattr(oracle, "CHUNK_TREES", width)
+        for shards in (1, 2, 8):
+            assert tree_sweep.__wrapped__(n, shards) == _tree_reference(n)
+
+    def test_violations_are_capped_across_chunks(self, monkeypatch):
+        # sigma read as 0 puts every tree on 6 vertices over the ratio bound
+        build = bulk.tree_table
+
+        def no_sigma(n, lo, hi):
+            return replace(build(n, lo, hi), sigma=np.zeros(hi - lo, dtype=np.int64))
+
+        monkeypatch.setattr(bulk, "tree_table", no_sigma)
+        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
+        monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
+        first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
+        assert tree_sweep.__wrapped__(6, 2) == replace(
+            _tree_reference(6), ratio_violations=6 ** 4, ratio_violation_witnesses=first,
+            ratio_equality_count=0, ratio_equality_witnesses=(), sigma_eq_count=0)
+        report = verify_conjecture2(6, shards=2)
+        assert report.status == "counterexample" and report.counterexamples == first
+
+    def test_flags_see_non_stars_and_non_paths_across_chunks(self, monkeypatch):
+        # sigma_t and sigma read as 0: every tree attains both extremes, the
+        # ratio equality and sigma == sigma_t, so no "all stars/paths" holds
+        build = bulk.tree_table
+
+        def flat(n, lo, hi):
+            zero = np.zeros(hi - lo, dtype=np.int64)
+            return replace(build(n, lo, hi), sigma_t=zero, sigma=zero)
+
+        monkeypatch.setattr(bulk, "tree_table", flat)
+        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
+        monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
+        first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
+        trees = 6 ** 4
+        assert tree_sweep.__wrapped__(6) == replace(
+            _tree_reference(6), max_value=0, max_count=trees, max_all_stars=False,
+            max_witnesses=first, min_value=0, min_count=trees, min_all_paths=False,
+            min_witnesses=first, ratio_equality_count=trees, ratio_equality_all_paths=False,
+            ratio_equality_witnesses=first, sigma_eq_count=trees, sigma_eq_all_stars=False)
+        report = verify_conjecture2(6)
+        assert report.status == "counterexample" and report.counterexamples == first
+
+    def test_chunks_reach_the_table_builder_in_rank_order(self, monkeypatch):
+        calls = []
+        build = bulk.tree_table
+
+        def recording(n, lo, hi):
+            calls.append((lo, hi))
+            return build(n, lo, hi)
+
+        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
+        monkeypatch.setattr(bulk, "tree_table", recording)
+        assert tree_sweep.__wrapped__(4) == _tree_reference(4)
+        assert calls == [(0, 7), (7, 14), (14, 16)]
+
+    def test_rank_ranges_slice_the_table(self):
+        whole = bulk.tree_table(5)
+        parts = [bulk.tree_table(5, lo, min(lo + 7, 125)) for lo in range(0, 125, 7)]
+        for field in ("ranks", "max_deg", "sigma_t", "sigma"):
+            assert np.concatenate([getattr(p, field) for p in parts]).tolist() == \
+                getattr(whole, field).tolist()
+        assert bulk.tree_table(5, 9, 9).ranks.size == 0
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 3), (5, 4), (0, 17), (16, 17)])
+    def test_rank_range_outside_the_space_is_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="rank range"):
+            bulk.tree_table(4, lo, hi)
+
+    def test_order_limit_follows_the_rank_width(self):
+        top = bulk.tree_table(17, 0, 3)
+        for k in range(3):
+            t = Graph(17, prufer_edges(prufer_sequence(k, 17), 17))
+            assert (int(top.ranks[k]), int(top.sigma_t[k]), int(top.sigma[k])) == (k, sigma_t(t), sigma(t))
+        with pytest.raises(ValueError, match="int64"):
+            bulk.tree_table(18, 0, 1)
+        with pytest.raises(ValueError, match="n >= 2"):
+            bulk.tree_table(1)
+
+    def test_shards_must_be_a_power_of_two(self):
+        for shards in (3, 0, -4, 6):
+            with pytest.raises(ValueError, match="power of two"):
+                tree_sweep(4, shards)
+            with pytest.raises(ValueError, match="power of two"):
+                search_trees(4, "max", shards=shards)
+            with pytest.raises(ValueError, match="power of two"):
+                verify_conjecture2(4, shards=shards)
+
+    def test_sweep_memory_is_bounded(self):
+        # keeps the peak RSS of `conjecture --id 2 --n 9` near the bare import's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sweep = tree_sweep.__wrapped__(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweep.trees == 8 ** 6
+        assert peak < 2 * 2 ** 20
 
 
 class TestConjecture1:
