@@ -3,21 +3,38 @@
 Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
-degree data, connectivity, triangle-freeness, the sigma indices, and (in
-chunks) both spectra, and is the fast engine behind the order-6/7 searches.
-Every labeled tree is likewise one Prüfer rank in ``arange(n**(n-2))``;
-:func:`tree_table` decodes a range of them in lock step for the tree sweep.
+degree data, connectivity, triangle-freeness and the sigma indices
+(:func:`connected_table`, built in sub-ranges of CHUNK_MASKS masks), and is
+the fast engine behind the order-6/7 searches. :func:`batched_spectra`
+gives both spectra of many masks with one eigensolve pair per cospectral
+class in each chunk: exact integer power sums of A and L identify the
+class, so relabelled copies of a graph share one solve. Every labeled tree
+is likewise one Prüfer rank in ``arange(n**(n-2))``; :func:`tree_table`
+decodes a range of them in lock step for the tree sweep.
 The stream-based enumerators in :mod:`sigmat.oracle` are the reference
-implementations both are validated against.
+implementations the tables are validated against, and the scalar
+:func:`sigmat.spectral.laplacian_spectrum` is the reference for the spectra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+import time
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .graph import pair_order
+
+log = logging.getLogger("sigmat.bulk")
+
+# masks per sub-range of a table build and per batch of eigensolves; the
+# oracle's sweeps walk the edge-subset space in chunks of the same width
+CHUNK_MASKS = 1 << 16
+# masks per block of class keys in batched_spectra: the matrices and powers
+# of one block stay in cache, which halves the cost of the power sums
+_KEY_BLOCK = 1 << 10
 
 
 @dataclass
@@ -37,21 +54,46 @@ class MaskTable:
     gen_kpartite: np.ndarray  # bool: non-adjacent pairs all have equal degree
 
 
-def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> MaskTable:
-    """Build the table for every connected mask in [mask_lo, mask_hi), a
-    range within the 2^C(n,2) edge subsets (the whole space by default)."""
+def _mask_pairs(n: int) -> list[tuple[int, int]]:
+    """The edge pairs of order n, after checking that its masks fit uint32."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     pairs = pair_order(n)
-    nedges = len(pairs)
-    if nedges > 32:
+    if len(pairs) > 32:
         raise ValueError(f"masks are uint32, so C(n,2) <= 32 and n <= 8; got n={n}")
+    return pairs
+
+
+def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> MaskTable:
+    """Build the table for every connected mask in [mask_lo, mask_hi), a
+    range within the 2^C(n,2) edge subsets (the whole space by default).
+
+    The range is decoded in sub-ranges of CHUNK_MASKS masks whose connected
+    rows are then concatenated, so the temporaries stay those of one
+    sub-range however wide the range is.
+    """
+    pairs = _mask_pairs(n)
+    nedges = len(pairs)
     if mask_hi is None:
         mask_hi = 1 << nedges
     if not 0 <= mask_lo <= mask_hi <= 1 << nedges:
         raise ValueError(
             f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << nedges}) at n={n}"
         )
+    parts = [_connected_rows(n, pairs, lo, min(lo + CHUNK_MASKS, mask_hi))
+             for lo in range(mask_lo, mask_hi, CHUNK_MASKS) or [mask_lo]]
+    if len(parts) == 1:
+        return parts[0]
+    columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
+               for f in fields(MaskTable) if f.name != "n"}
+    return MaskTable(n=n, **columns)
+
+
+def _connected_rows(n: int, pairs: list[tuple[int, int]], mask_lo: int, mask_hi: int) -> MaskTable:
+    """The table of one sub-range that :func:`connected_table` has checked.
+    It is not reached through the module name, so a wrapper installed on
+    ``bulk.connected_table`` still sees one call per table."""
+    nedges = len(pairs)
     masks = np.arange(mask_lo, mask_hi, dtype=np.uint32)
 
     bits = [((masks >> np.uint32(e)) & np.uint32(1)).astype(np.uint8) for e in range(nedges)]
@@ -164,31 +206,112 @@ def tree_table(n: int, rank_lo: int = 0, rank_hi: int | None = None) -> TreeTabl
     return TreeTable(n=n, ranks=ranks, max_deg=rows.max(axis=1), sigma_t=sigma_t, sigma=sigma)
 
 
-def batched_spectra(n: int, masks: np.ndarray, chunk: int = 65536):
+def batched_spectra(n: int, masks: np.ndarray, chunk: int = CHUNK_MASKS):
     """Energy, second-smallest and largest Laplacian eigenvalues for every
-    mask, via chunked dense symmetric eigensolves.
+    mask, with one pair of dense symmetric eigensolves per cospectral class
+    in each chunk of ``chunk`` masks.
+
+    Relabelling a graph does not change its spectra, and the 1,866,256
+    connected masks at n = 7 are only 853 isomorphism classes. A mask's key
+    is the power sums (tr A^k, tr L^k for k = 1..n) of its adjacency matrix A
+    and Laplacian L: by Newton's identities the power sums p_1..p_n of an
+    n x n matrix fix its characteristic polynomial, so masks with equal keys
+    have equal spectra.
+    The key is exact. Every entry of A^k and L^k and every partial sum of a
+    trace is an integer of modulus at most n * (2(n-1))^k, which is below
+    8 * 14^8 < 1.2e10 < 2^53 for n <= 8, so the float64 matmuls and sums make
+    no rounding error. The first mask of each class in mask order is solved
+    and its values are copied to the rest of the class. Masks must be
+    integers below 2^C(n,2), for 1 <= n <= 8.
 
     Returns (energy, mu2, mu_max) float64 arrays aligned with ``masks``.
     For n == 1 mu2 is reported as NaN.
     """
-    pairs = pair_order(n)
+    nedges = len(_mask_pairs(n))
+    masks = np.asarray(masks)
+    if masks.dtype.kind not in "iu":
+        raise ValueError(f"masks must have an integer dtype, got {masks.dtype}")
+    if masks.size and not 0 <= masks.min() <= masks.max() < 1 << nedges:
+        raise ValueError(
+            f"masks [{masks.min()}, {masks.max()}] are not within [0, {1 << nedges}) at n={n}"
+        )
+    start = time.perf_counter()
     energy = np.empty(masks.size, dtype=np.float64)
     mu2 = np.empty(masks.size, dtype=np.float64)
     mu_max = np.empty(masks.size, dtype=np.float64)
+    classes = 0
     for lo in range(0, masks.size, chunk):
         part = masks[lo:lo + chunk]
-        a = np.zeros((part.size, n, n), dtype=np.float64)
-        for e, (i, j) in enumerate(pairs):
-            bit = ((part >> np.uint32(e)) & np.uint32(1)).astype(np.float64)
-            a[:, i, j] = bit
-            a[:, j, i] = bit
-        adj_eigs = np.linalg.eigvalsh(a)
-        energy[lo:lo + part.size] = np.abs(adj_eigs).sum(axis=1)
-        degs = a.sum(axis=2)
-        lap = -a
-        idx = np.arange(n)
-        lap[:, idx, idx] = degs
+        first, inverse = _classes(np.concatenate(
+            [_class_keys(n, part[b:b + _KEY_BLOCK]) for b in range(0, part.size, _KEY_BLOCK)], axis=1))
+        classes += first.size
+        adj, lap = _matrices(n, part[first])
+        adj_eigs = np.linalg.eigvalsh(adj)
         lap_eigs = np.linalg.eigvalsh(lap)
-        mu2[lo:lo + part.size] = lap_eigs[:, 1] if n >= 2 else np.nan
-        mu_max[lo:lo + part.size] = lap_eigs[:, -1]
+        energy[lo:lo + part.size] = np.abs(adj_eigs).sum(axis=1)[inverse]
+        mu2[lo:lo + part.size] = lap_eigs[inverse, 1] if n >= 2 else np.nan
+        mu_max[lo:lo + part.size] = lap_eigs[inverse, -1]
+    log.debug("batched spectra at n=%d: %d masks, %d classes, %d eigensolves, %.3f s",
+              n, masks.size, classes, 2 * classes, time.perf_counter() - start)
     return energy, mu2, mu_max
+
+
+@lru_cache(maxsize=None)
+def _entry_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each entry of A and of L sits among the columns
+    [0 | edge bits | -edge bits | degrees] of a mask, and the edge-vertex
+    incidence matrix that gives the degrees."""
+    pairs = pair_order(n)
+    nedges = len(pairs)
+    adj_at = np.zeros((n, n), dtype=np.intp)
+    lap_at = 1 + 2 * nedges + np.diag(np.arange(n))
+    incidence = np.zeros((nedges, n))
+    for e, (i, j) in enumerate(pairs):
+        adj_at[i, j] = adj_at[j, i] = 1 + e
+        lap_at[i, j] = lap_at[j, i] = 1 + nedges + e
+        incidence[e, [i, j]] = 1.0
+    return adj_at, lap_at, incidence
+
+
+def _matrices(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency and Laplacian matrices of each mask, as float64."""
+    adj_at, lap_at, incidence = _entry_columns(n)
+    bits = ((masks[:, None] >> np.arange(len(incidence), dtype=np.uint32)) & 1).astype(np.float64)
+    entries = np.concatenate([np.zeros((masks.size, 1)), bits, -bits, bits @ incidence], axis=1)
+    return entries.take(adj_at, axis=1), entries.take(lap_at, axis=1)
+
+
+def _class_keys(n: int, masks: np.ndarray) -> np.ndarray:
+    """The exact key of each mask, one column per mask: tr A^k, then
+    tr L^k, for k = 1..n."""
+    adj, lap = _matrices(n, masks)
+    return np.concatenate([_power_sums(adj), _power_sums(lap)])
+
+
+def _power_sums(x: np.ndarray) -> np.ndarray:
+    """tr X^k for each symmetric integer n x n matrix of a stack, as an
+    int64 array with one row per power k = 1..n. tr X^k is the elementwise
+    sum of X^(k//2) * X^(k - k//2), so powers up to X^ceil(n/2) suffice."""
+    n = x.shape[-1]
+    powers = [x]  # powers[p - 1] = X^p
+    while len(powers) < (n + 1) // 2:
+        powers.append(powers[-1] @ x)
+    sums = np.empty((n, x.shape[0]), dtype=np.int64)
+    sums[0] = np.einsum("kii->k", x)
+    for k in range(2, n + 1):
+        sums[k - 1] = np.einsum("kij,kij->k", powers[k // 2 - 1], powers[k - k // 2 - 1])
+    return sums
+
+
+def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the columns of a key array into classes of equal columns: the
+    first column of each class, and the class of every column. The sort is
+    stable, so a class's first column in sorted order is its first in the
+    input."""
+    order = np.lexsort(key)
+    ordered = key[:, order]
+    new = np.ones(key.shape[1], dtype=bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    inverse = np.empty(key.shape[1], dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse

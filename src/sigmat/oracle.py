@@ -22,7 +22,7 @@ import time
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
@@ -38,7 +38,7 @@ log = logging.getLogger("sigmat.oracle")
 MAX_ENUM_ORDER = 7
 MAX_TREE_ORDER = 9
 WITNESS_CAP = 16
-CHUNK_MASKS = 1 << 16
+CHUNK_MASKS = bulk.CHUNK_MASKS
 CHUNK_TREES = 1 << 12
 
 
@@ -402,7 +402,24 @@ class TreeSweep:
     star_count: int
 
 
-@lru_cache(maxsize=MAX_TREE_ORDER - 1)
+def _cached_by_order(sweep: Callable[[int, int], TreeSweep]) -> Callable[[int, int], TreeSweep]:
+    """Cache a sweep on its order alone: the record is the same for every
+    shard count, so ``f(n)`` and ``f(n, shards)`` share one entry. The shard
+    count is still checked on a hit. The undecorated sweep stays reachable as
+    ``__wrapped__``."""
+    records: dict[int, TreeSweep] = {}
+
+    @wraps(sweep)
+    def cached(n: int, shards: int = 1) -> TreeSweep:
+        _check_power_of_two(shards)
+        if n not in records:
+            records[n] = sweep(n, shards)
+        return records[n]
+
+    return cached
+
+
+@_cached_by_order
 def tree_sweep(n: int, shards: int = 1) -> TreeSweep:
     """One pass over all n^(n-2) labeled trees collecting the extremal
     values, the sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t
@@ -412,8 +429,8 @@ def tree_sweep(n: int, shards: int = 1) -> TreeSweep:
     by :func:`sigmat.bulk.tree_table` on ``shards`` worker threads; partials
     merge in rank order, so the result is the same for every count and memory
     stays bounded. Witnesses are the first WITNESS_CAP trees in rank order.
-    The cache holds at most eight small records: one per order 2..9 (the
-    orders are capped by MAX_TREE_ORDER) at one shard count.
+    The cache is keyed on n alone and holds at most eight small records, one
+    per order 2..9 (the orders are capped by MAX_TREE_ORDER).
     """
     if not 2 <= n <= MAX_TREE_ORDER:
         raise LimitError(f"tree sweep covers 2 <= n <= {MAX_TREE_ORDER}, got n={n}")

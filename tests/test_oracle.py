@@ -2,9 +2,10 @@
 conjecture harnesses, and the cross-validation of the bulk mask and tree
 tables."""
 
+import logging
 import tracemalloc
-from collections import Counter
-from dataclasses import replace
+from collections import Counter, defaultdict
+from dataclasses import fields, replace
 from functools import lru_cache
 from itertools import islice, product
 from types import SimpleNamespace
@@ -548,6 +549,33 @@ class TestTreeSweepFastPath:
             with pytest.raises(ValueError, match="power of two"):
                 verify_conjecture2(4, shards=shards)
 
+    def test_one_sweep_serves_every_shard_count(self):
+        built = []
+
+        def sweep(n, shards):
+            built.append((n, shards))
+            return tree_sweep.__wrapped__(n, shards)
+
+        cached = oracle._cached_by_order(sweep)
+        assert cached(5) is cached(5, 2) is cached(5, 1)
+        assert built == [(5, 1)]
+        for shards in (3, 0):
+            with pytest.raises(ValueError, match="power of two"):
+                cached(5, shards)
+        assert tree_sweep(6, 2) is tree_sweep(6)
+
+    def test_tree_commands_reuse_the_cached_sweep(self, monkeypatch):
+        tree_sweep(6)
+
+        def no_table(n, lo, hi):
+            raise AssertionError(f"tree table rebuilt for n={n}")
+
+        monkeypatch.setattr(bulk, "tree_table", no_table)
+        assert search_trees(6, "max", shards=2).graphs_visited == 6 ** 4
+        assert verify_conjecture2(6).status == "verified"
+        with pytest.raises(ValueError, match="power of two"):
+            verify_conjecture2(6, shards=3)
+
     def test_sweep_memory_is_bounded(self):
         # keeps the peak RSS of `conjecture --id 2 --n 9` near the bare import's
         tracemalloc.start()
@@ -702,3 +730,200 @@ class TestBulkCrossValidation:
             bulk.connected_table(9, 0, 1)
         with pytest.raises(ValueError, match="n >= 1"):
             bulk.connected_table(0)
+
+    @pytest.mark.parametrize("width", [16, 7])
+    def test_sub_ranges_concatenate_to_the_whole_table(self, monkeypatch, width):
+        whole = bulk.connected_table(5)
+        calls = []
+        build = bulk.connected_table
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", width)
+        monkeypatch.setattr(bulk, "connected_table", counting)
+        for lo, hi in ((0, 1 << 10), (100, 901), (5, 5)):
+            part = bulk.connected_table(5, lo, hi)
+            keep = (whole.masks >= lo) & (whole.masks < hi)
+            for field in fields(bulk.MaskTable)[1:]:
+                got, want = getattr(part, field.name), getattr(whole, field.name)[..., keep]
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        # the sub-ranges are not built through the module's name
+        assert len(calls) == 3
+
+    def test_whole_table_memory_is_bounded(self):
+        # the n = 7 table is built in sub-ranges, so the peak is the table
+        # twice (the parts and their concatenation) plus one sub-range
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            table = bulk.connected_table(7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(v.nbytes for v in vars(table).values() if hasattr(v, "nbytes"))
+        assert table.masks.size == 1_866_256 and size == 113_841_616
+        assert peak < 2.5 * size
+
+
+def _charpoly(eigenvalues) -> tuple[int, ...]:
+    return tuple(np.rint(np.poly(eigenvalues)).astype(np.int64).tolist())
+
+
+@lru_cache(maxsize=None)
+def _spectra_reference(n):
+    """Every connected mask of order n with its scalar spectra, and the
+    integer characteristic polynomials of A and L rebuilt from them, which
+    tell the cospectral classes apart independently of the power sums."""
+    masks = bulk.connected_table(n).masks
+    spectra = [laplacian_spectrum(graph_from_mask(n, int(mask))) for mask in masks]
+    return SimpleNamespace(
+        masks=masks,
+        energy=np.array([s.energy for s in spectra]),
+        mu2=np.array([np.nan if s.mu2 is None else s.mu2 for s in spectra]),
+        mu_max=np.array([s.mu_max for s in spectra]),
+        adj_poly=[_charpoly(s.adjacency_eigenvalues) for s in spectra],
+        lap_poly=[_charpoly(s.laplacian_eigenvalues) for s in spectra],
+    )
+
+
+def _class_count(ref, width):
+    """Cospectral classes summed over the chunks of ``width`` masks."""
+    keys = list(zip(ref.adj_poly, ref.lap_poly))
+    return sum(len(set(keys[lo:lo + width])) for lo in range(0, len(keys), width))
+
+
+def _exact_power_sums(n, mask):
+    """tr A^k, then tr L^k, for k = 1..n, in Python integers."""
+    adj = np.zeros((n, n), dtype=object)
+    for u, v in graph_from_mask(n, mask).edges():
+        adj[u, v] = adj[v, u] = 1
+    lap = np.diag(adj.sum(axis=1)) - adj
+    sums = []
+    for matrix in (adj, lap):
+        power = matrix
+        for _ in range(n):
+            sums.append(int(np.trace(power)))
+            power = power @ matrix
+    return sums
+
+
+class TestBatchedSpectra:
+    """One eigensolve pair per cospectral class, against the scalar spectra."""
+
+    def test_class_keys_are_exact_power_sums(self):
+        # dense graphs at n = 8, the largest order, where the traces pass
+        # float32's 24-bit mantissa but must stay exact in float64
+        rng = np.random.default_rng(5)
+        dense = np.bitwise_or.reduce(rng.integers(0, 1 << 28, (3, 48)))  # 7 edges in 8 kept
+        masks = np.concatenate([[(1 << 28) - 1], dense]).astype(np.uint32)
+        keys = bulk._class_keys(8, masks)
+        assert keys.dtype == np.int64 and keys.shape == (16, masks.size)
+        for column, mask in enumerate(masks):
+            assert keys[:, column].tolist() == _exact_power_sums(8, int(mask))
+        assert (keys.astype(np.float32).astype(np.int64) != keys).any()
+
+    def test_the_last_power_sum_tells_spectra_apart(self):
+        # two graphs on 8 vertices with one Laplacian spectrum and equal
+        # tr A^k for k < 8: only tr A^8 separates their adjacency spectra
+        masks = np.array([6608869, 7815407], dtype=np.uint32)
+        first, second = (_exact_power_sums(8, int(mask)) for mask in masks)
+        assert first[:7] == second[:7] and first[8:] == second[8:] and first[7] != second[7]
+        energy, mu2, mu_max = bulk.batched_spectra(8, masks)
+        spectra = [laplacian_spectrum(graph_from_mask(8, int(mask))) for mask in masks]
+        assert abs(spectra[0].energy - spectra[1].energy) > 1e-3
+        for k, summary in enumerate(spectra):
+            assert (energy[k], mu2[k], mu_max[k]) == pytest.approx(
+                (summary.energy, summary.mu2, summary.mu_max), abs=1e-9)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_scalar_spectra(self, n, chunk):
+        ref = _spectra_reference(n)
+        if chunk is None:
+            energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks)
+        else:
+            energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks, chunk)
+        for got, want in ((energy, ref.energy), (mu2, ref.mu2), (mu_max, ref.mu_max)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_one_eigensolve_pair_per_class_in_each_chunk(self, monkeypatch, chunk):
+        ref = _spectra_reference(6)
+        width = chunk or bulk.CHUNK_MASKS
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            solved.append(int(np.prod(a.shape[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        bulk.batched_spectra(6, ref.masks, *(() if chunk is None else (chunk,)))
+        assert len(solved) == 2 * -(-ref.masks.size // width)
+        assert sum(solved) == 2 * _class_count(ref, width)
+        assert sum(solved) < 2 * ref.masks.size
+        if chunk is None:
+            assert sum(solved) == 2 * 112
+
+    def test_both_spectra_enter_the_key(self):
+        # at n = 6 some graphs share the adjacency spectrum but not the
+        # Laplacian one, and others the reverse: a key of either matrix alone
+        # merges classes whose values differ
+        ref = _spectra_reference(6)
+        assert len(set(ref.adj_poly)) == 111
+        assert len(set(ref.lap_poly)) == 110
+        assert len(set(zip(ref.adj_poly, ref.lap_poly))) == 112
+
+        def merged(shared, other):
+            others = defaultdict(set)
+            for s, o in zip(shared, other):
+                others[s].add(o)
+            return np.array([k for k, s in enumerate(shared) if len(others[s]) > 1])
+
+        by_adj = merged(ref.adj_poly, ref.lap_poly)
+        by_lap = merged(ref.lap_poly, ref.adj_poly)
+        assert (by_adj.size, by_lap.size) == (270, 720)
+        assert np.ptp(ref.mu2[by_adj]) > 0.4 and np.ptp(ref.mu_max[by_adj]) > 1
+        assert np.ptp(ref.energy[by_lap]) > 1
+        energy, mu2, mu_max = bulk.batched_spectra(6, ref.masks)
+        for rows in (by_adj, by_lap):
+            for got, want in ((energy, ref.energy), (mu2, ref.mu2), (mu_max, ref.mu_max)):
+                np.testing.assert_allclose(got[rows], want[rows], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("n,match", [(0, "n >= 1"), (-2, "n >= 1"), (9, "uint32")])
+    def test_order_outside_the_mask_width_is_rejected(self, n, match):
+        with pytest.raises(ValueError, match=match):
+            bulk.batched_spectra(n, np.zeros(1, dtype=np.uint32))
+
+    @pytest.mark.parametrize("bad,dtype", [(64, np.uint32), (1 << 31, np.uint32), (64, np.int64),
+                                           (-1, np.int64), (1 << 40, np.uint64)])
+    def test_bits_at_or_above_the_edge_count_are_rejected(self, bad, dtype):
+        with pytest.raises(ValueError, match=r"not within \[0, 64\) at n=4"):
+            bulk.batched_spectra(4, np.array([3, bad, 5], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+    def test_non_integer_masks_are_rejected(self, dtype):
+        with pytest.raises(ValueError, match="integer dtype"):
+            bulk.batched_spectra(4, np.array([3, 5], dtype=dtype))
+
+    def test_masks_within_the_space_are_accepted(self):
+        wide = bulk.batched_spectra(4, np.array([63, 0, 11], dtype=np.int64))
+        narrow = bulk.batched_spectra(4, np.array([63, 0, 11], dtype=np.uint8))
+        for a, b in zip(wide, narrow):
+            assert a.tolist() == b.tolist()
+        energy, _, mu_max = wide
+        assert (energy[0], energy[1], mu_max[0]) == pytest.approx((6.0, 0.0, 4.0))
+        assert all(x.size == 0 for x in bulk.batched_spectra(4, np.array([], dtype=np.uint32)))
+
+    def test_logs_one_debug_line(self, caplog, capsys):
+        ref = _spectra_reference(4)
+        with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
+            bulk.batched_spectra(4, ref.masks, chunk=16)
+        records = [r for r in caplog.records if r.name == "sigmat.bulk"]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        classes = _class_count(ref, 16)
+        assert f"n=4: 38 masks, {classes} classes, {2 * classes} eigensolves" in records[0].getMessage()
+        assert capsys.readouterr().out == ""
