@@ -26,7 +26,7 @@ from .invariants import (
     zagreb_m1,
     zagreb_m2,
 )
-from .spectral import SpectralSummary, laplacian_spectrum, rayleigh_ratio
+from .spectral import SpectralSummary, laplacian_spectrum, rayleigh_ratio, rayleigh_ratios
 from .extremal import (
     BipartiteMax,
     MaxSplit,

@@ -5,7 +5,12 @@ bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
 degree data, connectivity, triangle-freeness and the sigma indices
 (:func:`connected_table`, built in sub-ranges of CHUNK_MASKS masks), and is
-the fast engine behind the order-6/7 searches. :func:`batched_spectra`
+the fast engine behind the order-6/7 searches. The pairs of order n-1 are a
+prefix of those of order n, so the masks of order n are the graphs of order
+n-1 extended by the neighbourhood of vertex n-1: a table is built by one
+extension step from cached tables of all graphs of each order up to 6
+(0.6 MB at order 6, built on first use), and nothing larger is cached, so
+an order-8 sub-range extends its order-7 bases on the fly. :func:`batched_spectra`
 gives both spectra of many masks with one eigensolve pair per cospectral
 class in each chunk: exact integer power sums of A and L identify the
 class, so relabelled copies of a graph share one solve. Every labeled tree
@@ -68,19 +73,27 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
     """Build the table for every connected mask in [mask_lo, mask_hi), a
     range within the 2^C(n,2) edge subsets (the whole space by default).
 
-    The range is decoded in sub-ranges of CHUNK_MASKS masks whose connected
-    rows are then concatenated, so the temporaries stay those of one
-    sub-range however wide the range is.
+    The pairs of order n-1 are a prefix of those of order n, so a mask is
+    ``b | N << C(n-1,2)``: a graph b on vertices 0..n-2 and the neighbourhood
+    N of vertex n-1. The range is built in sub-ranges of CHUNK_MASKS masks,
+    and in each sub-range every N covers one run of consecutive base masks
+    b. A run takes its bases as a slice of the cached table of all graphs of
+    order n-1 (built once per order <= 6, by the same extension, and 0.6 MB
+    at order 6); at n = 8 the order-7 bases of a run are extended from
+    the order-6 table on the fly, so no 2^21-row order-7 table is ever held.
+    A base is kept when vertex n-1 joins all of its components, and only the
+    kept rows are extended and evaluated. The sub-ranges' rows are then
+    concatenated, so the temporaries stay those of one sub-range however
+    wide the range is.
     """
-    pairs = _mask_pairs(n)
-    nedges = len(pairs)
+    nedges = len(_mask_pairs(n))
     if mask_hi is None:
         mask_hi = 1 << nedges
     if not 0 <= mask_lo <= mask_hi <= 1 << nedges:
         raise ValueError(
             f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << nedges}) at n={n}"
         )
-    parts = [_connected_rows(n, pairs, lo, min(lo + CHUNK_MASKS, mask_hi))
+    parts = [_connected_rows(n, lo, min(lo + CHUNK_MASKS, mask_hi))
              for lo in range(mask_lo, mask_hi, CHUNK_MASKS) or [mask_lo]]
     if len(parts) == 1:
         return parts[0]
@@ -89,59 +102,149 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
     return MaskTable(n=n, **columns)
 
 
-def _connected_rows(n: int, pairs: list[tuple[int, int]], mask_lo: int, mask_hi: int) -> MaskTable:
+# Graphs of order k in one mask range are a (3k + 1, graphs) uint8 array.
+# Rows 0..k-1 hold the degrees and rows k..2k-1 the adjacency bitmasks; row
+# 2k is nonzero where the graph has a triangle; rows 2k+1..3k hold the
+# bitmask of each vertex's component. The rows of a table need no
+# components, so they are built from the first 2k + 1 rows alone. uint8
+# bitmasks hold every order up to 8.
+
+# orders whose table of all graphs is cached; order 6 is 2^15 graphs, 0.6 MB
+_MAX_BASE_ORDER = 6
+
+
+def _joined(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
+    """The component of a vertex k joined to the vertices of ``nbhd``."""
+    joined = np.full(graphs.shape[1], 1 << k, dtype=np.uint8)
+    for v in range(k):
+        if nbhd >> v & 1:
+            joined |= graphs[2 * k + 1 + v]
+    return joined
+
+
+def _extend(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
+    """``graphs`` of order k with a vertex k joined to the vertices of the
+    bitmask ``nbhd``, in the same order, with components if ``graphs`` has
+    them: the one step that builds the cached tables and a table's rows."""
+    components = graphs.shape[0] == 3 * k + 1
+    out = np.empty((graphs.shape[0] + 2 + components, graphs.shape[1]), dtype=np.uint8)
+    out[:k] = graphs[:k]
+    out[k] = nbhd.bit_count()
+    out[k + 1:2 * k + 1] = graphs[k:2 * k]
+    out[2 * k + 1] = nbhd
+    triangle = out[2 * k + 2]
+    triangle[:] = graphs[2 * k]
+    for v in range(k):
+        if nbhd >> v & 1:
+            out[v] += 1
+            out[k + 1 + v] |= 1 << k
+            triangle |= graphs[k + v] & nbhd  # an edge inside N closes a triangle
+    if components:
+        comp = graphs[2 * k + 1:]
+        joined = _joined(graphs, k, nbhd)
+        out[2 * k + 3:3 * k + 3] = np.where((comp & nbhd) != 0, joined, comp)
+        out[3 * k + 3] = joined
+    return out
+
+
+@lru_cache(maxsize=None)
+def _all_graphs(k: int) -> np.ndarray:
+    """Every graph of order k <= _MAX_BASE_ORDER with its components,
+    indexed by mask, built on first use from the order below it."""
+    if k == 0:
+        return np.zeros((1, 1), dtype=np.uint8)
+    base = _all_graphs(k - 1)
+    return np.concatenate([_extend(base, k - 1, nbhd) for nbhd in range(1 << (k - 1))], axis=1)
+
+
+def _runs(n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(N, base_lo, base_hi) for each neighbourhood N of vertex n-1 that
+    the masks [lo, hi) of order n reach, with the range of base masks of
+    order n-1 that it covers there, in mask order; none for an empty range."""
+    width = 1 << (n - 1) * (n - 2) // 2
+    return [(nbhd, max(lo - nbhd * width, 0), min(hi - nbhd * width, width))
+            for nbhd in range(lo // width, -(-hi // width) if lo < hi else 0)]
+
+
+def _graphs(k: int, lo: int, hi: int) -> np.ndarray:
+    """The graphs of order k with masks in [lo, hi), with components: a
+    slice of the cached table up to _MAX_BASE_ORDER, extended run by run
+    above it."""
+    if k <= _MAX_BASE_ORDER:
+        return _all_graphs(k)[:, lo:hi]
+    return np.concatenate([_extend(_graphs(k - 1, blo, bhi), k - 1, nbhd)
+                           for nbhd, blo, bhi in _runs(k, lo, hi)], axis=1)
+
+
+def _connected_rows(n: int, mask_lo: int, mask_hi: int) -> MaskTable:
     """The table of one sub-range that :func:`connected_table` has checked.
     It is not reached through the module name, so a wrapper installed on
     ``bulk.connected_table`` still sees one call per table."""
-    nedges = len(pairs)
-    masks = np.arange(mask_lo, mask_hi, dtype=np.uint32)
-
-    bits = [((masks >> np.uint32(e)) & np.uint32(1)).astype(np.uint8) for e in range(nedges)]
-
-    deg = np.zeros((n, masks.size), dtype=np.uint8)
-    adjm = np.zeros((n, masks.size), dtype=np.uint16)
-    for e, (i, j) in enumerate(pairs):
-        deg[i] += bits[e]
-        deg[j] += bits[e]
-        adjm[i] |= bits[e].astype(np.uint16) << np.uint16(j)
-        adjm[j] |= bits[e].astype(np.uint16) << np.uint16(i)
-
-    reached = np.ones(masks.size, dtype=np.uint16)
-    for _ in range(n - 1):
-        for v in range(n):
-            member = ((reached >> np.uint16(v)) & np.uint16(1)).astype(bool)
-            reached |= np.where(member, adjm[v], np.uint16(0))
-    connected = reached == np.uint16((1 << n) - 1)
-
-    degw = deg.astype(np.int64)
-    m = degw.sum(axis=0) >> 1
-    m1 = (degw * degw).sum(axis=0)
-    sigma_t = n * m1 - 4 * m * m
-
-    sigma = np.zeros(masks.size, dtype=np.int64)
-    tri = np.zeros(masks.size, dtype=bool)
-    bad_pair = np.zeros(masks.size, dtype=bool)
-    for e, (i, j) in enumerate(pairs):
-        present = bits[e].astype(bool)
-        diff = degw[i] - degw[j]
-        sigma += np.where(present, diff * diff, 0)
-        tri |= present & ((adjm[i] & adjm[j]) != 0)
-        bad_pair |= ~present & (deg[i] != deg[j])
-
-    keep = connected
-    return MaskTable(
+    k = n - 1  # the base order
+    runs = []
+    for nbhd, lo, hi in _runs(n, mask_lo, mask_hi):
+        base = _graphs(k, lo, hi)
+        kept = np.flatnonzero(_joined(base, k, nbhd) == (1 << n) - 1)
+        runs.append((nbhd, base, kept, (nbhd << k * (k - 1) // 2) + lo))
+    size = sum(kept.size for _, _, kept, _ in runs)
+    table = MaskTable(
         n=n,
-        masks=masks[keep],
-        deg=deg[:, keep],
-        m=m[keep],
-        sigma_t=sigma_t[keep],
-        sigma=sigma[keep],
-        triangle_free=~tri[keep],
-        max_deg=degw[:, keep].max(axis=0),
-        min_deg=degw[:, keep].min(axis=0),
-        max_count=(deg[:, keep] == deg[:, keep].max(axis=0)).sum(axis=0).astype(np.int64),
-        gen_kpartite=~bad_pair[keep],
+        masks=np.empty(size, dtype=np.uint32),
+        deg=np.empty((n, size), dtype=np.uint8),
+        m=np.empty(size, dtype=np.int64),
+        sigma_t=np.empty(size, dtype=np.int64),
+        sigma=np.empty(size, dtype=np.int64),
+        triangle_free=np.empty(size, dtype=bool),
+        max_deg=np.empty(size, dtype=np.int64),
+        min_deg=np.empty(size, dtype=np.int64),
+        max_count=np.empty(size, dtype=np.int64),
+        gen_kpartite=np.empty(size, dtype=bool),
     )
+    at = 0
+    for nbhd, base, kept, first in runs:
+        rows = slice(at, at + kept.size)
+        at += kept.size
+        _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), nbhd, table, rows)
+        table.masks[rows] = kept + first
+    return table
+
+
+def _evaluate(n: int, graphs: np.ndarray, nbhd: int, table: MaskTable, rows: slice) -> None:
+    """Write the columns of the connected ``graphs`` of order n, whose vertex
+    n-1 has the neighbourhood ``nbhd``, into ``rows`` of ``table``."""
+    deg = graphs[:n]
+    adj = graphs[n:2 * n]
+    table.deg[:, rows] = deg
+    table.triangle_free[rows] = graphs[2 * n] == 0
+    twice_m = deg.sum(axis=0, dtype=np.int16)
+    table.m[rows] = twice_m >> 1
+    table.sigma_t[rows] = n * (deg * deg).sum(axis=0, dtype=np.int16) - twice_m * twice_m
+    top = deg.max(axis=0)
+    table.max_deg[rows] = top
+    table.min_deg[rows] = deg.min(axis=0)
+    table.max_count[rows] = (deg == top).sum(axis=0, dtype=np.int8)
+    # int8 holds every degree difference and its square (at most 49); sigma
+    # sums the squares over the edges, and ``apart`` is nonzero where a
+    # non-adjacent pair has unequal degrees
+    signed = deg.view(np.int8)
+    sigma = np.zeros(deg.shape[1], dtype=np.int16)
+    apart = np.zeros(deg.shape[1], dtype=np.int8)
+    for j in range(1, n - 1):
+        for i in range(j):
+            diff = signed[i] - signed[j]
+            square = diff * diff
+            edge = square * ((adj[i] >> j) & 1).view(np.int8)
+            sigma += edge
+            apart |= square ^ edge
+    last = nbhd.bit_count()  # the degree of vertex n-1
+    for i in range(n - 1):
+        diff = signed[i] - last
+        if nbhd >> i & 1:
+            sigma += diff * diff
+        else:
+            apart |= diff
+    table.sigma[rows] = sigma
+    table.gen_kpartite[rows] = apart == 0
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-MAX_GRAPH6_ORDER = 62  # short-form header only
+MAX_GRAPH6_ORDER = 258047  # the 4-byte long-form header; the 8-byte form is not supported
 
 
 class Graph6Error(ValueError):
@@ -124,20 +124,30 @@ def degree_stats(g: Graph) -> DegreeStats:
 
 
 # ---------------------------------------------------------------------------
-# graph6 codec (short form, n <= 62)
+# graph6 codec (n <= 258047)
 #
-# Layout: one header byte chr(n + 63), then the C(n,2) upper-triangle bits in
+# Layout: a header giving n, then the C(n,2) upper-triangle bits in
 # column-major order packed into 6-bit groups (first bit = high bit of the
-# group), each group offset by 63. Trailing pad bits must be zero.
+# group), each group offset by 63. Trailing pad bits must be zero. The header
+# is one byte chr(n + 63) for n <= 62, and for 63 <= n <= 258047 it is '~'
+# followed by n as three 6-bit groups, most significant first, each offset
+# by 63. The '~~' form for larger n is rejected.
 # ---------------------------------------------------------------------------
 
 _HEADER_PREFIX = ">>graph6<<"
+_LONG = 126  # '~', the first byte of a long-form header
+
+
+def _header(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    if n <= MAX_GRAPH6_ORDER:
+        return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+    raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_ORDER}, got n={n}")
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > MAX_GRAPH6_ORDER:
-        raise Graph6Error(f"short-form graph6 supports n <= 62, got n={g.n}")
-    out = [chr(g.n + 63)]
+    out = [_header(g.n)]
     group = 0
     filled = 0
     for i, j in pair_order(g.n):
@@ -151,6 +161,25 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def _read_header(data: bytes) -> tuple[int, int]:
+    """The order a record declares and the length of its header."""
+    head = data[0]
+    if head != _LONG:
+        if not 63 <= head <= 125:
+            raise Graph6Error(f"invalid header byte {head}")
+        return head - 63, 1
+    if data[1:2] == b"~":
+        raise Graph6Error(f"8-byte long-form header (n > {MAX_GRAPH6_ORDER}) not supported")
+    if len(data) < 4:
+        raise Graph6Error("truncated long-form header", offset=len(data))
+    n = 0
+    for k in range(1, 4):
+        if not 63 <= data[k] <= 126:
+            raise Graph6Error(f"invalid header byte {data[k]}", offset=k)
+        n = n << 6 | data[k] - 63
+    return n, 4
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 record; tolerates the optional '>>graph6<<' prefix."""
     s = text.strip()
@@ -162,33 +191,28 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("non-ASCII byte in record", offset=exc.start) from None
     if not data:
         raise Graph6Error("empty record")
-    head = data[0]
-    if head == 126:
-        raise Graph6Error("long-form header (n > 62) not supported")
-    if not 63 <= head <= 125:
-        raise Graph6Error(f"invalid header byte {head}")
-    n = head - 63
+    n, start = _read_header(data)
     if n < 1:
         raise Graph6Error("graph order must be at least 1")
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
-    if len(data) - 1 != expect:
+    if len(data) - start != expect:
         raise Graph6Error(
-            f"expected {expect} payload bytes for n={n}, got {len(data) - 1}",
+            f"expected {expect} payload bytes for n={n}, got {len(data) - start}",
             offset=len(data),
         )
     masks = [0] * n
     pairs = pair_order(n)
     bit = 0
     for k in range(expect):
-        byte = data[1 + k]
+        byte = data[start + k]
         if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid payload byte {byte}", offset=1 + k)
+            raise Graph6Error(f"invalid payload byte {byte}", offset=start + k)
         group = byte - 63
         for t in range(6):
             if group >> (5 - t) & 1:
                 if bit >= nbits:
-                    raise Graph6Error("nonzero padding bits", offset=1 + k)
+                    raise Graph6Error("nonzero padding bits", offset=start + k)
                 i, j = pairs[bit]
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i

@@ -356,6 +356,7 @@ def search_connected(
             f"for n={n} use search_extremal on a graph6 stream"
         )
     check_shards(n, shards)
+    start = time.perf_counter()
 
     def scan(table: bulk.MaskTable) -> Extreme:
         if graph_filter == "triangle-free":
@@ -368,8 +369,13 @@ def search_connected(
             keep = slice(None)
         return Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep])
 
-    for part in _sweep(bulk.connected_table, n, chunk_ranges(n), shards, scan):
+    ranges = chunk_ranges(n)
+    for part in _sweep(bulk.connected_table, n, ranges, shards, scan):
         best.merge(part)
+    seconds = time.perf_counter() - start
+    log.debug("search at n=%d, filter %s: %d masks scanned, %d graphs kept in %d chunks, "
+              "%.3f s, %.0f graphs/s", n, graph_filter, 1 << n * (n - 1) // 2, best.visited,
+              len(ranges), seconds, best.visited / seconds)
     label = "connected" if graph_filter == "none" else f"connected {graph_filter}"
     return best.result(n, f"{label} graphs on {n} vertices", f"{graph_filter} connected graphs at n={n}")
 

@@ -1,6 +1,6 @@
 """Laplacian and adjacency spectra (with the graph energy) and the
 Rayleigh-quotient ratio that brackets between the algebraic connectivity
-and the largest Laplacian eigenvalue.
+and the largest Laplacian eigenvalue, for one vector or a batch of them.
 
 All comparisons against eigenvalues use an absolute tolerance scaled by
 n*maxdeg; eigenvalues live in [0, 2*maxdeg], so a relative tolerance would
@@ -91,4 +91,19 @@ def rayleigh_ratio(g: Graph, x: Sequence[float]) -> float:
     s1 = sum(vals)
     s2 = sum(v * v for v in vals)
     den = g.n * s2 - s1 * s1
+    return g.n * num / den
+
+
+def rayleigh_ratios(g: Graph, xs: np.ndarray) -> np.ndarray:
+    """:func:`rayleigh_ratio` for each row of a (k, n) array of nonconstant
+    vectors, as a float64 array of k ratios."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != g.n:
+        raise ValueError(f"vectors of shape {xs.shape} are not a (k, {g.n}) array")
+    if (xs.max(axis=1) == xs.min(axis=1)).any():
+        raise ValueError("constant vector: all-pairs denominator is zero")
+    ends = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2)
+    num = np.square(xs[:, ends[:, 0]] - xs[:, ends[:, 1]]).sum(axis=1)
+    s1 = xs.sum(axis=1)
+    den = g.n * np.square(xs).sum(axis=1) - s1 * s1
     return g.n * num / den

@@ -42,7 +42,7 @@ from sigmat.oracle import (
     verify_conjecture2,
     verify_identity_suite,
 )
-from sigmat.spectral import rayleigh_ratio, spectral_tolerance
+from sigmat.spectral import rayleigh_ratio, rayleigh_ratios, spectral_tolerance
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 RANDOM_SEED = 0x5EED1234
@@ -239,6 +239,21 @@ def test_criterion_07_bound_soundness(mask_tables, spectra7):
           f"equality cases characterized, {elapsed:.1f}s)")
 
 
+def _uniform_vectors(rng, k, n):
+    """k vectors of n values rng.uniform(-1.0, 1.0), drawn in the same order
+    and to the same floats (uniform computes -1.0 + 2.0 * random())."""
+    draw = rng.random
+    return 2.0 * np.array([draw() for _ in range(k * n)]).reshape(k, n) - 1.0
+
+
+def test_uniform_vectors_follow_the_uniform_stream():
+    drawn, batched = random.Random(RANDOM_SEED), random.Random(RANDOM_SEED)
+    for n in (2, 5, 6):
+        want = [[drawn.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(100)]
+        assert _uniform_vectors(batched, 100, n).tolist() == want
+    assert drawn.random() == batched.random()
+
+
 def test_criterion_08_rayleigh_and_sandwich():
     start = time.perf_counter()
     rng = random.Random(RANDOM_SEED)
@@ -250,9 +265,8 @@ def test_criterion_08_rayleigh_and_sandwich():
             summary, tol = facts.spectrum, facts.tol
             lo = summary.mu2 - tol
             hi = summary.mu_max + tol
-            for _ in range(100):
-                x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
-                assert lo <= rayleigh_ratio(g, x) <= hi
+            for ratio in rayleigh_ratios(g, _uniform_vectors(rng, 100, n)):
+                assert lo <= ratio <= hi
             if not is_regular(g):
                 assert lo <= rayleigh_ratio(g, g.degrees()) <= hi
             upper, lower = check_laplacian_sandwich(facts)

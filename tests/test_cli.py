@@ -13,6 +13,7 @@ import pytest
 
 from sigmat import cli
 from sigmat.graph import encode_graph6, parse_graph6
+from sigmat.invariants import sigma_t
 from sigmat.oracle import ConjectureReport, IdentitySummary
 from tests.test_graph import complete, cycle, path, star
 
@@ -127,6 +128,14 @@ class TestExtremal:
         assert json.loads(out)["sigmaT"] == 80
         _, out2, _ = run(capsys, ["extremal", "--family", "path", "--n", "7"])
         assert json.loads(out2)["sigmaT"] == 10
+
+    def test_star_witness_in_long_form_graph6(self, capsys):
+        code, out, err = run(capsys, ["extremal", "--family", "star", "--n", "100"])
+        assert code == 0 and err == ""
+        body = json.loads(out)
+        assert body["graph6"].startswith("~?@c")  # 100 = 1 * 64 + 36
+        assert parse_graph6(body["graph6"]) == star(100)
+        assert body["sigmaT"] == sigma_t(star(100))
 
     def test_rejects_tiny_n(self, capsys):
         code, _, err = run(capsys, ["extremal", "--family", "split", "--n", "2"])
@@ -301,6 +310,12 @@ class TestPlumbing:
              b"DEBUG:sigmat.oracle:conjecture 1 at n=4: max 12 vs bipartite 12 over 19 graphs\n"),
             (["conjecture", "--id", "2", "--n", "5"],
              b"DEBUG:sigmat.oracle:tree sweep at n=5: 125 trees in 1 chunks, "),
+            (["search", "--n", "5", "--objective", "max"],
+             b"DEBUG:sigmat.oracle:search at n=5, filter none: 1024 masks scanned, "
+             b"728 graphs kept in 1 chunks, "),
+            (["search", "--n", "6", "--objective", "min", "--filter", "triangle-free"],
+             b"DEBUG:sigmat.oracle:search at n=6, filter triangle-free: 32768 masks scanned, "
+             b"3571 graphs kept in 1 chunks, "),
         ]:
             plain = run_child(argv)
             logged = run_child(argv, "debug")

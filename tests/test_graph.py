@@ -1,5 +1,6 @@
 """Graph type, graph6 codec, degree stats, and structural predicates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,8 +120,8 @@ class TestGraph6:
         assert parse_graph6(">>graph6<<C~") == complete(4)
 
     def test_encode_rejects_large_order(self):
-        with pytest.raises(Graph6Error):
-            encode_graph6(Graph(63))
+        with pytest.raises(Graph6Error, match="n <= 258047"):
+            encode_graph6(Graph(258048))
 
     def test_parse_rejects_empty(self):
         with pytest.raises(Graph6Error):
@@ -133,7 +134,41 @@ class TestGraph6:
 
     def test_parse_rejects_long_form(self):
         with pytest.raises(Graph6Error, match="long-form"):
-            parse_graph6("~??")
+            parse_graph6("~??")  # truncated header
+
+    @pytest.mark.parametrize("n", [63, 100, 200])
+    def test_long_form_round_trip(self, n):
+        rng = random.Random(n)
+        pairs = pair_order(n)
+        g = Graph(n, [p for p in pairs if rng.random() < 0.3])
+        text = encode_graph6(g)
+        assert text[0] == "~" and len(text) == 4 + (len(pairs) + 5) // 6
+        assert parse_graph6(text) == g
+        assert parse_graph6(encode_graph6(star(n))) == star(n)
+
+    def test_long_form_header_decodes_the_order(self):
+        # '?' '?' '~' are the 6-bit groups 0, 0, 63, so n = 63
+        assert parse_graph6("~??~" + "?" * (63 * 62 // 2 // 6 + 1)).n == 63
+        assert encode_graph6(Graph(63)).startswith("~??~")
+        assert encode_graph6(Graph(62))[0] == "}"
+
+    @pytest.mark.parametrize("text,offset", [("~", 1), ("~?", 2), ("~??", 3)])
+    def test_parse_rejects_truncated_long_header(self, text, offset):
+        with pytest.raises(Graph6Error, match="truncated long-form header") as info:
+            parse_graph6(text)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["~~", "~~??????", "~~???~??" + "?" * 100])
+    def test_parse_rejects_the_8_byte_header(self, text):
+        with pytest.raises(Graph6Error, match="8-byte long-form header"):
+            parse_graph6(text)
+
+    def test_parse_checks_the_long_form_payload(self):
+        with pytest.raises(Graph6Error, match="expected 326 payload bytes for n=63, got 0"):
+            parse_graph6("~??~")
+        with pytest.raises(Graph6Error, match="invalid header byte 32") as info:
+            parse_graph6("~? ~")
+        assert info.value.offset == 2
 
     def test_parse_rejects_length_mismatch(self):
         with pytest.raises(Graph6Error, match="payload"):

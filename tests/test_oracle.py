@@ -679,8 +679,90 @@ class TestIdentitySuite:
         assert (summary.checked, summary.passed, summary.failed) == (0, 0, 0)
 
 
+def _scalar_rows(n, lo, hi):
+    """The table rows of the connected masks in [lo, hi), from the scalar
+    graph and invariants."""
+    rows = []
+    for mask in range(lo, hi):
+        g = graph_from_mask(n, mask)
+        if not is_connected(g):
+            continue
+        stats = degree_stats(g)
+        rows.append({
+            "masks": mask, "deg": list(g.degrees()), "m": g.m, "sigma_t": sigma_t(g),
+            "sigma": sigma(g), "triangle_free": is_triangle_free(g),
+            "max_deg": stats.max_degree, "min_deg": stats.min_degree,
+            "max_count": stats.max_degree_count,
+            "gen_kpartite": is_generalized_complete_kpartite(g),
+        })
+    return rows
+
+
+MASK_TABLE_DTYPES = {
+    "masks": np.uint32, "deg": np.uint8, "m": np.int64, "sigma_t": np.int64,
+    "sigma": np.int64, "triangle_free": np.bool_, "max_deg": np.int64,
+    "min_deg": np.int64, "max_count": np.int64, "gen_kpartite": np.bool_,
+}
+
+
+def _assert_table_matches(table, n, lo, hi):
+    assert table.n == n
+    want = _scalar_rows(n, lo, hi)
+    for name, dtype in MASK_TABLE_DTYPES.items():
+        column = getattr(table, name)
+        assert column.dtype == dtype, name
+        assert column.shape == ((n, len(want)) if name == "deg" else (len(want),)), name
+        got = column.T.tolist() if name == "deg" else column.tolist()
+        assert got == [row[name] for row in want], (name, n, lo, hi)
+
+
+# runs of one neighbourhood of the last vertex are 2^15 masks wide at n = 7
+# and 2^21 at n = 8; inside an n = 8 run the order-7 bases turn over every
+# 2^15 masks
+RUN7, RUN8 = 1 << 15, 1 << 21
+BUILDER_RANGES = [
+    (7, 5 * RUN7 + 100, 5 * RUN7 + 900),          # inside one run
+    (7, 3 * RUN7 - 300, 3 * RUN7 + 300),          # across a run boundary
+    (7, 2 * RUN7 - 200, 2 * RUN7 + 200),          # across a chunk boundary too
+    (7, RUN7 - 1, RUN7),                          # single masks at run edges:
+    (7, RUN7, RUN7 + 1),                          # disconnected,
+    (7, 2 * RUN7 - 1, 2 * RUN7),                  # K6 with a pendant vertex,
+    (7, 63 * RUN7, 63 * RUN7 + 1),                # the star at vertex 6, and K7
+    (7, 0, 1),
+    (7, (1 << 21) - 1, 1 << 21),
+    (7, (1 << 21) - 700, 1 << 21),                # the last masks of the space
+    (7, RUN7, RUN7),                              # empty ranges
+    (7, 12345, 12345),
+    (8, 7 * RUN8 - 500, 7 * RUN8 + 500),
+    (8, 3 * RUN8 + RUN7 - 300, 3 * RUN8 + RUN7 + 300),
+    (8, 100 * RUN8 + 5 * RUN7 + 10, 100 * RUN8 + 5 * RUN7 + 600),
+    (8, RUN8 - 1, RUN8),
+    (8, RUN8, RUN8 + 1),
+    (8, 2 * RUN8 - 1, 2 * RUN8),
+    (8, 127 * RUN8, 127 * RUN8 + 1),
+    (8, 127 * RUN8 - 1, 127 * RUN8),
+    (8, (1 << 28) - 1, 1 << 28),
+    (8, (1 << 28) - 400, 1 << 28),
+    (8, RUN8, RUN8),
+    (8, 5 * RUN8 + 17, 5 * RUN8 + 17),
+    (8, 5 * RUN8 + RUN7, 5 * RUN8 + RUN7),
+]
+
+
+def _seeded_ranges(seed=2024, count=6):
+    rng = np.random.default_rng(seed)
+    ranges = []
+    for n, run in ((7, RUN7), (8, RUN8)):
+        for _ in range(count):
+            lo = int(rng.integers(0, 1 << n * (n - 1) // 2))
+            ranges.append((n, lo, min(lo + int(rng.integers(1, 1500)), 1 << n * (n - 1) // 2)))
+        edge = int(rng.integers(1, (1 << n * (n - 1) // 2) // run)) * run
+        ranges.append((n, edge - int(rng.integers(1, 800)), edge + int(rng.integers(1, 800))))
+    return ranges
+
+
 class TestBulkCrossValidation:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_table_matches_scalar_path(self, n):
         table = bulk.connected_table(n)
         stream = list(enumerate_connected_graphs(n))
@@ -698,14 +780,58 @@ class TestBulkCrossValidation:
             assert int(table.max_count[k]) == stats.max_degree_count
             assert tuple(int(x) for x in table.deg[:, k]) == g.degrees()
 
-    def test_batched_spectra_match_scalar_path(self):
-        table = bulk.connected_table(4)
-        energy, mu2, mu_max = bulk.batched_spectra(4, table.masks, chunk=7)
-        for k in range(table.masks.size):
-            summary = laplacian_spectrum(graph_from_mask(4, int(table.masks[k])))
-            assert energy[k] == pytest.approx(summary.energy, abs=1e-9)
-            assert mu2[k] == pytest.approx(summary.mu2, abs=1e-9)
-            assert mu_max[k] == pytest.approx(summary.mu_max, abs=1e-9)
+    @pytest.mark.parametrize("n,lo,hi", BUILDER_RANGES + _seeded_ranges())
+    def test_ranges_match_the_scalar_invariants(self, n, lo, hi):
+        _assert_table_matches(bulk.connected_table(n, lo, hi), n, lo, hi)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_column_has_its_dtype(self, n):
+        assert [f.name for f in fields(bulk.MaskTable)] == ["n", *MASK_TABLE_DTYPES]
+        for lo, hi in ((0, min(1 << n * (n - 1) // 2, 600)), (0, 0)):
+            _assert_table_matches(bulk.connected_table(n, lo, hi), n, lo, hi)
+
+    def test_gen_kpartite_comes_from_the_non_adjacent_pairs(self, monkeypatch):
+        # sigma == sigma_t holds exactly where gen_kpartite does (criterion
+        # 9), so a column derived from that equality would agree with every
+        # reference; only sigma columns that read back wrong expose it
+        class Sink:
+            def __setitem__(self, key, value):
+                pass
+
+            def __getitem__(self, key):
+                return np.zeros(1, dtype=np.int64)
+
+        whole = bulk.connected_table(5)
+        table = bulk.MaskTable
+        monkeypatch.setattr(bulk, "MaskTable",
+                            lambda **columns: table(**{**columns, "sigma": Sink(), "sigma_t": Sink()}))
+        sunk = bulk.connected_table(5)
+        assert isinstance(sunk.sigma, Sink) and 0 < whole.gen_kpartite.sum() < whole.masks.size
+        assert sunk.gen_kpartite.tolist() == whole.gen_kpartite.tolist()
+
+    def test_only_orders_up_to_six_are_cached(self):
+        bulk._all_graphs.cache_clear()
+        bulk.connected_table(8, 9 * RUN8, 9 * RUN8 + (1 << 16))
+        bulk.connected_table(7, 0, 1 << 16)
+        info = bulk._all_graphs.cache_info()
+        assert info.currsize == 7  # orders 0..6
+        shapes = [bulk._all_graphs(k).shape for k in range(7)]
+        assert shapes == [(3 * k + 1, 1 << k * (k - 1) // 2) for k in range(7)]
+        assert bulk._all_graphs.cache_info().currsize == 7
+        assert bulk._all_graphs(6).nbytes < 1 << 20
+
+    def test_order_8_chunk_memory_is_bounded(self):
+        # an order-7 table of all 2^21 graphs would take about 46 MB
+        bulk.connected_table(8, 0, 1 << 10)  # the cached bases
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            table = bulk.connected_table(8, 77 * RUN8, 77 * RUN8 + (1 << 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.masks.size > 50_000
+        assert peak < 16 << 20
 
     def test_mask_range_slices(self, monkeypatch):
         monkeypatch.setattr(oracle, "CHUNK_MASKS", 16)

@@ -14,6 +14,7 @@ from sigmat.spectral import (
     laplacian_matrix,
     laplacian_spectrum,
     rayleigh_ratio,
+    rayleigh_ratios,
     spectral_tolerance,
 )
 from tests.test_graph import complete, graphs, path, star
@@ -114,6 +115,28 @@ def test_rayleigh_degree_vector_relates_sigma_indices():
     g = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
     ratio = rayleigh_ratio(g, g.degrees())
     assert ratio == pytest.approx(g.n * sigma(g) / sigma_t(g), abs=1e-12)
+
+
+@given(graphs(max_n=8))
+def test_batched_rayleigh_matches_the_scalar_form(g):
+    if g.n < 2:
+        return
+    rng = random.Random(g.n * 7919 + g.m)
+    xs = [[rng.uniform(-1.0, 1.0) for _ in range(g.n)] for _ in range(6)]
+    xs.append(list(g.degrees()) if max(g.degrees()) > min(g.degrees()) else [0.0] * (g.n - 1) + [1.0])
+    ratios = rayleigh_ratios(g, np.array(xs))
+    assert ratios.shape == (len(xs),)
+    for x, ratio in zip(xs, ratios):
+        assert ratio == pytest.approx(rayleigh_ratio(g, x), rel=1e-12, abs=1e-12)
+
+
+def test_batched_rayleigh_rejects_bad_batches():
+    with pytest.raises(ValueError, match="constant"):
+        rayleigh_ratios(path(4), [[1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 2.0, 2.0]])
+    for bad in ([1.0, 2.0, 3.0, 4.0], [[1.0, 2.0]], np.zeros((2, 4, 1))):
+        with pytest.raises(ValueError, match="array"):
+            rayleigh_ratios(path(4), bad)
+    assert rayleigh_ratios(path(4), np.empty((0, 4))).shape == (0,)
 
 
 @given(graphs(max_n=8))
