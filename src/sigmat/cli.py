@@ -159,11 +159,6 @@ def _add_format_flag(sub) -> None:
     sub.add_argument("--format", choices=("json", "table"), default="json")
 
 
-SHARDS_HELP = ("power-of-two count of worker threads over fixed chunks of the mask space "
-               "(of the Prüfer ranks for trees); output is identical for any value and "
-               "memory stays bounded")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmat",
@@ -197,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("max", "min"), required=True)
     p.add_argument("--filter", choices=("triangle-free", "tree", "nonregular", "none"),
                    default="none")
-    p.add_argument("--shards", type=int, default=1, help=SHARDS_HELP)
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
 
@@ -205,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=int, required=True)
     _add_input_flags(p, required=False)
-    p.add_argument("--shards", type=int, default=1, help=SHARDS_HELP)
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
 
@@ -221,6 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _has_stream(args) -> bool:
+    """Whether the command was given a graph6 input (record, file or stdin)."""
+    return args.graph6 is not None or args.file is not None or args.stdin
+
+
 def _input_graphs(args) -> Iterator[Graph]:
     skip = getattr(args, "skip_bad_lines", False)
 
@@ -231,7 +229,8 @@ def _input_graphs(args) -> Iterator[Graph]:
     if args.graph6 is not None:
         yield parse_graph6(args.graph6)
     elif args.file is not None:
-        with open(args.file, "r", encoding="ascii") as handle:
+        # non-ASCII bytes reach parse_graph6, which reports them with the line number
+        with open(args.file, "r", encoding="ascii", errors="surrogateescape") as handle:
             yield from ingest_graph6(handle, skip_bad=skip, on_bad=on_bad)
     else:
         yield from ingest_graph6(sys.stdin, skip_bad=skip, on_bad=on_bad)
@@ -309,8 +308,7 @@ def _filter_predicate(name: str):
 
 
 def _cmd_search(args) -> int:
-    stream = args.graph6 is not None or args.file is not None or args.stdin
-    if stream:
+    if _has_stream(args):
         predicate = _filter_predicate(args.filter)
         result = search_extremal(
             _input_graphs(args), args.objective, predicate,
@@ -320,35 +318,33 @@ def _cmd_search(args) -> int:
         if args.n is None:
             raise UsageError("search needs --n or an input stream")
         if args.filter == "tree":
-            result = search_trees(args.n, args.objective, shards=args.shards)
+            result = search_trees(args.n, args.objective)
         else:
-            result = search_connected(args.n, args.objective, args.filter, shards=args.shards)
+            result = search_connected(args.n, args.objective, args.filter)
     _emit(args, result)
     return 0
 
 
 def _cmd_conjecture(args) -> int:
-    stream = args.graph6 is not None or args.file is not None or args.stdin
     if args.id == 1:
-        graphs = _input_graphs(args) if stream else None
-        report = verify_conjecture1(args.n, graphs, shards=args.shards)
+        graphs = _input_graphs(args) if _has_stream(args) else None
+        report = verify_conjecture1(args.n, graphs)
     else:
-        if stream:
+        if _has_stream(args):
             raise UsageError("conjecture 2 is tree-enumeration only; drop the input stream")
-        report = verify_conjecture2(args.n, shards=args.shards)
+        report = verify_conjecture2(args.n)
     _emit(args, report)
     return 0 if report.status == "verified" else 1
 
 
 def _cmd_verify_identities(args) -> int:
-    stream = args.graph6 is not None or args.file is not None or args.stdin
     if args.random is not None:
         if args.n is None:
             raise UsageError("--random needs --n")
         summary = verify_identity_suite(
             random_graphs(args.n, args.random, args.seed), seed=args.seed
         )
-    elif stream:
+    elif _has_stream(args):
         summary = verify_identity_suite(_input_graphs(args))
     elif args.n is not None:
         summary = verify_identity_suite(enumerate_connected_graphs(args.n))

@@ -16,10 +16,12 @@ MAX_GRAPH6_ORDER = 258047  # the 4-byte long-form header; the 8-byte form is not
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 record; ``offset`` is the byte position at fault."""
+    """Malformed graph6 record; ``offset`` is the byte position at fault and
+    ``reason`` the message without it."""
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
 
 

@@ -10,8 +10,8 @@ arrive through graph6 line streams produced by external generators.
 Searches over the edge-subset space walk it in fixed chunks of CHUNK_MASKS
 masks, and the tree sweep walks the Prüfer ranks in fixed chunks of
 CHUNK_TREES ranks, so memory stays bounded whatever the order. Both run on
-one sweep engine: ``shards`` sets how many worker threads scan chunks, and
-partials merge in chunk order, so the output is identical for any value.
+one sweep engine, which builds and scans the chunks in order on the calling
+thread and merges their partials in that order.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from __future__ import annotations
 import logging
 import random
 import time
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from functools import wraps
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
@@ -123,12 +122,16 @@ def enumerate_trees(n: int) -> Iterator[Graph]:
 
 def random_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     """``count`` uniform random graphs (edge probability 1/2) from an
-    explicit seed; the stream is reproducible."""
+    explicit seed; the stream is reproducible. The arguments are checked
+    when it is called, before any graph is drawn."""
+    if n < 1:
+        raise ValueError(f"random graphs need n >= 1, got n={n}")
+    if count < 0:
+        raise ValueError(f"random graph count must be >= 0, got {count}")
     pairs = pair_order(n)
     rng = random.Random(seed)
     nbits = len(pairs)
-    for _ in range(count):
-        yield graph_from_mask(n, rng.getrandbits(nbits), pairs)
+    return (graph_from_mask(n, rng.getrandbits(nbits), pairs) for _ in range(count))
 
 
 def ingest_graph6(
@@ -152,7 +155,7 @@ def ingest_graph6(
                 if on_bad is not None:
                     on_bad(lineno, line, exc)
                 continue
-            raise Graph6Error(f"line {lineno}: {exc}", offset=exc.offset) from None
+            raise Graph6Error(f"line {lineno}: {exc.reason}", offset=exc.offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +284,6 @@ def search_extremal(
 GRAPH_FILTERS = ("none", "triangle-free", "nonregular", "tree")
 
 
-def _check_power_of_two(shards: int) -> None:
-    if shards < 1 or shards & (shards - 1):
-        raise ValueError(f"shard count must be a power of two, got {shards}")
-
-
-def check_shards(n: int, shards: int) -> None:
-    """Reject worker counts that are not a power of two or exceed the
-    2^C(n,2) edge subsets at order n."""
-    _check_power_of_two(shards)
-    subsets = 1 << (n * (n - 1) // 2)
-    if shards > subsets:
-        raise ValueError(f"{shards} shards exceed the {subsets} edge subsets at n={n}")
-
-
 def _tiles(total: int, width: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
@@ -305,47 +294,21 @@ def chunk_ranges(n: int) -> list[tuple[int, int]]:
     return _tiles(1 << (n * (n - 1) // 2), CHUNK_MASKS)
 
 
-def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], shards: int,
-           scan: Callable) -> Iterator:
-    """``scan(build(n, lo, hi))`` for every chunk range, yielded in chunk
-    order; chunks are built and scanned on ``min(shards, 8)`` worker threads,
-    at most two per worker in flight, so memory does not grow with the number
-    of chunks. One worker is the calling thread itself: handing each chunk's
-    result across threads made ``conjecture --id 2 --n 9`` (1168 chunks)
-    about a quarter slower.
+def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable) -> Iterator:
+    """``scan(build(n, lo, hi))`` for every chunk range, in chunk order, on
+    the calling thread. Each chunk is built only when the consumer asks for
+    it, so memory does not grow with the number of chunks.
 
     ``build`` is a :mod:`sigmat.bulk` table builder that callers read from the
     module when they are called, so a wrapper installed on ``bulk`` sees every
     chunk.
     """
-    _check_power_of_two(shards)
-    workers = min(shards, 8)
-
-    def chunk(lo: int, hi: int):
-        return scan(build(n, lo, hi))
-
-    if workers == 1:
-        yield from (chunk(lo, hi) for lo, hi in ranges)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending: deque = deque()
-        for lo, hi in ranges:
-            pending.append(pool.submit(chunk, lo, hi))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    return (scan(build(n, lo, hi)) for lo, hi in ranges)
 
 
-def search_connected(
-    n: int,
-    objective: str,
-    graph_filter: str = "none",
-    shards: int = 1,
-) -> SearchResult:
+def search_connected(n: int, objective: str, graph_filter: str = "none") -> SearchResult:
     """Extremal sigma_t over all labeled connected graphs on n vertices
-    (optionally filtered), via the vectorized mask tables, chunk by chunk
-    on ``shards`` worker threads; the result is the same for every count.
+    (optionally filtered), via the vectorized mask tables, chunk by chunk.
     """
     best = Extreme(objective)
     if graph_filter not in GRAPH_FILTERS:
@@ -355,7 +318,6 @@ def search_connected(
             f"internal search covers 1 <= n <= {MAX_ENUM_ORDER}; "
             f"for n={n} use search_extremal on a graph6 stream"
         )
-    check_shards(n, shards)
     start = time.perf_counter()
 
     def scan(table: bulk.MaskTable) -> Extreme:
@@ -370,7 +332,7 @@ def search_connected(
         return Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep])
 
     ranges = chunk_ranges(n)
-    for part in _sweep(bulk.connected_table, n, ranges, shards, scan):
+    for part in _sweep(bulk.connected_table, n, ranges, scan):
         best.merge(part)
     seconds = time.perf_counter() - start
     log.debug("search at n=%d, filter %s: %d masks scanned, %d graphs kept in %d chunks, "
@@ -408,35 +370,18 @@ class TreeSweep:
     star_count: int
 
 
-def _cached_by_order(sweep: Callable[[int, int], TreeSweep]) -> Callable[[int, int], TreeSweep]:
-    """Cache a sweep on its order alone: the record is the same for every
-    shard count, so ``f(n)`` and ``f(n, shards)`` share one entry. The shard
-    count is still checked on a hit. The undecorated sweep stays reachable as
-    ``__wrapped__``."""
-    records: dict[int, TreeSweep] = {}
-
-    @wraps(sweep)
-    def cached(n: int, shards: int = 1) -> TreeSweep:
-        _check_power_of_two(shards)
-        if n not in records:
-            records[n] = sweep(n, shards)
-        return records[n]
-
-    return cached
-
-
-@_cached_by_order
-def tree_sweep(n: int, shards: int = 1) -> TreeSweep:
+@lru_cache(maxsize=None)
+def tree_sweep(n: int) -> TreeSweep:
     """One pass over all n^(n-2) labeled trees collecting the extremal
     values, the sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t
     set.
 
     The Prüfer ranks are walked in fixed chunks of CHUNK_TREES, each decoded
-    by :func:`sigmat.bulk.tree_table` on ``shards`` worker threads; partials
-    merge in rank order, so the result is the same for every count and memory
-    stays bounded. Witnesses are the first WITNESS_CAP trees in rank order.
-    The cache is keyed on n alone and holds at most eight small records, one
-    per order 2..9 (the orders are capped by MAX_TREE_ORDER).
+    by :func:`sigmat.bulk.tree_table`; partials merge in rank order and
+    memory stays bounded. Witnesses are the first WITNESS_CAP trees in rank
+    order. The cache holds at most eight small records, one per order 2..9
+    (the orders are capped by MAX_TREE_ORDER); the uncached sweep is
+    ``tree_sweep.__wrapped__``.
     """
     if not 2 <= n <= MAX_TREE_ORDER:
         raise LimitError(f"tree sweep covers 2 <= n <= {MAX_TREE_ORDER}, got n={n}")
@@ -467,7 +412,7 @@ def tree_sweep(n: int, shards: int = 1) -> TreeSweep:
     over: list[int] = []
     equal: list[int] = []
     ranges = _tiles(n ** (n - 2), CHUNK_TREES)
-    for parts, counts, part_over, part_equal in _sweep(bulk.tree_table, n, ranges, shards, scan):
+    for parts, counts, part_over, part_equal in _sweep(bulk.tree_table, n, ranges, scan):
         for whole, part in zip(extremes, parts):
             whole.merge(part)
         tally.update(counts)
@@ -503,12 +448,12 @@ def tree_sweep(n: int, shards: int = 1) -> TreeSweep:
     )
 
 
-def search_trees(n: int, objective: str, shards: int = 1) -> SearchResult:
-    """Extremal sigma_t over all labeled trees on n vertices, swept on
-    ``shards`` worker threads; the result is the same for every count."""
+def search_trees(n: int, objective: str) -> SearchResult:
+    """Extremal sigma_t over all labeled trees on n vertices, read from the
+    cached :func:`tree_sweep`."""
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    sweep = tree_sweep(n, shards)
+    sweep = tree_sweep(n)
     if objective == "max":
         value, count, witnesses = sweep.max_value, sweep.max_count, sweep.max_witnesses
     else:
@@ -568,17 +513,13 @@ class ConjectureReport:
         return out
 
 
-def verify_conjecture1(
-    n: int,
-    graphs: Iterable[Graph] | None = None,
-    shards: int = 1,
-) -> ConjectureReport:
+def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> ConjectureReport:
     """Check that no connected triangle-free graph on n vertices beats the
     best complete bipartite sigma_t.
 
     Without an external stream the check enumerates internally (n <= 7),
-    chunk by chunk on ``shards`` worker threads; a stream is filtered to
-    connected triangle-free graphs of order n.
+    chunk by chunk; a stream is filtered to connected triangle-free graphs of
+    order n.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -591,14 +532,13 @@ def verify_conjecture1(
                 f"internal enumeration covers n <= {MAX_ENUM_ORDER}; "
                 f"pass a graph6 stream for n={n}"
             )
-        check_shards(n, shards)
 
         def scan(table: bulk.MaskTable) -> tuple[Extreme, list[int]]:
             values = table.sigma_t[table.triangle_free]
             masks = table.masks[table.triangle_free]
             return Extreme.of_chunk("max", values, masks), masks[values > reference][:WITNESS_CAP].tolist()
 
-        for part, bad in _sweep(bulk.connected_table, n, chunk_ranges(n), shards, scan):
+        for part, bad in _sweep(bulk.connected_table, n, chunk_ranges(n), scan):
             best.merge(part)
             offenders.extend(bad[:WITNESS_CAP - len(offenders)])
         missing = f"connected triangle-free graphs at n={n}"
@@ -629,12 +569,12 @@ def verify_conjecture1(
     )
 
 
-def verify_conjecture2(n: int, shards: int = 1) -> ConjectureReport:
+def verify_conjecture2(n: int) -> ConjectureReport:
     """Check sigma_t(T) <= (n-2) * sigma(T) over every labeled tree, with
-    equality exactly on paths, sweeping on ``shards`` worker threads."""
+    equality exactly on paths, read from the cached :func:`tree_sweep`."""
     if not 3 <= n <= MAX_TREE_ORDER:
         raise LimitError(f"conjecture 2 runs for 3 <= n <= {MAX_TREE_ORDER}, got n={n}")
-    sweep = tree_sweep(n, shards)
+    sweep = tree_sweep(n)
     ok = sweep.ratio_violations == 0 and sweep.ratio_equality_all_paths
     counterexamples = sweep.ratio_violation_witnesses
     if sweep.ratio_violations == 0 and not sweep.ratio_equality_all_paths:

@@ -75,6 +75,17 @@ class TestCompute:
         assert len(out.strip().splitlines()) == 2
         assert "line 2" in err
 
+    def test_file_with_a_non_ascii_line(self, capsys, tmp_path):
+        stream = tmp_path / "graphs.g6"
+        stream.write_bytes(b"Ch\n\xff\nDhc\n")
+        code, out, err = run(capsys, ["compute", "--file", str(stream), "--skip-bad-lines"])
+        assert code == 0
+        assert [json.loads(line)["n"] for line in out.strip().splitlines()] == [4, 5]
+        assert err == "skipping line 2: non-ASCII byte in record (byte offset 0)\n"
+        code, out, err = run(capsys, ["compute", "--file", str(stream)])
+        assert code == 2 and len(out.strip().splitlines()) == 1
+        assert err == "error: line 2: non-ASCII byte in record (byte offset 0)\n"
+
     def test_malformed_input_exits_2(self, capsys):
         code, _, err = run(capsys, ["compute", "--graph6", "C~~~~"])
         assert code == 2 and "error:" in err
@@ -149,11 +160,6 @@ class TestSearch:
         body = json.loads(out)
         assert body["extremeValue"] == 12 and body["tieCount"] == 4
 
-    def test_shards_reproduce_bytes(self, capsys):
-        _, base, _ = run(capsys, ["search", "--n", "6", "--objective", "max"])
-        _, sharded, _ = run(capsys, ["search", "--n", "6", "--objective", "max", "--shards", "4"])
-        assert base == sharded
-
     def test_tree_filter(self, capsys):
         code, out, _ = run(capsys, ["search", "--n", "6", "--objective", "min", "--filter", "tree"])
         body = json.loads(out)
@@ -194,11 +200,6 @@ class TestConjecture:
         assert body["status"] == "verified"
         assert body["maxValue"] == body["referenceValue"] == 36
 
-    def test_id1_sharded_bytes_match(self, capsys):
-        _, base, _ = run(capsys, ["conjecture", "--id", "1", "--n", "6"])
-        _, sharded, _ = run(capsys, ["conjecture", "--id", "1", "--n", "6", "--shards", "4"])
-        assert base == sharded
-
     def test_id1_stream(self, capsys, tmp_path):
         from sigmat.extremal import make_complete_bipartite
 
@@ -216,7 +217,7 @@ class TestConjecture:
             conjecture_id=1, n_range=(5, 5), status="counterexample",
             counterexamples=("D?{",), extremal_witnesses=("D?{",),
         )
-        monkeypatch.setattr(cli, "verify_conjecture1", lambda n, graphs=None, shards=1: fake)
+        monkeypatch.setattr(cli, "verify_conjecture1", lambda n, graphs=None: fake)
         code, out, _ = run(capsys, ["conjecture", "--id", "1", "--n", "5"])
         assert code == 1
         assert json.loads(out)["status"] == "counterexample"
@@ -224,28 +225,6 @@ class TestConjecture:
     def test_id2_rejects_stream(self, capsys):
         code, _, err = run(capsys, ["conjecture", "--id", "2", "--n", "5", "--graph6", P4])
         assert code == 2
-
-
-class TestTreeShards:
-    @pytest.mark.parametrize("argv", [
-        ["search", "--n", "4", "--filter", "tree", "--objective", "max"],
-        ["conjecture", "--id", "2", "--n", "4"],
-    ])
-    @pytest.mark.parametrize("shards", ["3", "0", "-2", "6"])
-    def test_shards_must_be_a_power_of_two(self, capsys, argv, shards):
-        code, out, err = run(capsys, [*argv, "--shards", shards])
-        assert code == 2 and out == ""
-        assert err == f"error: shard count must be a power of two, got {shards}\n"
-
-    @pytest.mark.parametrize("argv", [
-        ["search", "--n", "6", "--filter", "tree", "--objective", "min"],
-        ["conjecture", "--id", "2", "--n", "6"],
-    ])
-    def test_shards_reproduce_bytes(self, capsys, argv):
-        _, base, _ = run(capsys, argv)
-        for shards in ("2", "4"):
-            code, sharded, _ = run(capsys, [*argv, "--shards", shards])
-            assert code == 0 and sharded == base
 
 
 class TestVerifyIdentities:
@@ -271,6 +250,16 @@ class TestVerifyIdentities:
         code, _, err = run(capsys, ["verify-identities"])
         assert code == 2
 
+    @pytest.mark.parametrize("count,n,message", [
+        ("5", "0", "error: random graphs need n >= 1, got n=0\n"),
+        ("5", "-3", "error: random graphs need n >= 1, got n=-3\n"),
+        ("-2", "5", "error: random graph count must be >= 0, got -2\n"),
+    ], ids=["n-zero", "n-negative", "count-negative"])
+    def test_random_rejects_bad_arguments(self, capsys, count, n, message):
+        code, out, err = run(capsys, ["verify-identities", "--random", count, "--n", n])
+        assert code == 2 and out == ""
+        assert err == message
+
 
 class TestPlumbing:
     def test_unknown_flag_exits_2(self):
@@ -287,6 +276,19 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as info:
             cli.main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "5", "--objective", "max"],
+        ["search", "--n", "4", "--filter", "tree", "--objective", "max"],
+        ["conjecture", "--id", "1", "--n", "4"],
+        ["conjecture", "--id", "2", "--n", "4"],
+    ], ids=["search", "search-tree", "conjecture-1", "conjecture-2"])
+    def test_shards_flag_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--shards", "2"])
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --shards 2" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--graph6", P4],

@@ -35,7 +35,6 @@ from sigmat.graph import (
 from sigmat.invariants import sigma, sigma_t
 from sigmat.oracle import (
     LimitError,
-    check_shards,
     chunk_ranges,
     enumerate_connected_graphs,
     enumerate_trees,
@@ -140,6 +139,18 @@ class TestRandomGraphs:
         assert a != c
         assert all(g.n == 12 for g in a)
 
+    def test_zero_count_is_an_empty_stream(self):
+        assert list(random_graphs(7, 0, seed=5)) == []
+
+    @pytest.mark.parametrize("n,count,match", [
+        (0, 5, "n >= 1, got n=0"),
+        (-3, 5, "n >= 1, got n=-3"),
+        (5, -2, "count must be >= 0, got -2"),
+    ], ids=["n-zero", "n-negative", "count-negative"])
+    def test_rejects_bad_arguments_when_called(self, n, count, match):
+        with pytest.raises(ValueError, match=match):
+            random_graphs(n, count, seed=0)
+
 
 class TestIngest:
     def test_stream_in_order(self):
@@ -156,8 +167,13 @@ class TestIngest:
 
     def test_error_carries_line_number(self):
         lines = [encode_graph6(path(4)), "C~~~~", encode_graph6(path(3))]
-        with pytest.raises(Graph6Error, match="line 2"):
+        with pytest.raises(Graph6Error, match="line 2") as info:
             list(ingest_graph6(lines))
+        # the byte offset is named once, as parse_graph6 names it
+        with pytest.raises(Graph6Error) as bare:
+            parse_graph6("C~~~~")
+        assert str(info.value) == f"line 2: {bare.value}"
+        assert info.value.offset == bare.value.offset
 
     def test_skip_policy_reports_diagnostics(self):
         lines = [encode_graph6(path(4)), "!!bad!!", encode_graph6(path(3))]
@@ -230,26 +246,6 @@ class TestSearchConnected:
         assert fast.witnesses == slow.witnesses
         assert fast.graphs_visited == slow.graphs_visited
 
-    def test_shards_do_not_change_the_result(self):
-        base = search_connected(6, "max", "none", shards=1)
-        for shards in (2, 4, 8):
-            assert search_connected(6, "max", "none", shards=shards) == base
-
-    def test_shard_validation(self):
-        for shards in (3, 0, -4, 6):
-            with pytest.raises(ValueError, match="power of two"):
-                check_shards(5, shards)
-        with pytest.raises(ValueError, match="exceed"):
-            check_shards(2, 4)
-        with pytest.raises(ValueError, match="exceed"):
-            check_shards(1, 2)
-        for shards in (1, 2, 1024):
-            check_shards(5, shards)
-        with pytest.raises(ValueError, match="power of two"):
-            search_connected(5, "max", shards=3)
-        with pytest.raises(ValueError, match="exceed"):
-            verify_conjecture1(2, shards=4)
-
     @pytest.mark.parametrize("n,width", [
         (1, 8), (2, 1), (4, 3), (4, 64), (4, 1 << 16), (6, 1 << 7), (7, 1 << 16),
     ])
@@ -291,12 +287,11 @@ class TestChunkBoundaries:
                                                     graph_filter):
         slow = _reference(n, objective, graph_filter)
         monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
-        for shards in (1, 2, 8):
-            fast = search_connected(n, objective, graph_filter, shards=shards)
-            assert fast.extreme_value == slow.extreme_value
-            assert fast.tie_count == slow.tie_count
-            assert fast.witnesses == slow.witnesses
-            assert fast.graphs_visited == slow.graphs_visited
+        fast = search_connected(n, objective, graph_filter)
+        assert fast.extreme_value == slow.extreme_value
+        assert fast.tie_count == slow.tie_count
+        assert fast.witnesses == slow.witnesses
+        assert fast.graphs_visited == slow.graphs_visited
 
     @pytest.mark.parametrize("n,width", [(5, 1 << 3), (6, 1 << 7)])
     def test_conjecture1_matches_stream_run(self, monkeypatch, n, width):
@@ -305,8 +300,7 @@ class TestChunkBoundaries:
         monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
         # the first chunk holds no connected graph
         assert bulk.connected_table(n, *chunk_ranges(n)[0]).masks.size == 0
-        for shards in (1, 2, 8):
-            assert verify_conjecture1(n, shards=shards) == slow
+        assert verify_conjecture1(n) == slow
 
     def test_counterexamples_are_capped_across_chunks(self, monkeypatch):
         # a reference of 0 makes every irregular triangle-free graph an
@@ -318,24 +312,26 @@ class TestChunkBoundaries:
         ]
         stream = verify_conjecture1(5, enumerate_connected_graphs(5))
         monkeypatch.setattr(oracle, "CHUNK_MASKS", 1 << 3)
-        for shards in (1, 2):
-            report = verify_conjecture1(5, shards=shards)
-            assert report.status == "counterexample"
-            assert report.counterexamples == tuple(offenders[:oracle.WITNESS_CAP])
-            assert report == stream
+        report = verify_conjecture1(5)
+        assert report.status == "counterexample"
+        assert report.counterexamples == tuple(offenders[:oracle.WITNESS_CAP])
+        assert report == stream
 
-    @pytest.mark.parametrize("shards", [1, 2, 8])
-    def test_sweep_keeps_few_chunks_in_flight(self, shards):
+    @pytest.mark.parametrize("chunks", [0, 1, 2, 8, 200])
+    def test_sweep_keeps_few_chunks_in_flight(self, chunks):
         built, seen = [], []
 
         def build(n, lo, hi):
             built.append(lo)
             return lo
 
-        for lo in oracle._sweep(build, 0, [(i, i + 1) for i in range(200)], shards, lambda t: t):
+        sweep = oracle._sweep(build, 0, [(i, i + 1) for i in range(chunks)], lambda t: t)
+        assert built == []
+        for lo in sweep:
+            # the chunk handed over is the only one built ahead of the consumer
+            assert built == seen + [lo]
             seen.append(lo)
-            assert len(built) - len(seen) < 2 * min(shards, 8)
-        assert seen == list(range(200))
+        assert seen == built == list(range(chunks))
 
     def test_sweep_memory_is_bounded(self):
         tracemalloc.start()
@@ -462,8 +458,7 @@ class TestTreeSweepFastPath:
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_chunk_boundaries(self, monkeypatch, n, width):
         monkeypatch.setattr(oracle, "CHUNK_TREES", width)
-        for shards in (1, 2, 8):
-            assert tree_sweep.__wrapped__(n, shards) == _tree_reference(n)
+        assert tree_sweep.__wrapped__(n) == _tree_reference(n)
 
     def test_violations_are_capped_across_chunks(self, monkeypatch):
         # sigma read as 0 puts every tree on 6 vertices over the ratio bound
@@ -476,10 +471,10 @@ class TestTreeSweepFastPath:
         monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
         monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
-        assert tree_sweep.__wrapped__(6, 2) == replace(
+        assert tree_sweep.__wrapped__(6) == replace(
             _tree_reference(6), ratio_violations=6 ** 4, ratio_violation_witnesses=first,
             ratio_equality_count=0, ratio_equality_witnesses=(), sigma_eq_count=0)
-        report = verify_conjecture2(6, shards=2)
+        report = verify_conjecture2(6)
         assert report.status == "counterexample" and report.counterexamples == first
 
     def test_flags_see_non_stars_and_non_paths_across_chunks(self, monkeypatch):
@@ -540,29 +535,24 @@ class TestTreeSweepFastPath:
         with pytest.raises(ValueError, match="n >= 2"):
             bulk.tree_table(1)
 
-    def test_shards_must_be_a_power_of_two(self):
-        for shards in (3, 0, -4, 6):
-            with pytest.raises(ValueError, match="power of two"):
-                tree_sweep(4, shards)
-            with pytest.raises(ValueError, match="power of two"):
-                search_trees(4, "max", shards=shards)
-            with pytest.raises(ValueError, match="power of two"):
-                verify_conjecture2(4, shards=shards)
+    def test_sweep_builds_once_per_order(self, monkeypatch):
+        monkeypatch.setattr(oracle, "tree_sweep", lru_cache(maxsize=None)(tree_sweep.__wrapped__))
+        calls = []
+        build = bulk.tree_table
 
-    def test_one_sweep_serves_every_shard_count(self):
-        built = []
+        def recording(n, lo, hi):
+            calls.append(n)
+            return build(n, lo, hi)
 
-        def sweep(n, shards):
-            built.append((n, shards))
-            return tree_sweep.__wrapped__(n, shards)
-
-        cached = oracle._cached_by_order(sweep)
-        assert cached(5) is cached(5, 2) is cached(5, 1)
-        assert built == [(5, 1)]
-        for shards in (3, 0):
-            with pytest.raises(ValueError, match="power of two"):
-                cached(5, shards)
-        assert tree_sweep(6, 2) is tree_sweep(6)
+        monkeypatch.setattr(bulk, "tree_table", recording)
+        for _ in range(2):
+            for n in (4, 5):
+                assert oracle.tree_sweep(n) is oracle.tree_sweep(n)
+                assert search_trees(n, "max").graphs_visited == n ** (n - 2)
+                assert verify_conjecture2(n).graphs_visited == n ** (n - 2)
+        assert calls == [4, 5]
+        assert tree_sweep.cache_info().maxsize is None
+        assert tree_sweep(6) is tree_sweep(6)
 
     def test_tree_commands_reuse_the_cached_sweep(self, monkeypatch):
         tree_sweep(6)
@@ -571,10 +561,8 @@ class TestTreeSweepFastPath:
             raise AssertionError(f"tree table rebuilt for n={n}")
 
         monkeypatch.setattr(bulk, "tree_table", no_table)
-        assert search_trees(6, "max", shards=2).graphs_visited == 6 ** 4
+        assert search_trees(6, "max").graphs_visited == 6 ** 4
         assert verify_conjecture2(6).status == "verified"
-        with pytest.raises(ValueError, match="power of two"):
-            verify_conjecture2(6, shards=3)
 
     def test_sweep_memory_is_bounded(self):
         # keeps the peak RSS of `conjecture --id 2 --n 9` near the bare import's
@@ -618,11 +606,6 @@ class TestConjecture1:
         witnesses = {frozenset(degree_stats(parse_graph6(w)).degrees)
                      for w in report.extremal_witnesses}
         assert witnesses == {frozenset({9, 1}), frozenset({8, 2})}
-
-    def test_shards_do_not_change_the_report(self):
-        base = verify_conjecture1(6)
-        for shards in (2, 8):
-            assert verify_conjecture1(6, shards=shards) == base
 
     def test_stream_rejects_wrong_order(self):
         with pytest.raises(ValueError, match="order"):
