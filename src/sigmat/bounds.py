@@ -7,6 +7,8 @@ the spectral tolerance, and their equality flags are advisory only.
 Individual checks raise PreconditionError when their hypotheses fail;
 ``check_all`` evaluates each graph once into a ``GraphFacts`` record and
 downgrades those failures to skip markers so batch reports are total.
+A ``BoundCheck`` keeps its sides as they were compared (int, Fraction or
+float); the CLI writes a Fraction side as ``{"num": a, "den": b}``.
 """
 
 from __future__ import annotations
@@ -51,24 +53,6 @@ class BoundCheck:
     certificate: str
     exact: bool
     skipped: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "boundId": self.bound_id,
-            "lhs": _num_json(self.lhs),
-            "rhs": _num_json(self.rhs),
-            "holds": self.holds,
-            "equality": self.equality,
-            "certificate": self.certificate,
-            "exact": self.exact,
-            "skipped": self.skipped,
-        }
-
-
-def _num_json(x: Number | None):
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    return x
 
 
 def _skipped(bound_id: str, reason: str) -> BoundCheck:

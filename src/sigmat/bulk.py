@@ -309,10 +309,10 @@ def tree_table(n: int, rank_lo: int = 0, rank_hi: int | None = None) -> TreeTabl
     return TreeTable(n=n, ranks=ranks, max_deg=rows.max(axis=1), sigma_t=sigma_t, sigma=sigma)
 
 
-def batched_spectra(n: int, masks: np.ndarray, chunk: int = CHUNK_MASKS):
+def batched_spectra(n: int, masks: np.ndarray):
     """Energy, second-smallest and largest Laplacian eigenvalues for every
     mask, with one pair of dense symmetric eigensolves per cospectral class
-    in each chunk of ``chunk`` masks.
+    in each chunk of CHUNK_MASKS masks.
 
     Relabelling a graph does not change its spectra, and the 1,866,256
     connected masks at n = 7 are only 853 isomorphism classes. A mask's key
@@ -343,8 +343,8 @@ def batched_spectra(n: int, masks: np.ndarray, chunk: int = CHUNK_MASKS):
     mu2 = np.empty(masks.size, dtype=np.float64)
     mu_max = np.empty(masks.size, dtype=np.float64)
     classes = 0
-    for lo in range(0, masks.size, chunk):
-        part = masks[lo:lo + chunk]
+    for lo in range(0, masks.size, CHUNK_MASKS):
+        part = masks[lo:lo + CHUNK_MASKS]
         first, inverse = _classes(np.concatenate(
             [_class_keys(n, part[b:b + _KEY_BLOCK]) for b in range(0, part.size, _KEY_BLOCK)], axis=1))
         classes += first.size

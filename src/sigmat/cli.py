@@ -3,10 +3,16 @@ conjecture, and verify-identities subcommands with JSON or table output.
 
 JSON is byte-stable: fixed key order per command and floats rendered in
 12-significant-digit shortest form, so re-serializing parsed output
-reproduces the bytes. Exit codes: 0 success, 1 verification failure
-(violated bound or conjecture counterexample), 2 usage or input error,
-3 internal error (a failed eigensolve or any other unexpected exception;
-the traceback is logged at debug level, see ``SIGMAT_LOG``).
+reproduces the bytes. This module is the only one that knows the format: a
+result dataclass is written straight from its fields, in field order, each
+under its name in camelCase (or the key its ``json_key`` metadata names),
+and a field marked ``json_optional`` is left out while it is None. A
+Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table).
+
+Exit codes: 0 success, 1 verification failure (violated bound or
+conjecture counterexample), 2 usage or input error, 3 internal error (a
+failed eigensolve or any other unexpected exception; the traceback is
+logged at debug level, see ``SIGMAT_LOG``).
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from numpy.linalg import LinAlgError
@@ -30,7 +38,16 @@ from .extremal import (
     max_bipartite_split,
     max_split_sigma_t,
 )
-from .graph import Graph, Graph6Error, encode_graph6, is_regular, is_tree, is_triangle_free, parse_graph6
+from .graph import (
+    Graph,
+    Graph6Error,
+    encode_graph6,
+    is_regular,
+    is_tree,
+    is_triangle_free,
+    parse_graph6,
+    require_graph6_order,
+)
 from .invariants import full_report, sigma_t
 from .oracle import (
     LimitError,
@@ -55,6 +72,29 @@ log = logging.getLogger("sigmat.cli")
 
 def format_float(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(word.capitalize() for word in rest)
+
+
+@lru_cache(maxsize=None)
+def _layout(cls) -> tuple[tuple[str, str, str, bool], ...]:
+    """(field name, JSON key, the key encoded with its colon, left out while
+    None) for each field of a result dataclass, computed once per class."""
+    layout = []
+    for f in fields(cls):
+        key = f.metadata.get("json_key") or _camel(f.name)
+        layout.append((f.name, key, json.dumps(key) + ": ", bool(f.metadata.get("json_optional"))))
+    return tuple(layout)
+
+
+def record_items(record) -> dict:
+    """The JSON keys and field values of a result dataclass, in field order,
+    without its unset optional fields."""
+    return {key: getattr(record, name) for name, key, _, optional in _layout(type(record))
+            if not (optional and getattr(record, name) is None)}
 
 
 def canonical_json(obj) -> str:
@@ -92,6 +132,19 @@ def _write_json(obj, parts: list[str]) -> None:
             parts.append(": ")
             _write_json(value, parts)
         parts.append("}")
+    elif isinstance(obj, Fraction):
+        parts.append(f'{{"num": {obj.numerator}, "den": {obj.denominator}}}')
+    elif is_dataclass(obj):
+        parts.append("{")
+        first = True
+        for name, _, encoded_key, optional in _layout(type(obj)):
+            value = getattr(obj, name)
+            if optional and value is None:
+                continue
+            parts.append(encoded_key if first else ", " + encoded_key)
+            _write_json(value, parts)
+            first = False
+        parts.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -104,11 +157,9 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, Fraction):
-        return str(value)
+        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (list, tuple)):
         return " ".join(_cell(v) for v in value)
-    if isinstance(value, dict) and set(value) == {"num", "den"}:
-        return f"{value['num']}/{value['den']}"
     return str(value)
 
 
@@ -132,11 +183,11 @@ def render_table(report) -> str:
                 status, lhs, rhs = f"skip({c.skipped})", "", ""
             else:
                 status = "=" if c.equality else ("✓" if c.holds else "✗")
-                lhs, rhs = _cell(c.lhs), _cell(c.rhs)
+                lhs, rhs = (format_float(x) if isinstance(x, float) else str(x) for x in (c.lhs, c.rhs))
             rows.append((c.bound_id, lhs, rhs, status, c.certificate))
         return _format_rows(rows)
-    if hasattr(report, "to_json_dict"):
-        report = report.to_json_dict()
+    if is_dataclass(report):
+        report = record_items(report)
     if isinstance(report, dict):
         rows = [("field", "value")]
         rows.extend((str(k), _cell(v)) for k, v in report.items())
@@ -220,30 +271,22 @@ def _has_stream(args) -> bool:
 
 
 def _input_graphs(args) -> Iterator[Graph]:
-    skip = getattr(args, "skip_bad_lines", False)
-
     def report(lineno, line, exc):
         print(f"skipping line {lineno}: {exc}", file=sys.stderr)
 
-    on_bad = report if skip else None
+    on_bad = report if getattr(args, "skip_bad_lines", False) else None
     if args.graph6 is not None:
         yield parse_graph6(args.graph6)
     elif args.file is not None:
         # non-ASCII bytes reach parse_graph6, which reports them with the line number
         with open(args.file, "r", encoding="ascii", errors="surrogateescape") as handle:
-            yield from ingest_graph6(handle, skip_bad=skip, on_bad=on_bad)
+            yield from ingest_graph6(handle, on_bad)
     else:
-        yield from ingest_graph6(sys.stdin, skip_bad=skip, on_bad=on_bad)
+        yield from ingest_graph6(sys.stdin, on_bad)
 
 
 def _emit(args, payload) -> None:
-    if args.format == "table":
-        print(render_table(payload))
-    else:
-        body = payload.to_json_dict() if hasattr(payload, "to_json_dict") else payload
-        if isinstance(body, list):
-            body = [c.to_json_dict() if hasattr(c, "to_json_dict") else c for c in body]
-        print(canonical_json(body))
+    print(render_table(payload) if args.format == "table" else canonical_json(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +304,7 @@ def _cmd_bounds(args) -> int:
     for g in _input_graphs(args):
         checks = check_all(g)
         violated = violated or any(not c.holds for c in checks)
-        if args.format == "table":
-            print(render_table(checks))
-        else:
-            _emit(args, [c.to_json_dict() for c in checks])
+        _emit(args, checks)
     return 1 if violated else 0
 
 
@@ -276,6 +316,8 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_extremal(args) -> int:
     n = args.n
+    # before any construction: split and bipartite graphs take O(n^2) memory
+    require_graph6_order(n)
     if args.family == "split":
         best = max_split_sigma_t(n)
         graph = make_split(best.x, n - best.x)
@@ -284,7 +326,7 @@ def _cmd_extremal(args) -> int:
     elif args.family == "bipartite":
         best = max_bipartite_split(n)
         graph = make_complete_bipartite(best.n1, n - best.n1)
-        payload = {"family": "bipartite", "n": n, **best.to_json_dict(),
+        payload = {"family": "bipartite", "n": n, **record_items(best),
                    "graph6": encode_graph6(graph)}
     elif args.family == "star":
         graph = make_star(n)

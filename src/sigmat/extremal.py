@@ -133,15 +133,6 @@ class BipartiteMax:
     ties: tuple[int, ...]
     formula_candidates: tuple[int, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n1": self.n1,
-            "value": self.value,
-            "tie": self.tie,
-            "ties": list(self.ties),
-            "formulaCandidates": list(self.formula_candidates),
-        }
-
 
 def max_bipartite_split(n: int) -> BipartiteMax:
     """Smaller part size maximizing n1(n-n1)(n-2*n1)^2 over 1 <= n1 <= n/2.

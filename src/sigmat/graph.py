@@ -140,12 +140,17 @@ _HEADER_PREFIX = ">>graph6<<"
 _LONG = 126  # '~', the first byte of a long-form header
 
 
+def require_graph6_order(n: int) -> None:
+    """Raise Graph6Error if graph6 cannot encode a graph of order n."""
+    if n > MAX_GRAPH6_ORDER:
+        raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_ORDER}, got n={n}")
+
+
 def _header(n: int) -> str:
     if n <= 62:
         return chr(n + 63)
-    if n <= MAX_GRAPH6_ORDER:
-        return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
-    raise Graph6Error(f"graph6 supports n <= {MAX_GRAPH6_ORDER}, got n={n}")
+    require_graph6_order(n)
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -80,20 +80,6 @@ class InvariantReport:
     variance: Fraction
     mean_degree: Fraction
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "sigmaT": self.sigma_t,
-            "sigma": self.sigma,
-            "albertsonIrr": self.albertson_irr,
-            "m1": self.m1,
-            "m2": self.m2,
-            "forgotten": self.forgotten,
-            "variance": {"num": self.variance.numerator, "den": self.variance.denominator},
-            "meanDegree": {"num": self.mean_degree.numerator, "den": self.mean_degree.denominator},
-        }
-
 
 def full_report(g: Graph) -> InvariantReport:
     """Evaluate every index on one graph."""

@@ -7,11 +7,12 @@ labeled trees) proves the same statements while avoiding canonical forms.
 Internal limits are n <= 7 for graphs and n <= 9 for trees; larger orders
 arrive through graph6 line streams produced by external generators.
 
-Searches over the edge-subset space walk it in fixed chunks of CHUNK_MASKS
-masks, and the tree sweep walks the Prüfer ranks in fixed chunks of
-CHUNK_TREES ranks, so memory stays bounded whatever the order. Both run on
-one sweep engine, which builds and scans the chunks in order on the calling
-thread and merges their partials in that order.
+Searches over the edge-subset space walk it in fixed chunks of
+``bulk.CHUNK_MASKS`` masks, read when the sweep starts, and the tree sweep
+walks the Prüfer ranks in fixed chunks of CHUNK_TREES ranks, so memory stays
+bounded whatever the order. Both run on one sweep engine, which builds and
+scans the chunks in order on the calling thread and merges their partials
+in that order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import logging
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator
@@ -37,7 +38,6 @@ log = logging.getLogger("sigmat.oracle")
 MAX_ENUM_ORDER = 7
 MAX_TREE_ORDER = 9
 WITNESS_CAP = 16
-CHUNK_MASKS = bulk.CHUNK_MASKS
 CHUNK_TREES = 1 << 12
 
 
@@ -136,13 +136,12 @@ def random_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
 
 def ingest_graph6(
     lines: Iterable[str],
-    skip_bad: bool = False,
     on_bad: Callable[[int, str, Graph6Error], None] | None = None,
 ) -> Iterator[Graph]:
     """Decode a line-oriented graph6 stream in order.
 
-    Malformed lines raise with the 1-based line number, or, under
-    ``skip_bad``, are reported to ``on_bad`` and dropped.
+    Malformed lines raise with the 1-based line number, or, when an
+    ``on_bad`` handler is given, are reported to it and dropped.
     """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -151,9 +150,8 @@ def ingest_graph6(
         try:
             yield parse_graph6(line)
         except Graph6Error as exc:
-            if skip_bad:
-                if on_bad is not None:
-                    on_bad(lineno, line, exc)
+            if on_bad is not None:
+                on_bad(lineno, line, exc)
                 continue
             raise Graph6Error(f"line {lineno}: {exc.reason}", offset=exc.offset) from None
 
@@ -177,17 +175,6 @@ class SearchResult:
     witnesses: tuple[str, ...]
     tie_count: int
     graphs_visited: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "familyDescription": self.family_description,
-            "n": self.n,
-            "objective": self.objective,
-            "extremeValue": self.extreme_value,
-            "witnesses": list(self.witnesses),
-            "tieCount": self.tie_count,
-            "graphsVisited": self.graphs_visited,
-        }
 
 
 class Extreme:
@@ -289,9 +276,9 @@ def _tiles(total: int, width: int) -> list[tuple[int, int]]:
 
 
 def chunk_ranges(n: int) -> list[tuple[int, int]]:
-    """Consecutive [lo, hi) ranges of CHUNK_MASKS masks tiling the edge-subset
-    space at order n; the last one may be shorter."""
-    return _tiles(1 << (n * (n - 1) // 2), CHUNK_MASKS)
+    """Consecutive [lo, hi) ranges of ``bulk.CHUNK_MASKS`` masks tiling the
+    edge-subset space at order n; the last one may be shorter."""
+    return _tiles(1 << (n * (n - 1) // 2), bulk.CHUNK_MASKS)
 
 
 def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable) -> Iterator:
@@ -473,6 +460,11 @@ def search_trees(n: int, objective: str) -> SearchResult:
 # conjecture harnesses
 # ---------------------------------------------------------------------------
 
+def _optional():
+    """A field that the JSON record leaves out while it is None."""
+    return field(default=None, metadata={"json_optional": True})
+
+
 @dataclass(frozen=True)
 class ConjectureReport:
     """Outcome of one conjecture run; any counterexample listed violates the
@@ -483,34 +475,13 @@ class ConjectureReport:
     status: str                       # "verified" | "counterexample"
     counterexamples: tuple[str, ...]
     extremal_witnesses: tuple[str, ...]
-    max_value: int | None = None
-    reference_value: int | None = None
-    tie_count: int | None = None
-    graphs_visited: int | None = None
-    equality_count: int | None = None
-    equality_all_paths: bool | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "conjectureId": self.conjecture_id,
-            "nRange": list(self.n_range),
-            "status": self.status,
-            "counterexamples": list(self.counterexamples),
-            "extremalWitnesses": list(self.extremal_witnesses),
-        }
-        if self.max_value is not None:
-            out["maxValue"] = self.max_value
-        if self.reference_value is not None:
-            out["referenceValue"] = self.reference_value
-        if self.tie_count is not None:
-            out["tieCount"] = self.tie_count
-        if self.graphs_visited is not None:
-            out["graphsVisited"] = self.graphs_visited
-        if self.equality_count is not None:
-            out["equalityWitnesses"] = list(self.extremal_witnesses)
-            out["equalityCount"] = self.equality_count
-            out["equalityAllPaths"] = self.equality_all_paths
-        return out
+    max_value: int | None = _optional()
+    reference_value: int | None = _optional()
+    tie_count: int | None = _optional()
+    graphs_visited: int | None = _optional()
+    equality_witnesses: tuple[str, ...] | None = _optional()
+    equality_count: int | None = _optional()
+    equality_all_paths: bool | None = _optional()
 
 
 def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> ConjectureReport:
@@ -587,6 +558,7 @@ def verify_conjecture2(n: int) -> ConjectureReport:
         counterexamples=counterexamples,
         extremal_witnesses=sweep.ratio_equality_witnesses,
         graphs_visited=sweep.trees,
+        equality_witnesses=sweep.ratio_equality_witnesses,
         equality_count=sweep.ratio_equality_count,
         equality_all_paths=sweep.ratio_equality_all_paths,
     )
@@ -602,18 +574,7 @@ class IdentitySummary:
     passed: int
     failed: int
     first_failure: str | None
-    seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "firstFailure": self.first_failure,
-        }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
+    seed: int | None = _optional()
 
 
 def verify_identity_suite(graphs: Iterable[Graph], seed: int | None = None) -> IdentitySummary:

@@ -9,7 +9,7 @@ misfire near zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,20 +44,7 @@ class SpectralSummary:
     adjacency_eigenvalues: tuple[float, ...]
     energy: float
     mu2: float | None
-    mu_max: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "laplacianEigenvalues": [_round12(x) for x in self.laplacian_eigenvalues],
-            "adjacencyEigenvalues": [_round12(x) for x in self.adjacency_eigenvalues],
-            "energy": _round12(self.energy),
-            "mu2": None if self.mu2 is None else _round12(self.mu2),
-            "muN": _round12(self.mu_max),
-        }
-
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
+    mu_max: float = field(metadata={"json_key": "muN"})
 
 
 def laplacian_spectrum(g: Graph) -> SpectralSummary:

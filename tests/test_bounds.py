@@ -1,6 +1,7 @@
 """Each bound check against hand-computed instances, the scalar inequality
 validators with large randomized fuzz runs, and the check_all composition."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from sigmat.bounds import (
     check_triangle_free_upper,
     check_variance_shift,
 )
+from sigmat.cli import canonical_json
 from sigmat.graph import Graph, pair_order
 from sigmat.oracle import graph_from_mask
 from tests.test_graph import complete, complete_bipartite, cycle, path, star
@@ -341,13 +343,13 @@ class TestCheckAll:
 
     def test_json_shapes(self):
         checks = check_all(path(4))
-        for c in checks:
-            d = c.to_json_dict()
+        records = json.loads(canonical_json(checks))
+        for d in records:
             assert set(d) == {
                 "boundId", "lhs", "rhs", "holds", "equality",
                 "certificate", "exact", "skipped",
             }
-        frac = next(c for c in checks if c.bound_id == "simple-lower").to_json_dict()
+        frac = next(d for d in records if d["boundId"] == "simple-lower")
         assert frac["lhs"] == {"num": 4, "den": 3}
 
 

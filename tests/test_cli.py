@@ -152,6 +152,24 @@ class TestExtremal:
         code, _, err = run(capsys, ["extremal", "--family", "split", "--n", "2"])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("family", ["split", "bipartite", "star", "path"])
+    def test_order_past_graph6_is_rejected_before_building(self, capsys, monkeypatch, family):
+        # split and bipartite graphs of this order would need O(n^2) memory
+        def refuse(*args):
+            raise AssertionError("constructed a graph past the graph6 order limit")
+
+        for name in ("make_split", "make_complete_bipartite", "make_star", "make_path",
+                     "max_split_sigma_t", "max_bipartite_split"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, out, err = run(capsys, ["extremal", "--family", family, "--n", "258048"])
+        assert (code, out) == (2, "")
+        assert err == "error: graph6 supports n <= 258047, got n=258048 (byte offset 0)\n"
+
+    def test_largest_graph6_order_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_path", lambda n: path(3))
+        code, out, _ = run(capsys, ["extremal", "--family", "path", "--n", "258047"])
+        assert code == 0 and json.loads(out)["n"] == 258047
+
 
 class TestSearch:
     def test_connected_n4_max(self, capsys):
@@ -342,6 +360,18 @@ class TestPlumbing:
         for x in (0.1, 2 - 2 ** 0.5, 1 / 3, 123456.789012345, 1e-30):
             once = cli.format_float(x)
             assert cli.format_float(float(once)) == once
+
+
+PINNED = json.loads((Path(__file__).parent / "cli_output.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_output_bytes_are_pinned(capsys, command):
+    """One command per result record, in both formats, against stdout
+    recorded before the records shared one encoder."""
+    code, out, err = run(capsys, command.split())
+    assert (code, err) == (0, "")
+    assert out == PINNED[command]
 
 
 class TestInternalErrors:

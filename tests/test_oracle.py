@@ -2,6 +2,7 @@
 conjecture harnesses, and the cross-validation of the bulk mask and tree
 tables."""
 
+import json
 import logging
 import tracemalloc
 from collections import Counter, defaultdict
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from sigmat import bulk, oracle
+from sigmat.cli import canonical_json
 from sigmat.extremal import (
     is_generalized_complete_kpartite,
     make_complete_bipartite,
@@ -73,7 +75,7 @@ class TestEnumeration:
             next(enumerate_connected_graphs(0))
 
     def test_mask_range_partitions_the_space(self, monkeypatch):
-        monkeypatch.setattr(oracle, "CHUNK_MASKS", 16)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 16)
         whole = list(enumerate_connected_graphs(4))
         pieces = []
         for lo, hi in chunk_ranges(4):
@@ -178,8 +180,7 @@ class TestIngest:
     def test_skip_policy_reports_diagnostics(self):
         lines = [encode_graph6(path(4)), "!!bad!!", encode_graph6(path(3))]
         seen = []
-        graphs = list(ingest_graph6(lines, skip_bad=True,
-                                    on_bad=lambda no, line, exc: seen.append((no, line))))
+        graphs = list(ingest_graph6(lines, lambda no, line, exc: seen.append((no, line))))
         assert len(graphs) == 2
         assert seen == [(2, "!!bad!!")]
 
@@ -224,7 +225,7 @@ class TestSearchExtremal:
             search_extremal([path(3)], "largest")
 
     def test_json_shape(self):
-        d = search_extremal(enumerate_connected_graphs(3), "max").to_json_dict()
+        d = json.loads(canonical_json(search_extremal(enumerate_connected_graphs(3), "max")))
         assert list(d) == ["familyDescription", "n", "objective", "extremeValue",
                            "witnesses", "tieCount", "graphsVisited"]
 
@@ -250,7 +251,7 @@ class TestSearchConnected:
         (1, 8), (2, 1), (4, 3), (4, 64), (4, 1 << 16), (6, 1 << 7), (7, 1 << 16),
     ])
     def test_chunks_tile_the_space_in_order(self, monkeypatch, n, width):
-        monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", width)
         ranges = chunk_ranges(n)
         total = 1 << (n * (n - 1) // 2)
         assert ranges[0][0] == 0 and ranges[-1][1] == total
@@ -286,7 +287,7 @@ class TestChunkBoundaries:
     def test_search_connected_matches_stream_search(self, monkeypatch, n, width, objective,
                                                     graph_filter):
         slow = _reference(n, objective, graph_filter)
-        monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", width)
         fast = search_connected(n, objective, graph_filter)
         assert fast.extreme_value == slow.extreme_value
         assert fast.tie_count == slow.tie_count
@@ -297,7 +298,7 @@ class TestChunkBoundaries:
     def test_conjecture1_matches_stream_run(self, monkeypatch, n, width):
         graphs = list(enumerate_connected_graphs(n))
         slow = verify_conjecture1(n, graphs)
-        monkeypatch.setattr(oracle, "CHUNK_MASKS", width)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", width)
         # the first chunk holds no connected graph
         assert bulk.connected_table(n, *chunk_ranges(n)[0]).masks.size == 0
         assert verify_conjecture1(n) == slow
@@ -311,7 +312,7 @@ class TestChunkBoundaries:
             if is_triangle_free(g) and sigma_t(g) > 0
         ]
         stream = verify_conjecture1(5, enumerate_connected_graphs(5))
-        monkeypatch.setattr(oracle, "CHUNK_MASKS", 1 << 3)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 1 << 3)
         report = verify_conjecture1(5)
         assert report.status == "counterexample"
         assert report.counterexamples == tuple(offenders[:oracle.WITNESS_CAP])
@@ -638,7 +639,7 @@ class TestConjecture2:
             verify_conjecture2(10)
 
     def test_json_has_equality_fields(self):
-        d = verify_conjecture2(4).to_json_dict()
+        d = json.loads(canonical_json(verify_conjecture2(4)))
         assert d["status"] == "verified"
         assert d["equalityCount"] == 12
         assert d["equalityWitnesses"] == d["extremalWitnesses"]
@@ -655,7 +656,7 @@ class TestIdentitySuite:
     def test_random_stream_with_seed(self):
         summary = verify_identity_suite(random_graphs(12, 100, seed=11), seed=11)
         assert summary.checked == 100 and summary.failed == 0
-        assert summary.to_json_dict()["seed"] == 11
+        assert json.loads(canonical_json(summary))["seed"] == 11
 
     def test_empty_stream(self):
         summary = verify_identity_suite([])
@@ -817,8 +818,8 @@ class TestBulkCrossValidation:
         assert peak < 16 << 20
 
     def test_mask_range_slices(self, monkeypatch):
-        monkeypatch.setattr(oracle, "CHUNK_MASKS", 16)
         full = bulk.connected_table(4)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 16)
         parts = [bulk.connected_table(4, lo, hi) for lo, hi in chunk_ranges(4)]
         assert np.concatenate([p.masks for p in parts]).tolist() == full.masks.tolist()
         assert np.concatenate([p.sigma_t for p in parts]).tolist() == full.sigma_t.tolist()
@@ -948,12 +949,11 @@ class TestBatchedSpectra:
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_the_scalar_spectra(self, n, chunk):
+    def test_matches_the_scalar_spectra(self, monkeypatch, n, chunk):
         ref = _spectra_reference(n)
-        if chunk is None:
-            energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks)
-        else:
-            energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks, chunk)
+        if chunk is not None:
+            monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
+        energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks)
         for got, want in ((energy, ref.energy), (mu2, ref.mu2), (mu_max, ref.mu_max)):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -970,7 +970,9 @@ class TestBatchedSpectra:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        bulk.batched_spectra(6, ref.masks, *(() if chunk is None else (chunk,)))
+        if chunk is not None:
+            monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
+        bulk.batched_spectra(6, ref.masks)
         assert len(solved) == 2 * -(-ref.masks.size // width)
         assert sum(solved) == 2 * _class_count(ref, width)
         assert sum(solved) < 2 * ref.masks.size
@@ -1027,10 +1029,11 @@ class TestBatchedSpectra:
         assert (energy[0], energy[1], mu_max[0]) == pytest.approx((6.0, 0.0, 4.0))
         assert all(x.size == 0 for x in bulk.batched_spectra(4, np.array([], dtype=np.uint32)))
 
-    def test_logs_one_debug_line(self, caplog, capsys):
+    def test_logs_one_debug_line(self, monkeypatch, caplog, capsys):
         ref = _spectra_reference(4)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 16)
         with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
-            bulk.batched_spectra(4, ref.masks, chunk=16)
+            bulk.batched_spectra(4, ref.masks)
         records = [r for r in caplog.records if r.name == "sigmat.bulk"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         classes = _class_count(ref, 16)
