@@ -4,13 +4,13 @@ Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
 degree data, connectivity, triangle-freeness and the sigma indices
-(:func:`connected_table`, built in sub-ranges of CHUNK_MASKS masks), and is
+(:func:`connected_table`, one pass over the mask range it is given), and is
 the fast engine behind the order-6/7 searches. The pairs of order n-1 are a
 prefix of those of order n, so the masks of order n are the graphs of order
 n-1 extended by the neighbourhood of vertex n-1: a table is built by one
 extension step from cached tables of all graphs of each order up to 6
 (0.6 MB at order 6, built on first use), and nothing larger is cached, so
-an order-8 sub-range extends its order-7 bases on the fly. :func:`batched_spectra`
+an order-8 range extends its order-7 bases on the fly. :func:`batched_spectra`
 gives both spectra of many masks with one eigensolve pair per cospectral
 class in each chunk: exact integer power sums of A and L identify the
 class, so relabelled copies of a graph share one solve. Every labeled tree
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +34,8 @@ from .graph import pair_order
 
 log = logging.getLogger("sigmat.bulk")
 
-# masks per sub-range of a table build and per batch of eigensolves; the
-# oracle's sweeps walk the edge-subset space in chunks of the same width
+# masks per chunk of the oracle's sweeps over the edge-subset space, each
+# chunk one table build, and per batch of eigensolves
 CHUNK_MASKS = 1 << 16
 # masks per block of class keys in batched_spectra: the matrices and powers
 # of one block stay in cache, which halves the cost of the power sums
@@ -75,16 +75,16 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
 
     The pairs of order n-1 are a prefix of those of order n, so a mask is
     ``b | N << C(n-1,2)``: a graph b on vertices 0..n-2 and the neighbourhood
-    N of vertex n-1. The range is built in sub-ranges of CHUNK_MASKS masks,
-    and in each sub-range every N covers one run of consecutive base masks
-    b. A run takes its bases as a slice of the cached table of all graphs of
-    order n-1 (built once per order <= 6, by the same extension, and 0.6 MB
-    at order 6); at n = 8 the order-7 bases of a run are extended from
-    the order-6 table on the fly, so no 2^21-row order-7 table is ever held.
-    A base is kept when vertex n-1 joins all of its components, and only the
-    kept rows are extended and evaluated. The sub-ranges' rows are then
-    concatenated, so the temporaries stay those of one sub-range however
-    wide the range is.
+    N of vertex n-1. The range is built in one pass, in which every N covers
+    one run of consecutive base masks b. A run takes its bases as a slice of
+    the cached table of all graphs of order n-1 (built once per order <= 6,
+    by the same extension, and 0.6 MB at order 6); at n = 8 the order-7
+    bases of a run are extended from the order-6 table on the fly, so no
+    2^21-row order-7 table is ever held. A base is kept when vertex n-1
+    joins all of its components, and only the kept rows are extended and
+    evaluated, straight into the table's columns. Besides the table, the
+    pass holds the kept indices and, at n = 8, the bases of the range, so
+    the sweeps hand it ranges of CHUNK_MASKS masks.
     """
     nedges = len(_mask_pairs(n))
     if mask_hi is None:
@@ -93,13 +93,33 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         raise ValueError(
             f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << nedges}) at n={n}"
         )
-    parts = [_connected_rows(n, lo, min(lo + CHUNK_MASKS, mask_hi))
-             for lo in range(mask_lo, mask_hi, CHUNK_MASKS) or [mask_lo]]
-    if len(parts) == 1:
-        return parts[0]
-    columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts], axis=-1)
-               for f in fields(MaskTable) if f.name != "n"}
-    return MaskTable(n=n, **columns)
+    k = n - 1  # the base order
+    runs = []
+    for nbhd, lo, hi in _runs(n, mask_lo, mask_hi):
+        base = _graphs(k, lo, hi)
+        kept = np.flatnonzero(_joined(base, k, nbhd) == (1 << n) - 1)
+        runs.append((nbhd, base, kept, (nbhd << k * (k - 1) // 2) + lo))
+    size = sum(kept.size for _, _, kept, _ in runs)
+    table = MaskTable(
+        n=n,
+        masks=np.empty(size, dtype=np.uint32),
+        deg=np.empty((n, size), dtype=np.uint8),
+        m=np.empty(size, dtype=np.int64),
+        sigma_t=np.empty(size, dtype=np.int64),
+        sigma=np.empty(size, dtype=np.int64),
+        triangle_free=np.empty(size, dtype=bool),
+        max_deg=np.empty(size, dtype=np.int64),
+        min_deg=np.empty(size, dtype=np.int64),
+        max_count=np.empty(size, dtype=np.int64),
+        gen_kpartite=np.empty(size, dtype=bool),
+    )
+    at = 0
+    for nbhd, base, kept, first in runs:
+        rows = slice(at, at + kept.size)
+        at += kept.size
+        _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), nbhd, table, rows)
+        table.masks[rows] = kept + first
+    return table
 
 
 # Graphs of order k in one mask range are a (3k + 1, graphs) uint8 array.
@@ -174,39 +194,6 @@ def _graphs(k: int, lo: int, hi: int) -> np.ndarray:
         return _all_graphs(k)[:, lo:hi]
     return np.concatenate([_extend(_graphs(k - 1, blo, bhi), k - 1, nbhd)
                            for nbhd, blo, bhi in _runs(k, lo, hi)], axis=1)
-
-
-def _connected_rows(n: int, mask_lo: int, mask_hi: int) -> MaskTable:
-    """The table of one sub-range that :func:`connected_table` has checked.
-    It is not reached through the module name, so a wrapper installed on
-    ``bulk.connected_table`` still sees one call per table."""
-    k = n - 1  # the base order
-    runs = []
-    for nbhd, lo, hi in _runs(n, mask_lo, mask_hi):
-        base = _graphs(k, lo, hi)
-        kept = np.flatnonzero(_joined(base, k, nbhd) == (1 << n) - 1)
-        runs.append((nbhd, base, kept, (nbhd << k * (k - 1) // 2) + lo))
-    size = sum(kept.size for _, _, kept, _ in runs)
-    table = MaskTable(
-        n=n,
-        masks=np.empty(size, dtype=np.uint32),
-        deg=np.empty((n, size), dtype=np.uint8),
-        m=np.empty(size, dtype=np.int64),
-        sigma_t=np.empty(size, dtype=np.int64),
-        sigma=np.empty(size, dtype=np.int64),
-        triangle_free=np.empty(size, dtype=bool),
-        max_deg=np.empty(size, dtype=np.int64),
-        min_deg=np.empty(size, dtype=np.int64),
-        max_count=np.empty(size, dtype=np.int64),
-        gen_kpartite=np.empty(size, dtype=bool),
-    )
-    at = 0
-    for nbhd, base, kept, first in runs:
-        rows = slice(at, at + kept.size)
-        at += kept.size
-        _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), nbhd, table, rows)
-        table.masks[rows] = kept + first
-    return table
 
 
 def _evaluate(n: int, graphs: np.ndarray, nbhd: int, table: MaskTable, rows: slice) -> None:

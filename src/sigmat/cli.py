@@ -38,18 +38,10 @@ from .extremal import (
     max_bipartite_split,
     max_split_sigma_t,
 )
-from .graph import (
-    Graph,
-    Graph6Error,
-    encode_graph6,
-    is_regular,
-    is_tree,
-    is_triangle_free,
-    parse_graph6,
-    require_graph6_order,
-)
+from .graph import Graph, Graph6Error, encode_graph6, parse_graph6, require_graph6_order
 from .invariants import full_report, sigma_t
 from .oracle import (
+    FILTERS,
     LimitError,
     ingest_graph6,
     random_graphs,
@@ -241,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p, required=False)
     p.add_argument("--n", type=int, help="order for the internal enumerators")
     p.add_argument("--objective", choices=("max", "min"), required=True)
-    p.add_argument("--filter", choices=("triangle-free", "tree", "nonregular", "none"),
-                   default="none")
+    p.add_argument("--filter", choices=tuple(FILTERS), default="none")
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
 
@@ -340,21 +331,11 @@ def _cmd_extremal(args) -> int:
     return 0
 
 
-def _filter_predicate(name: str):
-    return {
-        "none": None,
-        "triangle-free": is_triangle_free,
-        "tree": is_tree,
-        "nonregular": lambda g: not is_regular(g),
-    }[name]
-
-
 def _cmd_search(args) -> int:
     if _has_stream(args):
-        predicate = _filter_predicate(args.filter)
         result = search_extremal(
-            _input_graphs(args), args.objective, predicate,
-            description=f"graph6 stream ({args.filter})",
+            _input_graphs(args), args.objective, FILTERS[args.filter].keeps,
+            description=f"graph6 stream ({args.filter})", n=args.n,
         )
     else:
         if args.n is None:
@@ -376,7 +357,7 @@ def _cmd_conjecture(args) -> int:
             raise UsageError("conjecture 2 is tree-enumeration only; drop the input stream")
         report = verify_conjecture2(args.n)
     _emit(args, report)
-    return 0 if report.status == "verified" else 1
+    return 1 if report.status == "counterexample" else 0
 
 
 def _cmd_verify_identities(args) -> int:

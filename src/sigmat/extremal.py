@@ -21,20 +21,25 @@ def make_split(a: int, b: int) -> Graph:
     """Clique of size a joined completely to an independent set of size b.
 
     Clique vertices are 0..a-1 (degree n-1), independent vertices a..a+b-1
-    (degree a).
+    (degree a). The adjacency bitmasks come from this closed form, so the
+    graph takes O(a*n) bits, not a list of its O(n^2) edges.
     """
     if a < 1 or b < 0:
         raise ValueError(f"need clique size >= 1 and independent size >= 0, got ({a}, {b})")
     n = a + b
-    edges = [(i, j) for i in range(a) for j in range(i + 1, n)]
-    return Graph(n, edges)
+    everyone, clique = (1 << n) - 1, (1 << a) - 1
+    return Graph.from_masks(n, tuple(everyone ^ (1 << i) for i in range(a)) + (clique,) * b)
 
 
 def make_complete_bipartite(n1: int, n2: int) -> Graph:
-    """K_{n1,n2} with the first part on vertices 0..n1-1."""
+    """K_{n1,n2} with the first part on vertices 0..n1-1, built from the
+    two parts' adjacency bitmasks, which every vertex of a part shares."""
     if n1 < 1 or n2 < 1:
         raise ValueError(f"both part sizes must be >= 1, got ({n1}, {n2})")
-    return Graph(n1 + n2, [(i, n1 + j) for i in range(n1) for j in range(n2)])
+    n = n1 + n2
+    first = (1 << n1) - 1
+    second = ((1 << n) - 1) ^ first
+    return Graph.from_masks(n, (second,) * n1 + (first,) * n2)
 
 
 def make_star(n: int) -> Graph:

@@ -157,12 +157,15 @@ def encode_graph6(g: Graph) -> str:
     out = [_header(g.n)]
     group = 0
     filled = 0
-    for i, j in pair_order(g.n):
-        group = group << 1 | (g.adj[i] >> j & 1)
-        filled += 1
-        if filled == 6:
-            out.append(chr(group + 63))
-            group, filled = 0, 0
+    # the pairs in pair_order, without holding their O(n^2) list
+    for j in range(1, g.n):
+        column = g.adj[j]
+        for i in range(j):
+            group = group << 1 | (column >> i & 1)
+            filled += 1
+            if filled == 6:
+                out.append(chr(group + 63))
+                group, filled = 0, 0
     if filled:
         out.append(chr((group << (6 - filled)) + 63))
     return "".join(out)

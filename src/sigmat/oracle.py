@@ -4,8 +4,10 @@ search, and conjecture verification.
 Enumeration is labeled, not isomorphism-reduced: every quantity tested is
 isomorphism-invariant, so scanning all 2^C(n,2) edge subsets (or all n^(n-2)
 labeled trees) proves the same statements while avoiding canonical forms.
-Internal limits are n <= 7 for graphs and n <= 9 for trees; larger orders
-arrive through graph6 line streams produced by external generators.
+Internal limits are n <= 7 for graphs and n <= 9 for trees, checked by one
+helper before a sweep does any other work; larger orders arrive through
+graph6 line streams produced by external generators. A search filter is one
+entry of FILTERS, which says what it keeps of a stream and of a mask table.
 
 Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, and the tree sweep
@@ -24,13 +26,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import bulk
 from .extremal import max_bipartite_split
-from .graph import Graph, Graph6Error, encode_graph6, is_connected, is_triangle_free, pair_order, parse_graph6
+from .graph import (Graph, Graph6Error, encode_graph6, is_connected, is_regular, is_tree,
+                    is_triangle_free, pair_order, parse_graph6)
 from .invariants import degree_variance, sigma, sigma_t, sigma_t_pairsum, zagreb_m1
 
 log = logging.getLogger("sigmat.oracle")
@@ -43,6 +46,16 @@ CHUNK_TREES = 1 << 12
 
 class LimitError(ValueError):
     """Requested order is beyond the internal enumeration limits."""
+
+
+def _require_order(n: int, least: int, sweep: str, trees: bool = False) -> None:
+    """The order limit of every labeled sweep: raise LimitError unless
+    ``least <= n`` and n is at most MAX_TREE_ORDER for a tree sweep or
+    MAX_ENUM_ORDER for a graph sweep, past which graphs come as a stream."""
+    most = MAX_TREE_ORDER if trees else MAX_ENUM_ORDER
+    if not least <= n <= most:
+        hint = "" if trees or n < least else "; feed larger graphs as a graph6 stream (ingest_graph6)"
+        raise LimitError(f"{sweep} covers {least} <= n <= {most}, got n={n}{hint}")
 
 
 def graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]] | None = None) -> Graph:
@@ -64,11 +77,7 @@ def enumerate_connected_graphs(n: int, mask_range: tuple[int, int] | None = None
     """Every labeled simple connected graph on n vertices, exactly once, in
     ascending edge-mask order. Independent of :mod:`sigmat.bulk`, whose tables
     are checked against it."""
-    if not 1 <= n <= MAX_ENUM_ORDER:
-        raise LimitError(
-            f"internal enumeration covers 1 <= n <= {MAX_ENUM_ORDER}; "
-            f"for n={n} feed a graph6 stream through ingest_graph6"
-        )
+    _require_order(n, 1, "graph enumeration")
     pairs = pair_order(n)
     lo, hi = mask_range if mask_range is not None else (0, 1 << len(pairs))
     for mask in range(lo, hi):
@@ -114,8 +123,7 @@ def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
     """All n^(n-2) labeled trees via Prüfer decoding, in sequence order."""
-    if not 2 <= n <= MAX_TREE_ORDER:
-        raise LimitError(f"tree enumeration covers 2 <= n <= {MAX_TREE_ORDER}, got n={n}")
+    _require_order(n, 2, "tree enumeration", trees=True)
     for seq in product(range(n), repeat=n - 2):
         yield Graph(n, prufer_edges(seq, n))
 
@@ -247,17 +255,27 @@ def _graph6(n: int, items: list) -> tuple[str, ...]:
     )
 
 
+def _of_order(graphs: Iterable[Graph], n: int) -> Iterator[Graph]:
+    """The stream, checking that every graph in it has order n."""
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"stream graph has order {g.n}, expected {n}")
+        yield g
+
+
 def search_extremal(
     graphs: Iterable[Graph],
     objective: str,
     predicate: Callable[[Graph], bool] | None = None,
     description: str = "stream",
+    n: int | None = None,
 ) -> SearchResult:
     """Scan a graph stream for the max or min sigma_t; deterministic given
-    the stream order."""
+    the stream order. With ``n``, every graph of the stream, kept or not,
+    must have order n."""
     best = Extreme(objective)
     n_seen: int | None = None
-    for g in graphs:
+    for g in graphs if n is None else _of_order(graphs, n):
         if predicate is not None and not predicate(g):
             continue
         if n_seen is None:
@@ -268,7 +286,21 @@ def search_extremal(
     return best.result(n_seen, description, "graphs left after filtering")
 
 
-GRAPH_FILTERS = ("none", "triangle-free", "nonregular", "tree")
+class GraphFilter(NamedTuple):
+    """One search filter: the graphs it keeps of a stream (None keeps all),
+    and the rows it keeps of a :class:`sigmat.bulk.MaskTable`."""
+
+    keeps: Callable[[Graph], bool] | None
+    rows: Callable[[bulk.MaskTable], np.ndarray | slice]
+
+
+# every search filter by name, in the order the command line lists them
+FILTERS = {
+    "triangle-free": GraphFilter(is_triangle_free, lambda table: table.triangle_free),
+    "tree": GraphFilter(is_tree, lambda table: table.m == table.n - 1),
+    "nonregular": GraphFilter(lambda g: not is_regular(g), lambda table: table.max_deg != table.min_deg),
+    "none": GraphFilter(None, lambda table: slice(None)),
+}
 
 
 def _tiles(total: int, width: int) -> list[tuple[int, int]]:
@@ -297,25 +329,15 @@ def search_connected(n: int, objective: str, graph_filter: str = "none") -> Sear
     """Extremal sigma_t over all labeled connected graphs on n vertices
     (optionally filtered), via the vectorized mask tables, chunk by chunk.
     """
+    _require_order(n, 1, "graph search")
+    if graph_filter not in FILTERS:
+        raise ValueError(f"unknown filter {graph_filter!r}; expected one of {tuple(FILTERS)}")
+    rows = FILTERS[graph_filter].rows
     best = Extreme(objective)
-    if graph_filter not in GRAPH_FILTERS:
-        raise ValueError(f"unknown filter {graph_filter!r}; expected one of {GRAPH_FILTERS}")
-    if not 1 <= n <= MAX_ENUM_ORDER:
-        raise LimitError(
-            f"internal search covers 1 <= n <= {MAX_ENUM_ORDER}; "
-            f"for n={n} use search_extremal on a graph6 stream"
-        )
     start = time.perf_counter()
 
     def scan(table: bulk.MaskTable) -> Extreme:
-        if graph_filter == "triangle-free":
-            keep = table.triangle_free
-        elif graph_filter == "nonregular":
-            keep = table.max_deg != table.min_deg
-        elif graph_filter == "tree":
-            keep = table.m == n - 1
-        else:
-            keep = slice(None)
+        keep = rows(table)
         return Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep])
 
     ranges = chunk_ranges(n)
@@ -370,8 +392,7 @@ def tree_sweep(n: int) -> TreeSweep:
     (the orders are capped by MAX_TREE_ORDER); the uncached sweep is
     ``tree_sweep.__wrapped__``.
     """
-    if not 2 <= n <= MAX_TREE_ORDER:
-        raise LimitError(f"tree sweep covers 2 <= n <= {MAX_TREE_ORDER}, got n={n}")
+    _require_order(n, 2, "tree sweep", trees=True)
     start = time.perf_counter()
 
     def scan(table: bulk.TreeTable):
@@ -472,7 +493,7 @@ class ConjectureReport:
 
     conjecture_id: int
     n_range: tuple[int, int]
-    status: str                       # "verified" | "counterexample"
+    status: str  # "verified" | "no-counterexample-in-input" (a stream) | "counterexample"
     counterexamples: tuple[str, ...]
     extremal_witnesses: tuple[str, ...]
     max_value: int | None = _optional()
@@ -489,20 +510,17 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     best complete bipartite sigma_t.
 
     Without an external stream the check enumerates internally (n <= 7),
-    chunk by chunk; a stream is filtered to connected triangle-free graphs of
-    order n.
+    chunk by chunk, and a run without a counterexample is "verified". A
+    stream, whose graphs must all have order n, is filtered to connected
+    triangle-free graphs; it covers only itself, so a run without a
+    counterexample is "no-counterexample-in-input".
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    reference = max_bipartite_split(n).value
+    if graphs is None:
+        _require_order(n, 2, "conjecture 1 without a stream")
+    reference = max_bipartite_split(n).value  # raises for n < 2
     best = Extreme("max")
     offenders: list = []
     if graphs is None:
-        if n > MAX_ENUM_ORDER:
-            raise LimitError(
-                f"internal enumeration covers n <= {MAX_ENUM_ORDER}; "
-                f"pass a graph6 stream for n={n}"
-            )
 
         def scan(table: bulk.MaskTable) -> tuple[Extreme, list[int]]:
             values = table.sigma_t[table.triangle_free]
@@ -512,25 +530,23 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
         for part, bad in _sweep(bulk.connected_table, n, chunk_ranges(n), scan):
             best.merge(part)
             offenders.extend(bad[:WITNESS_CAP - len(offenders)])
-        missing = f"connected triangle-free graphs at n={n}"
+        missing, covered = f"connected triangle-free graphs at n={n}", "verified"
     else:
-        for g in graphs:
-            if g.n != n:
-                raise ValueError(f"stream graph has order {g.n}, expected {n}")
+        for g in _of_order(graphs, n):
             if not is_connected(g) or not is_triangle_free(g):
                 continue
             value = sigma_t(g)
             best.add(value, g)
             if value > reference and len(offenders) < WITNESS_CAP:
                 offenders.append(g)
-        missing = "connected triangle-free graphs in the stream"
+        missing, covered = "connected triangle-free graphs in the stream", "no-counterexample-in-input"
     found = best.result(n, "connected triangle-free graphs", missing)
     log.debug("conjecture 1 at n=%d: max %d vs bipartite %d over %d graphs",
               n, found.extreme_value, reference, found.graphs_visited)
     return ConjectureReport(
         conjecture_id=1,
         n_range=(n, n),
-        status="verified" if not offenders else "counterexample",
+        status="counterexample" if offenders else covered,
         counterexamples=_graph6(n, offenders),
         extremal_witnesses=found.witnesses,
         max_value=found.extreme_value,
@@ -543,8 +559,7 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
 def verify_conjecture2(n: int) -> ConjectureReport:
     """Check sigma_t(T) <= (n-2) * sigma(T) over every labeled tree, with
     equality exactly on paths, read from the cached :func:`tree_sweep`."""
-    if not 3 <= n <= MAX_TREE_ORDER:
-        raise LimitError(f"conjecture 2 runs for 3 <= n <= {MAX_TREE_ORDER}, got n={n}")
+    _require_order(n, 3, "conjecture 2", trees=True)
     sweep = tree_sweep(n)
     ok = sweep.ratio_violations == 0 and sweep.ratio_equality_all_paths
     counterexamples = sweep.ratio_violation_witnesses

@@ -194,6 +194,14 @@ class TestSearch:
         code, _, err = run(capsys, ["search", "--objective", "max"])
         assert code == 2 and "--n" in err
 
+    def test_stream_graphs_must_have_the_given_order(self, capsys):
+        argv = ["search", "--graph6", P4, "--objective", "max", "--filter", "tree"]
+        _, plain, _ = run(capsys, argv)
+        assert run(capsys, [*argv, "--n", "4"]) == (0, plain, "")
+        code, out, err = run(capsys, [*argv, "--n", "9"])
+        assert (code, out) == (2, "")
+        assert err == "error: stream graph has order 4, expected 9\n"
+
     def test_n8_limit(self, capsys):
         code, _, err = run(capsys, ["search", "--n", "8", "--objective", "max"])
         assert code == 2 and "error" in err
@@ -229,6 +237,8 @@ class TestConjecture:
         assert code == 0
         body = json.loads(out)
         assert body["maxValue"] == 576 and body["tieCount"] == 2
+        # a stream covers only its own graphs, so it verifies nothing
+        assert body["status"] == "no-counterexample-in-input"
 
     def test_counterexample_exits_1(self, capsys, monkeypatch):
         fake = ConjectureReport(

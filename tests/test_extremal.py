@@ -2,6 +2,7 @@
 generalized complete multipartite predicate."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from sigmat.extremal import (
     sigma_t_split_formula,
     split_critical_point,
 )
-from sigmat.graph import degree_stats, is_connected
+from sigmat.graph import Graph, degree_stats, encode_graph6, is_connected, parse_graph6
 from sigmat.invariants import full_report, sigma, sigma_t
 from tests.test_graph import cycle, path
 
@@ -42,6 +43,34 @@ class TestConstructors:
             assert make_split(1, n - 1) == s
             assert make_complete_bipartite(1, n - 1) == s
             assert full_report(make_split(1, n - 1)) == full_report(s)
+
+    def test_split_and_bipartite_match_their_edge_lists(self):
+        for a in range(1, 7):
+            for b in range(7):
+                n = a + b
+                assert make_split(a, b) == Graph(n, [(i, j) for i in range(a) for j in range(i + 1, n)])
+                if b:
+                    assert make_complete_bipartite(a, b) == Graph(n, [(i, j) for i in range(a)
+                                                                      for j in range(a, n)])
+
+    def test_split_and_bipartite_memory_is_bounded(self):
+        # their edge lists at n = 2000 would take tens of MB, and the list
+        # of all vertex pairs in graph6 order about 200 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            split = make_split(500, 1500)
+            bipartite = make_complete_bipartite(586, 1414)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            encoded = encode_graph6(split), encode_graph6(bipartite)
+            written = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert split.m == 500 * 499 // 2 + 500 * 1500 and bipartite.m == 586 * 1414
+        assert [parse_graph6(text) for text in encoded] == [split, bipartite]
+        assert built < 2 << 20
+        assert written < 8 << 20
 
     def test_path(self):
         g = make_path(5)

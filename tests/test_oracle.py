@@ -246,6 +246,9 @@ class TestSearchConnected:
         assert fast.tie_count == slow.tie_count
         assert fast.witnesses == slow.witnesses
         assert fast.graphs_visited == slow.graphs_visited
+        # the filter's own stream predicate, which stream searches use
+        keeps = oracle.FILTERS[graph_filter].keeps
+        assert search_extremal(enumerate_connected_graphs(n), objective, keeps) == slow
 
     @pytest.mark.parametrize("n,width", [
         (1, 8), (2, 1), (4, 3), (4, 64), (4, 1 << 16), (6, 1 << 7), (7, 1 << 16),
@@ -301,7 +304,9 @@ class TestChunkBoundaries:
         monkeypatch.setattr(bulk, "CHUNK_MASKS", width)
         # the first chunk holds no connected graph
         assert bulk.connected_table(n, *chunk_ranges(n)[0]).masks.size == 0
-        assert verify_conjecture1(n) == slow
+        # only the internal sweep covers the whole family
+        assert slow.status == "no-counterexample-in-input"
+        assert verify_conjecture1(n) == replace(slow, status="verified")
 
     def test_counterexamples_are_capped_across_chunks(self, monkeypatch):
         # a reference of 0 makes every irregular triangle-free graph an
@@ -597,11 +602,21 @@ class TestConjecture1:
         with pytest.raises(LimitError, match="stream"):
             verify_conjecture1(10)
 
+    def test_limit_is_checked_before_the_reference_scan(self, monkeypatch):
+        # the O(n) bipartite scan would make a huge n slow to reject
+        def refuse(n):
+            raise AssertionError("scanned the bipartite splits before the order limit")
+
+        monkeypatch.setattr(oracle, "max_bipartite_split", refuse)
+        for n in (8, 10 ** 7):
+            with pytest.raises(LimitError, match="stream"):
+                verify_conjecture1(n)
+
     def test_n10_stream_reproduces_the_tie(self):
         graphs = [make_complete_bipartite(a, 10 - a) for a in range(1, 6)]
         graphs += [make_path(10), Graph(10, [(v, (v + 1) % 10) for v in range(10)])]
         report = verify_conjecture1(10, graphs)
-        assert report.status == "verified"
+        assert report.status == "no-counterexample-in-input"
         assert report.max_value == 576 and report.reference_value == 576
         assert report.tie_count == 2
         witnesses = {frozenset(degree_stats(parse_graph6(w)).degrees)
@@ -842,7 +857,8 @@ class TestBulkCrossValidation:
             bulk.connected_table(0)
 
     @pytest.mark.parametrize("width", [16, 7])
-    def test_sub_ranges_concatenate_to_the_whole_table(self, monkeypatch, width):
+    def test_ranges_match_the_whole_table_at_any_chunk_width(self, monkeypatch, width):
+        # a range is built in one pass, whatever the sweeps' chunk width
         whole = bulk.connected_table(5)
         calls = []
         build = bulk.connected_table
@@ -859,12 +875,13 @@ class TestBulkCrossValidation:
             for field in fields(bulk.MaskTable)[1:]:
                 got, want = getattr(part, field.name), getattr(whole, field.name)[..., keep]
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        # the sub-ranges are not built through the module's name
+        # a table is not built from smaller ones through the module's name
         assert len(calls) == 3
 
     def test_whole_table_memory_is_bounded(self):
-        # the n = 7 table is built in sub-ranges, so the peak is the table
-        # twice (the parts and their concatenation) plus one sub-range
+        # the n = 7 table is built in one pass straight into its columns, so
+        # the peak is the table plus the kept indices of its 64 runs (8 bytes
+        # a row) and the temporaries of one run
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -874,7 +891,7 @@ class TestBulkCrossValidation:
             tracemalloc.stop()
         size = sum(v.nbytes for v in vars(table).values() if hasattr(v, "nbytes"))
         assert table.masks.size == 1_866_256 and size == 113_841_616
-        assert peak < 2.5 * size
+        assert peak < 1.5 * size
 
 
 def _charpoly(eigenvalues) -> tuple[int, ...]:
