@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 from .graph import (
     Graph,
@@ -88,6 +89,13 @@ def _toleranced(bound_id: str, lhs: float, rhs: float, tol: float, cert: str = "
     return BoundCheck(bound_id, lhs, rhs, lhs <= rhs + tol, abs(lhs - rhs) <= tol, cert, exact=False)
 
 
+def _exact(bound_id: str, lhs: Number, rhs: Number, certify: Callable[[], str]) -> BoundCheck:
+    """The exact comparison lhs <= rhs; ``certify()`` names the equality
+    case and runs only on equality."""
+    eq = lhs == rhs
+    return BoundCheck(bound_id, lhs, rhs, lhs <= rhs, eq, certify() if eq else "", exact=True)
+
+
 def check_triangle_free_upper(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t <= m(n^2 - 4m) for triangle-free graphs; equality exactly on
     complete bipartite graphs."""
@@ -95,14 +103,10 @@ def check_triangle_free_upper(g: Graph | GraphFacts) -> BoundCheck:
     tri = find_triangle(f.graph)
     if tri is not None:
         raise PreconditionError(f"triangle-free-upper: vertices {tri} form a triangle")
-    lhs = f.sigma_t
     m = f.stats.m
-    rhs = m * (f.stats.n ** 2 - 4 * m)
-    eq = lhs == rhs
-    cert = ""
-    if eq:
-        cert = "complete bipartite" if is_complete_bipartite(f.graph) else "equality without complete-bipartite structure"
-    return BoundCheck("triangle-free-upper", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
+    return _exact("triangle-free-upper", f.sigma_t, m * (f.stats.n ** 2 - 4 * m), lambda: (
+        "complete bipartite" if is_complete_bipartite(f.graph)
+        else "equality without complete-bipartite structure"))
 
 
 def check_sigma_t_upper_degree(g: Graph | GraphFacts) -> BoundCheck:
@@ -150,13 +154,10 @@ def check_max_count_lower(g: Graph | GraphFacts) -> BoundCheck:
     if k == n:
         raise PreconditionError("max-count-lower: graph is regular (k = n)")
     lhs = Fraction(k, n - k) * (n * stats.max_degree - 2 * stats.m) ** 2
-    rhs = f.sigma_t
-    eq = lhs == rhs
-    cert = ""
-    if eq:
-        low = stats.degrees[k:]
-        cert = f"degrees {stats.max_degree}^{k} and {low[0]}^{n - k}" if min(low) == max(low) else "equality without two-valued degrees"
-    return BoundCheck("max-count-lower", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
+    # the degrees are non-increasing, so the other n-k are equal iff the first and last are
+    return _exact("max-count-lower", lhs, f.sigma_t, lambda: (
+        f"degrees {stats.max_degree}^{k} and {stats.degrees[k]}^{n - k}"
+        if stats.degrees[k] == stats.degrees[-1] else "equality without two-valued degrees"))
 
 
 def check_simple_lower(g: Graph | GraphFacts) -> BoundCheck:
@@ -169,15 +170,15 @@ def check_simple_lower(g: Graph | GraphFacts) -> BoundCheck:
         raise PreconditionError("simple-lower: need n >= 2")
     n = stats.n
     lhs = Fraction((n * stats.max_degree - 2 * stats.m) ** 2, n - 1)
-    rhs = f.sigma_t
-    eq = lhs == rhs
-    cert = ""
-    if eq:
+
+    def certify() -> str:
         if stats.max_degree == stats.min_degree:
-            cert = "regular (degenerate)"
-        elif stats.max_degree_count == 1 and stats.degrees[1] == stats.degrees[-1]:
-            cert = f"one vertex of degree {stats.max_degree}, rest of degree {stats.degrees[1]}"
-    return BoundCheck("simple-lower", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
+            return "regular (degenerate)"
+        if stats.max_degree_count == 1 and stats.degrees[1] == stats.degrees[-1]:
+            return f"one vertex of degree {stats.max_degree}, rest of degree {stats.degrees[1]}"
+        return ""
+
+    return _exact("simple-lower", lhs, f.sigma_t, certify)
 
 
 def check_tree_lower(g: Graph | GraphFacts) -> BoundCheck:
@@ -189,11 +190,8 @@ def check_tree_lower(g: Graph | GraphFacts) -> BoundCheck:
         raise PreconditionError("tree-lower: need n >= 2")
     if f.stats.m != n - 1 or not f.connected:
         raise PreconditionError("tree-lower: graph is not a tree")
-    lhs = 2 * n - 4
-    rhs = f.sigma_t
-    eq = lhs == rhs
-    cert = "path" if eq and is_path_graph(f.graph) else ("equality on a non-path" if eq else "")
-    return BoundCheck("tree-lower", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
+    return _exact("tree-lower", 2 * n - 4, f.sigma_t,
+                  lambda: "path" if is_path_graph(f.graph) else "equality on a non-path")
 
 
 def check_nonregular_min(g: Graph | GraphFacts) -> BoundCheck:
@@ -203,14 +201,12 @@ def check_nonregular_min(g: Graph | GraphFacts) -> BoundCheck:
     if stats.max_degree == stats.min_degree:
         raise PreconditionError("nonregular-min: graph is regular")
     n = stats.n
-    lhs = n - 1 if n % 2 else 2 * n - 4
-    rhs = f.sigma_t
-    eq = lhs == rhs
-    cert = ""
-    if eq:
+
+    def certify() -> str:
         degs = sorted(set(stats.degrees))
-        cert = f"near-regular degrees {degs}" if len(degs) == 2 and degs[1] - degs[0] == 1 else "equality"
-    return BoundCheck("nonregular-min", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
+        return f"near-regular degrees {degs}" if len(degs) == 2 and degs[1] - degs[0] == 1 else "equality"
+
+    return _exact("nonregular-min", n - 1 if n % 2 else 2 * n - 4, f.sigma_t, certify)
 
 
 def check_laplacian_sandwich(g: Graph | GraphFacts) -> tuple[BoundCheck, BoundCheck]:
@@ -221,10 +217,8 @@ def check_laplacian_sandwich(g: Graph | GraphFacts) -> tuple[BoundCheck, BoundCh
     f.require_connected("laplacian-sandwich")
     st = f.sigma_t
     if st == 0:
-        cert = "holds (degenerate 0 <= 0)"
-        upper = BoundCheck("laplacian-sigma-upper", 0, 0, True, True, cert, exact=True)
-        lower = BoundCheck("laplacian-sigma-t-upper", 0, 0, True, True, cert, exact=True)
-        return (upper, lower)
+        return tuple(_exact(bound_id, 0, 0, lambda: "holds (degenerate 0 <= 0)")
+                     for bound_id in ("laplacian-sigma-upper", "laplacian-sigma-t-upper"))
     sg = sigma(f.graph)
     n, spectrum = f.stats.n, f.spectrum
     upper = _toleranced("laplacian-sigma-upper", float(sg), spectrum.mu_max / n * st, f.tol)
@@ -301,12 +295,9 @@ def check_bhatia_davis(seq, upper, lower) -> BoundCheck:
     mean = sum(vals, Fraction(0)) / len(vals)
     lhs = _variance(vals)
     rhs = (hi - mean) * (mean - lo)
-    eq = lhs == rhs
-    at_bounds = all(v == hi or v == lo for v in vals)
-    cert = ""
-    if eq:
-        cert = "all entries at the bounds" if at_bounds else "equality with interior entries"
-    return BoundCheck("bhatia-davis", lhs, rhs, lhs <= rhs, eq, cert, exact=True)
+    return _exact("bhatia-davis", lhs, rhs, lambda: (
+        "all entries at the bounds" if all(v == hi or v == lo for v in vals)
+        else "equality with interior entries"))
 
 
 _GRAPH_CHECKS = (

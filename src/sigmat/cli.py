@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("search", help="extremal sigma_t over a family or stream")
     _add_input_flags(p, required=False)
-    p.add_argument("--n", type=int, help="order for the internal enumerators")
+    p.add_argument("--n", type=int, help="order for the internal enumerators; with an input "
+                   "stream, every stream graph must have this order")
     p.add_argument("--objective", choices=("max", "min"), required=True)
     p.add_argument("--filter", choices=tuple(FILTERS), default="none")
     p.add_argument("--skip-bad-lines", action="store_true")

@@ -8,6 +8,7 @@ the exhaustive searches built on top.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -154,21 +155,17 @@ def _header(n: int) -> str:
 
 
 def encode_graph6(g: Graph) -> str:
-    out = [_header(g.n)]
-    group = 0
-    filled = 0
-    # the pairs in pair_order, without holding their O(n^2) list
-    for j in range(1, g.n):
-        column = g.adj[j]
-        for i in range(j):
-            group = group << 1 | (column >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group, filled = 0, 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
-    return "".join(out)
+    """The graph6 record of g, packed without a per-pair Python loop."""
+    header = _header(g.n)
+    nbits = g.n * (g.n - 1) // 2
+    padded = -(-nbits // 24) * 24  # whole base64 quanta, so no '=' padding
+    # column j is rows 0..j-1 of adj[j], row 0 first: its low j bits reversed
+    bits = "".join(format(g.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n))
+    packed = int(bits + "0" * (padded - nbits) or "0", 2).to_bytes(padded // 8, "big")
+    # base64 cuts the bits into the same 6-bit groups; map its alphabet to 63..126
+    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    groups = base64.b64encode(packed).translate(bytes.maketrans(alphabet, bytes(range(63, 127))))
+    return header + groups[:-(-nbits // 6)].decode("ascii")
 
 
 def _read_header(data: bytes) -> tuple[int, int]:

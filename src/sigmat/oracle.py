@@ -14,7 +14,8 @@ Searches over the edge-subset space walk it in fixed chunks of
 walks the Prüfer ranks in fixed chunks of CHUNK_TREES ranks, so memory stays
 bounded whatever the order. Both run on one sweep engine, which builds and
 scans the chunks in order on the calling thread and merges their partials
-in that order.
+in that order. Every count and witness list is one reducer, a Tally: an
+exact count and the first WITNESS_CAP keys in visiting order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import logging
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -185,13 +185,34 @@ class SearchResult:
     graphs_visited: int
 
 
-class Extreme:
-    """Running max or min of sigma_t over a family: the exact tie count, the
-    first WITNESS_CAP witnesses in visiting order, and the graphs visited.
+@dataclass
+class Tally:
+    """An exact count and the first WITNESS_CAP keys in visiting order: the
+    one reducer behind every count and witness list of the sweeps. Merging
+    chunk partials in chunk order gives the same tally as one pass."""
 
-    Witnesses are Graphs (from a stream) or edge masks (from a sweep chunk);
-    they are encoded once, by :meth:`result`. Merging chunk partials in
-    chunk order gives the same state as one pass over the whole family.
+    count: int = 0
+    keys: list = field(default_factory=list)
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "Tally":
+        """Partial for one chunk's selected keys, in visiting order."""
+        return cls(int(keys.size), keys[:WITNESS_CAP].tolist())
+
+    def merge(self, part: "Tally") -> None:
+        self.count += part.count
+        self.keys.extend(part.keys[:WITNESS_CAP - len(self.keys)])
+
+
+class Extreme:
+    """Running max or min of sigma_t over a family: the graphs visited, and
+    the graphs attaining it as one :class:`Tally` of keys.
+
+    Keys are opaque here and decoded by the caller: the graph searches store
+    Graphs (from a stream) or edge masks (from a sweep chunk), which
+    :meth:`result` encodes; the tree sweep stores Prüfer ranks and decodes
+    them itself. Merging chunk partials in chunk order gives the same state
+    as one pass over the whole family.
     """
 
     def __init__(self, objective: str):
@@ -199,38 +220,34 @@ class Extreme:
             raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
         self.objective = objective
         self.value: int | None = None
-        self.ties = 0
-        self.witnesses: list = []
+        self.hits = Tally()
         self.visited = 0
 
     @classmethod
-    def of_chunk(cls, objective: str, values: np.ndarray, masks: np.ndarray) -> "Extreme":
-        """Partial for one chunk, where ``values[k]`` is sigma_t of ``masks[k]``."""
+    def of_chunk(cls, objective: str, values: np.ndarray, keys: np.ndarray) -> "Extreme":
+        """Partial for one chunk, where ``values[k]`` is sigma_t of ``keys[k]``."""
         part = cls(objective)
         part.visited = int(values.size)
         if values.size:
             part.value = int(values.max() if objective == "max" else values.min())
-            hits = masks[values == part.value]
-            part.ties = int(hits.size)
-            part.witnesses = hits[:WITNESS_CAP].tolist()
+            part.hits = Tally.of(keys[values == part.value])
         return part
 
-    def add(self, value: int, witness) -> None:
+    def add(self, value: int, key) -> None:
         self.visited += 1
-        self._fold(value, 1, [witness])
+        self._fold(value, Tally(1, [key]))
 
     def merge(self, part: "Extreme") -> None:
         self.visited += part.visited
         if part.value is not None:
-            self._fold(part.value, part.ties, part.witnesses)
+            self._fold(part.value, part.hits)
 
-    def _fold(self, value: int, ties: int, witnesses: list) -> None:
+    def _fold(self, value: int, hits: Tally) -> None:
         best = self.value
         if best is None or (value > best if self.objective == "max" else value < best):
-            self.value, self.ties, self.witnesses = value, ties, witnesses[:WITNESS_CAP]
+            self.value, self.hits = value, hits
         elif value == best:
-            self.ties += ties
-            self.witnesses.extend(witnesses[:WITNESS_CAP - len(self.witnesses)])
+            self.hits.merge(hits)
 
     def result(self, n: int, description: str, missing: str) -> SearchResult:
         """The finished search; an empty family, named by ``missing``, raises."""
@@ -241,8 +258,8 @@ class Extreme:
             n=n,
             objective=f"{self.objective}-sigma-t",
             extreme_value=self.value,
-            witnesses=_graph6(n, self.witnesses),
-            tie_count=self.ties,
+            witnesses=_graph6(n, self.hits.keys),
+            tie_count=self.hits.count,
             graphs_visited=self.visited,
         )
 
@@ -313,16 +330,22 @@ def chunk_ranges(n: int) -> list[tuple[int, int]]:
     return _tiles(1 << (n * (n - 1) // 2), bulk.CHUNK_MASKS)
 
 
-def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable) -> Iterator:
-    """``scan(build(n, lo, hi))`` for every chunk range, in chunk order, on
-    the calling thread. Each chunk is built only when the consumer asks for
-    it, so memory does not grow with the number of chunks.
+def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable,
+           totals: tuple) -> tuple:
+    """Merge ``scan(build(n, lo, hi))``, one partial per total, into
+    ``totals`` for every chunk range, in chunk order, on the calling thread,
+    and return the totals. Each chunk is built only after the previous
+    chunk's partials are merged, so memory does not grow with the number of
+    chunks. This is the only place where chunk partials merge.
 
     ``build`` is a :mod:`sigmat.bulk` table builder that callers read from the
     module when they are called, so a wrapper installed on ``bulk`` sees every
     chunk.
     """
-    return (scan(build(n, lo, hi)) for lo, hi in ranges)
+    for lo, hi in ranges:
+        for total, part in zip(totals, scan(build(n, lo, hi)), strict=True):
+            total.merge(part)
+    return totals
 
 
 def search_connected(n: int, objective: str, graph_filter: str = "none") -> SearchResult:
@@ -333,16 +356,14 @@ def search_connected(n: int, objective: str, graph_filter: str = "none") -> Sear
     if graph_filter not in FILTERS:
         raise ValueError(f"unknown filter {graph_filter!r}; expected one of {tuple(FILTERS)}")
     rows = FILTERS[graph_filter].rows
-    best = Extreme(objective)
     start = time.perf_counter()
 
-    def scan(table: bulk.MaskTable) -> Extreme:
+    def scan(table: bulk.MaskTable) -> tuple[Extreme]:
         keep = rows(table)
-        return Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep])
+        return (Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep]),)
 
     ranges = chunk_ranges(n)
-    for part in _sweep(bulk.connected_table, n, ranges, scan):
-        best.merge(part)
+    (best,) = _sweep(bulk.connected_table, n, ranges, scan, (Extreme(objective),))
     seconds = time.perf_counter() - start
     log.debug("search at n=%d, filter %s: %d masks scanned, %d graphs kept in %d chunks, "
               "%.3f s, %.0f graphs/s", n, graph_filter, 1 << n * (n - 1) // 2, best.visited,
@@ -395,37 +416,26 @@ def tree_sweep(n: int) -> TreeSweep:
     _require_order(n, 2, "tree sweep", trees=True)
     start = time.perf_counter()
 
-    def scan(table: bulk.TreeTable):
+    def scan(table: bulk.TreeTable) -> tuple:
         st, ranks = table.sigma_t, table.ranks
         # a tree is the star iff a degree reaches n-1, a path iff none exceeds 2
         star, path = table.max_deg == n - 1, table.max_deg <= 2
         bound = (n - 2) * table.sigma
         over, equal, sigma_eq = st > bound, st == bound, st == table.sigma
-        extremes = (
+        return (
             Extreme.of_chunk("max", st, ranks),
             Extreme.of_chunk("min", st, ranks),
             Extreme.of_chunk("max", st[~star], ranks[~star]),
             Extreme.of_chunk("min", st[~path], ranks[~path]),
+            *(Tally.of(ranks[keep]) for keep in (
+                over, equal, equal & ~path, sigma_eq, sigma_eq & ~star, star)),
         )
-        counts = {
-            "over": over, "equal": equal, "equal_nonpath": equal & ~path,
-            "sigma_eq": sigma_eq, "sigma_eq_nonstar": sigma_eq & ~star, "star": star,
-        }
-        return (extremes, {k: int(np.count_nonzero(v)) for k, v in counts.items()},
-                ranks[over][:WITNESS_CAP].tolist(), ranks[equal][:WITNESS_CAP].tolist())
 
-    top, bottom, nonstar_top, nonpath_bottom = extremes = (
-        Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"))
-    tally: Counter = Counter()
-    over: list[int] = []
-    equal: list[int] = []
     ranges = _tiles(n ** (n - 2), CHUNK_TREES)
-    for parts, counts, part_over, part_equal in _sweep(bulk.tree_table, n, ranges, scan):
-        for whole, part in zip(extremes, parts):
-            whole.merge(part)
-        tally.update(counts)
-        over.extend(part_over[:WITNESS_CAP - len(over)])
-        equal.extend(part_equal[:WITNESS_CAP - len(equal)])
+    (top, bottom, nonstar_top, nonpath_bottom,
+     over, equal, equal_nonpath, sigma_eq, sigma_eq_nonstar, star) = _sweep(
+        bulk.tree_table, n, ranges, scan,
+        (Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"), *(Tally() for _ in range(6))))
 
     seconds = time.perf_counter() - start
     log.debug("tree sweep at n=%d: %d trees in %d chunks, %.3f s, %.0f trees/s",
@@ -438,21 +448,21 @@ def tree_sweep(n: int) -> TreeSweep:
         n=n,
         trees=top.visited,
         max_value=top.value,
-        max_count=top.ties,
+        max_count=top.hits.count,
         max_all_stars=nonstar_top.value is None or nonstar_top.value < top.value,
-        max_witnesses=witness(top.witnesses),
+        max_witnesses=witness(top.hits.keys),
         min_value=bottom.value,
-        min_count=bottom.ties,
+        min_count=bottom.hits.count,
         min_all_paths=nonpath_bottom.value is None or nonpath_bottom.value > bottom.value,
-        min_witnesses=witness(bottom.witnesses),
-        ratio_violations=tally["over"],
-        ratio_violation_witnesses=witness(over),
-        ratio_equality_count=tally["equal"],
-        ratio_equality_all_paths=tally["equal_nonpath"] == 0,
-        ratio_equality_witnesses=witness(equal),
-        sigma_eq_count=tally["sigma_eq"],
-        sigma_eq_all_stars=tally["sigma_eq_nonstar"] == 0,
-        star_count=tally["star"],
+        min_witnesses=witness(bottom.hits.keys),
+        ratio_violations=over.count,
+        ratio_violation_witnesses=witness(over.keys),
+        ratio_equality_count=equal.count,
+        ratio_equality_all_paths=equal_nonpath.count == 0,
+        ratio_equality_witnesses=witness(equal.keys),
+        sigma_eq_count=sigma_eq.count,
+        sigma_eq_all_stars=sigma_eq_nonstar.count == 0,
+        star_count=star.count,
     )
 
 
@@ -518,27 +528,26 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     if graphs is None:
         _require_order(n, 2, "conjecture 1 without a stream")
     reference = max_bipartite_split(n).value  # raises for n < 2
-    best = Extreme("max")
-    offenders: list = []
+    triangle_free = FILTERS["triangle-free"]
     if graphs is None:
 
-        def scan(table: bulk.MaskTable) -> tuple[Extreme, list[int]]:
-            values = table.sigma_t[table.triangle_free]
-            masks = table.masks[table.triangle_free]
-            return Extreme.of_chunk("max", values, masks), masks[values > reference][:WITNESS_CAP].tolist()
+        def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally]:
+            keep = triangle_free.rows(table)
+            values, masks = table.sigma_t[keep], table.masks[keep]
+            return Extreme.of_chunk("max", values, masks), Tally.of(masks[values > reference])
 
-        for part, bad in _sweep(bulk.connected_table, n, chunk_ranges(n), scan):
-            best.merge(part)
-            offenders.extend(bad[:WITNESS_CAP - len(offenders)])
+        best, offenders = _sweep(bulk.connected_table, n, chunk_ranges(n), scan,
+                                 (Extreme("max"), Tally()))
         missing, covered = f"connected triangle-free graphs at n={n}", "verified"
     else:
+        best, offenders = Extreme("max"), Tally()
         for g in _of_order(graphs, n):
-            if not is_connected(g) or not is_triangle_free(g):
+            if not is_connected(g) or not triangle_free.keeps(g):
                 continue
             value = sigma_t(g)
             best.add(value, g)
-            if value > reference and len(offenders) < WITNESS_CAP:
-                offenders.append(g)
+            if value > reference:
+                offenders.merge(Tally(1, [g]))
         missing, covered = "connected triangle-free graphs in the stream", "no-counterexample-in-input"
     found = best.result(n, "connected triangle-free graphs", missing)
     log.debug("conjecture 1 at n=%d: max %d vs bipartite %d over %d graphs",
@@ -546,8 +555,8 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     return ConjectureReport(
         conjecture_id=1,
         n_range=(n, n),
-        status="counterexample" if offenders else covered,
-        counterexamples=_graph6(n, offenders),
+        status="counterexample" if offenders.count else covered,
+        counterexamples=_graph6(n, offenders.keys),
         extremal_witnesses=found.witnesses,
         max_value=found.extreme_value,
         reference_value=reference,

@@ -341,6 +341,21 @@ class TestCheckAll:
             ids = [c.bound_id for c in checks]
             assert ids == sorted(ids) and len(ids) == 9
 
+    def test_certificates_are_built_only_on_equality(self, monkeypatch):
+        # a tree and a cyclic triangle-free graph, each tight on no exact bound
+        graphs = [SPIDER6, Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])]
+        expected = [check_all(g) for g in graphs]
+        exact = [c for checks in expected for c in checks if c.exact and c.skipped is None]
+        assert {"tree-lower", "triangle-free-upper"} <= {c.bound_id for c in exact}
+        assert not any(c.equality for c in exact)
+
+        def unreachable(g):
+            raise AssertionError("certificate built without equality")
+
+        monkeypatch.setattr(bounds, "is_complete_bipartite", unreachable)
+        monkeypatch.setattr(bounds, "is_path_graph", unreachable)
+        assert [check_all(g) for g in graphs] == expected
+
     def test_json_shapes(self):
         checks = check_all(path(4))
         records = json.loads(canonical_json(checks))

@@ -206,6 +206,13 @@ class TestSearch:
         code, _, err = run(capsys, ["search", "--n", "8", "--objective", "max"])
         assert code == 2 and "error" in err
 
+    def test_help_says_stream_graphs_must_have_the_given_order(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["search", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "with an input stream, every stream graph must have this order" in text
+
 
 class TestConjecture:
     def test_id2_n6(self, capsys):

@@ -196,6 +196,25 @@ class TestGraph6:
     def test_round_trip(self, g):
         assert parse_graph6(encode_graph6(g)) == g
 
+    def test_encoder_round_trips_every_graph_up_to_n5(self):
+        for n in range(1, 6):
+            pairs = pair_order(n)
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
+                assert parse_graph6(encode_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [62, 63, 64, 4096])
+    def test_encoder_round_trips_seeded_records(self, n):
+        # a seeded random record with zero padding, decoded by the parser
+        rng = random.Random(n)
+        nbits = n * (n - 1) // 2
+        groups = [rng.getrandbits(6) for _ in range(-(-nbits // 6))]
+        pad = -nbits % 6
+        groups[-1] &= 63 >> pad << pad
+        header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+        text = header + "".join(chr(b + 63) for b in groups)
+        assert encode_graph6(parse_graph6(text)) == text
+
 
 class TestDegreeStats:
     def test_path4(self):

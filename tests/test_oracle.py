@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sigmat import bulk, oracle
 from sigmat.cli import canonical_json
@@ -325,19 +326,22 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("chunks", [0, 1, 2, 8, 200])
     def test_sweep_keeps_few_chunks_in_flight(self, chunks):
-        built, seen = [], []
+        events = []
+
+        class Total:
+            def merge(self, part):
+                events.append(("merge", part))
 
         def build(n, lo, hi):
-            built.append(lo)
+            events.append(("build", lo))
             return lo
 
-        sweep = oracle._sweep(build, 0, [(i, i + 1) for i in range(chunks)], lambda t: t)
-        assert built == []
-        for lo in sweep:
-            # the chunk handed over is the only one built ahead of the consumer
-            assert built == seen + [lo]
-            seen.append(lo)
-        assert seen == built == list(range(chunks))
+        totals = (Total(), Total())
+        ranges = [(i, i + 1) for i in range(chunks)]
+        assert oracle._sweep(build, 0, ranges, lambda lo: (lo, -lo), totals) is totals
+        # no chunk is built before the previous chunk's partials are merged
+        assert events == [event for lo in range(chunks)
+                          for event in (("build", lo), ("merge", lo), ("merge", -lo))]
 
     def test_sweep_memory_is_bounded(self):
         tracemalloc.start()
@@ -349,6 +353,22 @@ class TestChunkBoundaries:
             tracemalloc.stop()
         assert result.graphs_visited == 1866256
         assert peak < 64 * 2 ** 20
+
+
+class TestTally:
+    @given(st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=3 * oracle.WITNESS_CAP),
+                    max_size=8))
+    def test_merging_any_split_equals_one_pass(self, parts):
+        # parts may be empty or longer than WITNESS_CAP
+        keys = [k for part in parts for k in part]
+        one_pass = oracle.Tally(len(keys), keys[:oracle.WITNESS_CAP])
+        assert oracle.Tally.of(np.array(keys, dtype=np.int64)) == one_pass
+        chunked, streamed = oracle.Tally(), oracle.Tally()
+        for part in parts:
+            chunked.merge(oracle.Tally.of(np.array(part, dtype=np.int64)))
+            for k in part:
+                streamed.merge(oracle.Tally(1, [k]))
+        assert chunked == streamed == one_pass
 
 
 class TestSearchTrees:
