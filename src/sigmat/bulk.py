@@ -12,10 +12,13 @@ extension step from cached tables of all graphs of each order up to 6
 (0.6 MB at order 6, built on first use), and nothing larger is cached, so
 an order-8 range extends its order-7 bases on the fly. :func:`batched_spectra`
 gives both spectra of many masks with one eigensolve pair per cospectral
-class in each chunk: exact integer power sums of A and L identify the
-class, so relabelled copies of a graph share one solve. Every labeled tree
-is likewise one Prüfer rank in ``arange(n**(n-2))``; :func:`tree_table`
-decodes a range of them in lock step for the tree sweep.
+class in each chunk. Each mask is first mapped to an isomorphic copy with
+its vertices sorted by degree and neighbour-degree sum, which keeps its
+power sums; the exact integer power sums of A and L of each distinct copy,
+which fix both spectra, identify the class, so relabelled copies of a graph
+share one solve. Every labeled tree is likewise one Prüfer rank in
+``arange(n**(n-2))``; :func:`tree_table` decodes a range of them in lock
+step for the tree sweep.
 The stream-based enumerators in :mod:`sigmat.oracle` are the reference
 implementations the tables are validated against, and the scalar
 :func:`sigmat.spectral.laplacian_spectrum` is the reference for the spectra.
@@ -37,8 +40,8 @@ log = logging.getLogger("sigmat.bulk")
 # masks per chunk of the oracle's sweeps over the edge-subset space, each
 # chunk one table build, and per batch of eigensolves
 CHUNK_MASKS = 1 << 16
-# masks per block of class keys in batched_spectra: the matrices and powers
-# of one block stay in cache, which halves the cost of the power sums
+# masks per block of relabelling and of class keys in batched_spectra: the
+# arrays of one block stay in cache, which halves the cost of the power sums
 _KEY_BLOCK = 1 << 10
 
 
@@ -307,12 +310,17 @@ def batched_spectra(n: int, masks: np.ndarray):
     and Laplacian L: by Newton's identities the power sums p_1..p_n of an
     n x n matrix fix its characteristic polynomial, so masks with equal keys
     have equal spectra.
-    The key is exact. Every entry of A^k and L^k and every partial sum of a
-    trace is an integer of modulus at most n * (2(n-1))^k, which is below
-    8 * 14^8 < 1.2e10 < 2^53 for n <= 8, so the float64 matmuls and sums make
-    no rounding error. The first mask of each class in mask order is solved
-    and its values are copied to the rest of the class. Masks must be
-    integers below 2^C(n,2), for 1 <= n <= 8.
+    Every mask is first mapped to a relabelled copy (:func:`_relabelled`),
+    and the key is computed once per distinct copy in each chunk, not once
+    per mask: a relabelling is an isomorphism, so a copy has the power sums
+    of its masks, and the 1,866,256 masks at n = 7 are 52,711 distinct
+    copies summed over the chunks. The key is exact. Every entry of A^k and
+    L^k and every partial sum of a trace is an integer of modulus at most
+    n * (2(n-1))^k, which is below 8 * 14^8 < 1.2e10 < 2^53 for n <= 8, so
+    the float64 matmuls and sums make no rounding error. The first original
+    mask of each class in mask order is solved and its values are copied to
+    the rest of the class. Masks must be integers below 2^C(n,2), for
+    1 <= n <= 8.
 
     Returns (energy, mu2, mu_max) float64 arrays aligned with ``masks``.
     For n == 1 mu2 is reported as NaN.
@@ -329,11 +337,22 @@ def batched_spectra(n: int, masks: np.ndarray):
     energy = np.empty(masks.size, dtype=np.float64)
     mu2 = np.empty(masks.size, dtype=np.float64)
     mu_max = np.empty(masks.size, dtype=np.float64)
-    classes = 0
+    relabelled = np.empty(masks.size, dtype=np.uint32)
+    for b in range(0, masks.size, _KEY_BLOCK):
+        relabelled[b:b + _KEY_BLOCK] = _relabelled(n, masks[b:b + _KEY_BLOCK])
+    forms = classes = 0
     for lo in range(0, masks.size, CHUNK_MASKS):
-        part = masks[lo:lo + CHUNK_MASKS]
-        first, inverse = _classes(np.concatenate(
-            [_class_keys(n, part[b:b + _KEY_BLOCK]) for b in range(0, part.size, _KEY_BLOCK)], axis=1))
+        part, copies = masks[lo:lo + CHUNK_MASKS], relabelled[lo:lo + CHUNK_MASKS]
+        distinct, copy = _classes(copies[None])  # each distinct copy's first mask, each mask's copy
+        by_mask = np.argsort(distinct)  # the distinct copies in the order of their first masks
+        first, cls = _classes(np.concatenate(
+            [_class_keys(n, copies[distinct[by_mask[b:b + _KEY_BLOCK]]])
+             for b in range(0, distinct.size, _KEY_BLOCK)], axis=1))
+        first = distinct[by_mask[first]]
+        copy_cls = np.empty_like(cls)
+        copy_cls[by_mask] = cls
+        inverse = copy_cls[copy]
+        forms += distinct.size
         classes += first.size
         adj, lap = _matrices(n, part[first])
         adj_eigs = np.linalg.eigvalsh(adj)
@@ -341,8 +360,8 @@ def batched_spectra(n: int, masks: np.ndarray):
         energy[lo:lo + part.size] = np.abs(adj_eigs).sum(axis=1)[inverse]
         mu2[lo:lo + part.size] = lap_eigs[inverse, 1] if n >= 2 else np.nan
         mu_max[lo:lo + part.size] = lap_eigs[inverse, -1]
-    log.debug("batched spectra at n=%d: %d masks, %d classes, %d eigensolves, %.3f s",
-              n, masks.size, classes, 2 * classes, time.perf_counter() - start)
+    log.debug("batched spectra at n=%d: %d masks, %d forms, %d classes, %d eigensolves, %.3f s",
+              n, masks.size, forms, classes, 2 * classes, time.perf_counter() - start)
     return energy, mu2, mu_max
 
 
@@ -369,6 +388,42 @@ def _matrices(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = ((masks[:, None] >> np.arange(len(incidence), dtype=np.uint32)) & 1).astype(np.float64)
     entries = np.concatenate([np.zeros((masks.size, 1)), bits, -bits, bits @ incidence], axis=1)
     return entries.take(adj_at, axis=1), entries.take(lap_at, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _relabel_columns(n: int) -> tuple[np.ndarray, ...]:
+    """The shift of each edge bit of order n; n times the vertex-edge
+    incidence matrix and the edge-edge matrix of shared ends, as float32;
+    the two ends of each edge; and the vertex labels."""
+    incidence = _entry_columns(n)[2].T.astype(np.float32)
+    a, b = np.array(pair_order(n), dtype=np.intp).reshape(-1, 2).T
+    return (np.arange(a.size, dtype=np.uint32)[:, None], n * incidence, incidence.T @ incidence,
+            a, b, np.arange(n, dtype=np.float32)[:, None])
+
+
+def _relabelled(n: int, masks: np.ndarray) -> np.ndarray:
+    """An isomorphic copy of each mask, as uint32: the vertices renumbered in
+    a stable sort on (degree, sum of neighbour degrees).
+
+    The copy depends on the labels only through the ties, so the masks of
+    one graph mostly share a few copies. Every step is a fixed number of
+    array operations on the whole batch, so a batch of one mask is cheap.
+    """
+    shifts, scaled, shared, a, b, labels = _relabel_columns(n)
+    bits = (masks.astype(np.uint32, copy=False) >> shifts) & np.uint32(1)  # (edges, masks)
+    edges = bits.astype(np.float32)
+    # shared @ edges is deg(u) + deg(v) for each edge uv. Summed over the
+    # edges at v, deg(u) + deg(v) + 128 is 128 deg(v) + deg(v)^2 plus the
+    # neighbour-degree sum, which is at most 49 < 128, so it orders the
+    # vertices as (degree, sum) does; times n plus the label v, ties go in
+    # vertex order. Every value is below 2^13, exact in float32.
+    key = scaled @ (edges * (shared @ edges + 128))
+    key += labels
+    rank = (key < key[:, None]).sum(axis=1, dtype=np.uint8)  # the new label of each vertex
+    ra, rb = rank[a], rank[b]
+    hi = np.maximum(ra, rb)
+    # the pair lo < hi is bit hi(hi - 1)/2 + lo in graph6 column order
+    return (bits << (hi * (hi - 1) // 2 + np.minimum(ra, rb))).sum(axis=0, dtype=np.uint32)
 
 
 def _class_keys(n: int, masks: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice, permutations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +33,7 @@ from sigmat.graph import (
     is_path_graph,
     is_tree,
     is_triangle_free,
+    pair_order,
     parse_graph6,
 )
 from sigmat.invariants import sigma, sigma_t
@@ -956,6 +957,31 @@ def _exact_power_sums(n, mask):
     return sums
 
 
+def _permuted(n, masks, perm):
+    """Each mask with vertex v renamed perm[v]."""
+    pairs = pair_order(n)
+    at = {frozenset(pair): e for e, pair in enumerate(pairs)}
+    out = np.zeros_like(masks)
+    for e, (i, j) in enumerate(pairs):
+        out |= ((masks >> e) & 1) << at[frozenset((perm[i], perm[j]))]
+    return out
+
+
+def _chunked_reference(n, masks, width):
+    """batched_spectra without the relabelling: every raw mask keyed by its
+    power sums, and the first mask of each class in each chunk solved."""
+    energy, mu2, mu_max = (np.empty(masks.size) for _ in range(3))
+    for lo in range(0, masks.size, width):
+        part = masks[lo:lo + width]
+        first, inverse = bulk._classes(bulk._class_keys(n, part))
+        adj, lap = bulk._matrices(n, part[first])
+        adj_eigs, lap_eigs = np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
+        energy[lo:lo + part.size] = np.abs(adj_eigs).sum(axis=1)[inverse]
+        mu2[lo:lo + part.size] = lap_eigs[inverse, 1]
+        mu_max[lo:lo + part.size] = lap_eigs[inverse, -1]
+    return energy, mu2, mu_max
+
+
 class TestBatchedSpectra:
     """One eigensolve pair per cospectral class, against the scalar spectra."""
 
@@ -1041,6 +1067,49 @@ class TestBatchedSpectra:
             for got, want in ((energy, ref.energy), (mu2, ref.mu2), (mu_max, ref.mu_max)):
                 np.testing.assert_allclose(got[rows], want[rows], rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_relabelled_copies_are_vertex_permutations(self, n):
+        masks = np.arange(1 << n * (n - 1) // 2, dtype=np.uint32)
+        copies = bulk._relabelled(n, masks)
+        assert copies.dtype == np.uint32 and copies.shape == masks.shape
+        found = np.zeros(masks.size, dtype=bool)
+        for perm in permutations(range(n)):
+            found |= _permuted(n, masks, perm) == copies
+        assert found.all()
+
+    def test_relabelled_copies_keep_the_power_sums(self):
+        # dense masks at n = 8 and K8, where every vertex has degree 7 and
+        # neighbour-degree sum 49, the largest sort key
+        rng = np.random.default_rng(11)
+        dense = np.bitwise_or.reduce(rng.integers(0, 1 << 28, (3, 48)))
+        masks = np.concatenate([[(1 << 28) - 1], dense]).astype(np.uint32)
+        copies = bulk._relabelled(8, masks)
+        assert copies[0] == masks[0]
+        assert (copies != masks).any()
+        for mask, copy in zip(masks, copies):
+            assert _exact_power_sums(8, int(copy)) == _exact_power_sums(8, int(mask))
+
+    def test_relabelled_copies_sort_by_degree_then_neighbour_degrees(self):
+        masks = bulk.connected_table(6).masks
+        copies = bulk._relabelled(6, masks)
+        assert np.unique(copies).size < masks.size
+        for mask, copy in zip(masks[::97], copies[::97]):
+            g = graph_from_mask(6, int(mask))
+            key = [(g.degree(v), sum(map(g.degree, g.neighbors(v)))) for v in range(6)]
+            order = sorted(range(6), key=key.__getitem__)  # stable: ties in vertex order
+            label = {v: k for k, v in enumerate(order)}
+            assert copy == _permuted(6, np.array([mask]), [label[v] for v in range(6)])[0]
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_bitwise_identical_to_keying_every_mask(self, monkeypatch, chunk):
+        # the first original mask of each class is solved, not its copy
+        masks = bulk.connected_table(6).masks
+        width = chunk or bulk.CHUNK_MASKS
+        if chunk is not None:
+            monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
+        for got, want in zip(bulk.batched_spectra(6, masks), _chunked_reference(6, masks, width)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("n,match", [(0, "n >= 1"), (-2, "n >= 1"), (9, "uint32")])
     def test_order_outside_the_mask_width_is_rejected(self, n, match):
         with pytest.raises(ValueError, match=match):
@@ -1074,5 +1143,8 @@ class TestBatchedSpectra:
         records = [r for r in caplog.records if r.name == "sigmat.bulk"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
         classes = _class_count(ref, 16)
-        assert f"n=4: 38 masks, {classes} classes, {2 * classes} eigensolves" in records[0].getMessage()
+        forms = sum(np.unique(bulk._relabelled(4, ref.masks[lo:lo + 16])).size for lo in range(0, 38, 16))
+        assert forms < 38
+        assert (f"n=4: 38 masks, {forms} forms, {classes} classes, {2 * classes} eigensolves"
+                in records[0].getMessage())
         assert capsys.readouterr().out == ""
