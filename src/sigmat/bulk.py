@@ -18,7 +18,10 @@ power sums; the exact integer power sums of A and L of each distinct copy,
 which fix both spectra, identify the class, so relabelled copies of a graph
 share one solve. Every labeled tree is likewise one Prüfer rank in
 ``arange(n**(n-2))``; :func:`tree_table` decodes a range of them in lock
-step for the tree sweep.
+step for the tree sweep, with each tree's leaf set held as a uint16 bitmask
+(enough for every order up to 17) so the smallest leaf is a lowest set bit,
+and with every per-chunk array kept small enough that the allocator does
+not map and unmap it on each chunk.
 The stream-based enumerators in :mod:`sigmat.oracle` are the reference
 implementations the tables are validated against, and the scalar
 :func:`sigmat.spectral.laplacian_spectrum` is the reference for the spectra.
@@ -255,9 +258,27 @@ def tree_table(n: int, rank_lo: int = 0, rank_hi: int | None = None) -> TreeTabl
 
     A rank reads the sequence as base-n digits, most significant first, so
     ranks ascend in ``itertools.product`` order. All sequences of the range
-    are decoded in lock step: at each step every tree joins its smallest leaf
-    (the first vertex with one edge left) to the next sequence entry, and the
-    last edge joins the remaining leaf to n-1.
+    are decoded in lock step: at step t every tree joins its smallest leaf
+    to seq[t], and the last edge joins the remaining leaf to n-1. A vertex
+    not yet removed is a leaf once it no longer occurs in seq[t:], so each
+    tree's leaves are the bitmask ``free = ~(gone[t] | removed)``, where
+    ``gone[t]`` is the suffix OR of the bits of seq[t:] and ``removed`` the
+    bits of the leaves taken so far; the smallest leaf is the lowest set
+    bit, ``free & -free``, and a small cached table turns it into a vertex.
+
+    The bitmasks are uint16, which covers every order accepted here
+    (n <= 17) although bit 16 does not fit at n = 17. The tree left before
+    each step has at least two vertices, so at least two leaves, and its
+    smallest leaf is below n-1. So a dropped bit 16 is never the one read,
+    and the bits above n-1 that the complement sets are never the lowest.
+
+    The degrees are a vertex-major (n, k) int16 array, so the per-tree
+    reductions run along the long axis, and each step gathers the two
+    degrees of its edges through one k-length flat index apiece. Every
+    per-chunk array stays below 128 KB at n = 9 and k = CHUNK_TREES: in a
+    fresh process the allocator maps and unmaps a larger one, such as a
+    whole (n-1, k) intp stack of indices, on every chunk, which costs more
+    than the stack saves.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -270,33 +291,57 @@ def tree_table(n: int, rank_lo: int = 0, rank_hi: int | None = None) -> TreeTabl
         raise ValueError(f"rank range [{rank_lo}, {rank_hi}) is not within [0, {total}) at n={n}")
     ranks = np.arange(rank_lo, rank_hi, dtype=np.int64)
     k = ranks.size
-    row = np.arange(0, k * n, n)  # flat index of vertex 0 in each tree's row
+    col = np.arange(k)
 
     # int16 holds every degree, squared degree and squared difference at n <= 17
     seq = np.empty((n - 2, k), dtype=np.int16)
+    gone = np.zeros((n - 1, k), dtype=np.uint16)  # gone[t]: the vertices of seq[t:]
     rest = ranks
-    for j in range(n - 3, -1, -1):
-        rest, seq[j] = np.divmod(rest, n)
-    deg = np.ones(k * n, dtype=np.int16)
+    for t in range(n - 3, -1, -1):
+        quotient = rest // n  # with the product below, faster than np.divmod on int64
+        seq[t] = rest - quotient * n
+        rest = quotient
+        np.bitwise_or(gone[t + 1], np.uint16(1) << seq[t].view(np.uint16), out=gone[t])
+    deg = np.ones((n, k), dtype=np.int16)  # vertex-major: deg[v, j] of tree j
+    labels = np.arange(n, dtype=np.int16)[:, None]
     for x in seq:
-        deg[row + x] += 1
-    rows = deg.reshape(k, n)
-    sigma_t = n * (rows * rows).sum(axis=1, dtype=np.int64) - 4 * (n - 1) ** 2
+        np.add(deg, labels == x, out=deg)
+    flat = deg.ravel()
+    sigma_t = n * (deg * deg).sum(axis=0, dtype=np.int64) - 4 * (n - 1) ** 2
 
-    work = deg.copy()
-    left = work.reshape(k, n)  # a view: edges each vertex has not yet used
-    sigma = np.zeros(k, dtype=np.int64)
-    for x in seq:
-        leaf = row + (left == 1).argmax(axis=1)
-        at = row + x
-        d = deg[leaf] - deg[at]
+    vertex = _bit_vertex(n)
+    removed = np.zeros(k, dtype=np.uint16)
+    sigma = np.zeros(k, dtype=np.int16)  # n - 1 squares of at most (n-2)^2: below 2^15
+    for t in range(n - 1):
+        free = ~(gone[t] | removed)
+        leaf = free & -free
+        removed |= leaf
+        d = flat.take(_flat_index(vertex.take(leaf), k, col))
+        if t < n - 2:
+            d -= flat.take(_flat_index(seq[t], k, col))
+        else:  # the last edge joins the remaining leaf to n-1
+            d -= deg[n - 1]
         sigma += d * d
-        work[leaf] = 0
-        work[at] -= 1
-    d = deg[row + (left == 1).argmax(axis=1)] - deg[row + (n - 1)]
-    sigma += d * d
 
-    return TreeTable(n=n, ranks=ranks, max_deg=rows.max(axis=1), sigma_t=sigma_t, sigma=sigma)
+    return TreeTable(n=n, ranks=ranks, max_deg=deg.max(axis=0), sigma_t=sigma_t,
+                     sigma=sigma.astype(np.int64))
+
+
+def _flat_index(v: np.ndarray, k: int, col: np.ndarray) -> np.ndarray:
+    """v * k + col as intp, whatever numpy's casting of the scalar k."""
+    index = np.multiply(v, k, dtype=np.intp)
+    index += col
+    return index
+
+
+@lru_cache(maxsize=None)
+def _bit_vertex(n: int) -> np.ndarray:
+    """The vertex v of each leaf bit 1 << v of order n, indexed by the bit.
+    The smallest leaf is below n-1, so the table stops there: 2^(n-1) int8
+    entries, 64 KB at n = 17."""
+    vertex = np.zeros(1 << (n - 1), dtype=np.int8)
+    vertex[1 << np.arange(n - 1)] = np.arange(n - 1)
+    return vertex
 
 
 def batched_spectra(n: int, masks: np.ndarray):
@@ -452,11 +497,22 @@ def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the columns of a key array into classes of equal columns: the
     first column of each class, and the class of every column. The sort is
     stable, so a class's first column in sorted order is its first in the
-    input."""
-    order = np.lexsort(key)
-    ordered = key[:, order]
-    new = np.ones(key.shape[1], dtype=bool)
+    input.
+
+    A one-row unsigned key of at most 32 bits is sorted as the uint64
+    ``key << 32 | index``, which orders ties by index as a stable sort does
+    and takes a fraction of the time of ``np.lexsort``.
+    """
+    size = key.shape[1]
+    if key.shape[0] == 1 and key.dtype.kind == "u" and key.dtype.itemsize <= 4 and size <= 1 << 32:
+        packed = np.sort(key[0].astype(np.uint64) << np.uint64(32) | np.arange(size, dtype=np.uint64))
+        order = (packed & np.uint64(0xFFFFFFFF)).astype(np.intp)
+        ordered = (packed >> np.uint64(32))[None]
+    else:
+        order = np.lexsort(key)
+        ordered = key[:, order]
+    new = np.ones(size, dtype=bool)
     new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    inverse = np.empty(key.shape[1], dtype=np.intp)
+    inverse = np.empty(size, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse

@@ -338,8 +338,9 @@ def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callabl
     chunk's partials are merged, so memory does not grow with the number of
     chunks. This is the only place where chunk partials merge.
 
-    ``build`` is a :mod:`sigmat.bulk` table builder that callers read from the
-    module when they are called, so a wrapper installed on ``bulk`` sees every
+    ``build`` is a :mod:`sigmat.bulk` table builder that the caller read
+    from the module when it was called, or a function that reads one from
+    the module on every call, so a wrapper installed on ``bulk`` sees every
     chunk.
     """
     for lo, hi in ranges:
@@ -431,15 +432,26 @@ def tree_sweep(n: int) -> TreeSweep:
                 over, equal, equal & ~path, sigma_eq, sigma_eq & ~star, star)),
         )
 
+    decode = 0.0
+
+    def build(n: int, lo: int, hi: int) -> bulk.TreeTable:
+        # bulk.tree_table is read on every call, so a wrapper installed on
+        # the module still sees every chunk
+        nonlocal decode
+        begin = time.perf_counter()
+        table = bulk.tree_table(n, lo, hi)
+        decode += time.perf_counter() - begin
+        return table
+
     ranges = _tiles(n ** (n - 2), CHUNK_TREES)
     (top, bottom, nonstar_top, nonpath_bottom,
      over, equal, equal_nonpath, sigma_eq, sigma_eq_nonstar, star) = _sweep(
-        bulk.tree_table, n, ranges, scan,
+        build, n, ranges, scan,
         (Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"), *(Tally() for _ in range(6))))
 
     seconds = time.perf_counter() - start
-    log.debug("tree sweep at n=%d: %d trees in %d chunks, %.3f s, %.0f trees/s",
-              n, top.visited, len(ranges), seconds, top.visited / seconds)
+    log.debug("tree sweep at n=%d: %d trees in %d chunks, %.3f s (decode %.3f s), %.0f trees/s",
+              n, top.visited, len(ranges), seconds, decode, top.visited / seconds)
 
     def witness(ranks: list[int]) -> tuple[str, ...]:
         return tuple(encode_graph6(Graph(n, prufer_edges(prufer_sequence(r, n), n))) for r in ranks)

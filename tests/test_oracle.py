@@ -4,6 +4,8 @@ tables."""
 
 import json
 import logging
+import re
+import time
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
@@ -455,6 +457,17 @@ def _tree_reference(n):
     )
 
 
+def _tree_windows(n, width=50):
+    """Rank windows at order n for the scalar cross-check: the first, the
+    last (its last rank puts n-1 in every position), two seeded ones, and
+    one straddling each digit boundary n^j."""
+    total = n ** (n - 2)
+    rng = np.random.default_rng(100 + n)
+    starts = {0, total - width, *(int(rng.integers(0, total - width)) for _ in range(2)),
+              *(max(n ** j - width // 2, 0) for j in range(1, n - 2))}
+    return [(lo, lo + width) for lo in sorted(starts)]
+
+
 class TestTreeSweepFastPath:
     """The chunked lock-step decode against independent references."""
 
@@ -470,6 +483,54 @@ class TestTreeSweepFastPath:
             assert int(table.sigma_t[k]) == sigma_t(t)
             assert int(table.sigma[k]) == sigma(t)
             assert int(table.max_deg[k]) == max(t.degrees())
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 17])
+    def test_rank_windows_match_the_scalar_decode(self, n):
+        windows = _tree_windows(n)
+        if n in (9, 17):  # a whole chunk, whose flat indices pass 2^15
+            lo = int(np.random.default_rng(n).integers(0, n ** (n - 2) - oracle.CHUNK_TREES))
+            windows.append((lo, lo + oracle.CHUNK_TREES))
+        for lo, hi in windows:
+            table = bulk.tree_table(n, lo, hi)
+            assert table.ranks.tolist() == list(range(lo, hi))
+            for k, rank in enumerate(range(lo, hi)):
+                t = Graph(n, prufer_edges(prufer_sequence(rank, n), n))
+                assert (int(table.sigma_t[k]), int(table.sigma[k]), int(table.max_deg[k])) == (
+                    sigma_t(t), sigma(t), max(t.degrees())), (n, rank)
+
+    def test_chunk_decode_memory_is_small(self):
+        # an array above about 128 KB is mapped and unmapped on every chunk
+        # in a fresh process, which slows the decode far more than it saves
+        lo = 12345
+        bulk.tree_table(9, lo, lo + oracle.CHUNK_TREES)  # builds the cached leaf table
+        tracemalloc.start()
+        try:
+            table = bulk.tree_table(9, lo, lo + oracle.CHUNK_TREES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.ranks.size == oracle.CHUNK_TREES
+        assert peak < 2 ** 20
+
+    def test_debug_line_reports_the_decode_time(self, monkeypatch, caplog):
+        build = bulk.tree_table
+
+        def slow(n, lo, hi):
+            time.sleep(0.01)
+            return build(n, lo, hi)
+
+        monkeypatch.setattr(bulk, "tree_table", slow)
+        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
+        with caplog.at_level(logging.DEBUG, logger="sigmat.oracle"):
+            assert tree_sweep.__wrapped__(4) == _tree_reference(4)
+        (record,) = [r for r in caplog.records if r.name == "sigmat.oracle"]
+        assert record.levelno == logging.DEBUG
+        match = re.fullmatch(r"tree sweep at n=4: 16 trees in 3 chunks, "
+                             r"(\d+\.\d{3}) s \(decode (\d+\.\d{3}) s\), \d+ trees/s",
+                             record.getMessage())
+        assert match, record.getMessage()
+        seconds, decode = map(float, match.groups())
+        assert 0.03 <= decode <= seconds
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_values_match_the_mask_table_trees(self, mask_tables, n):
@@ -1099,6 +1160,34 @@ class TestBatchedSpectra:
             order = sorted(range(6), key=key.__getitem__)  # stable: ties in vertex order
             label = {v: k for k, v in enumerate(order)}
             assert copy == _permuted(6, np.array([mask]), [label[v] for v in range(6)])[0]
+
+    @pytest.mark.parametrize("dtype,high", [(np.uint32, 1 << 32), (np.uint32, 40),
+                                            (np.uint16, 1 << 16), (np.uint8, 3)])
+    def test_one_row_keys_group_as_the_stable_lexsort(self, dtype, high):
+        rng = np.random.default_rng(high)
+        for size in (0, 1, 2, 1000):
+            key = rng.integers(0, high, (1, size), dtype=np.uint64).astype(dtype)
+            self._assert_grouped_as_lexsort(key)
+
+    def test_relabelled_copies_group_as_the_stable_lexsort(self, mask_tables):
+        masks = mask_tables[7].masks
+        for lo in (0, 7 * bulk.CHUNK_MASKS, masks.size - 1000):
+            self._assert_grouped_as_lexsort(bulk._relabelled(7, masks[lo:lo + bulk.CHUNK_MASKS])[None])
+
+    @staticmethod
+    def _assert_grouped_as_lexsort(key):
+        first, inverse = bulk._classes(key)
+        # a zero second row sends the same grouping through np.lexsort
+        lex_first, lex_inverse = bulk._classes(np.concatenate([key, np.zeros_like(key)]))
+        assert first.tolist() == lex_first.tolist() and inverse.tolist() == lex_inverse.tolist()
+        values = key[0].tolist()
+        firsts = {}
+        for at, value in enumerate(values):
+            firsts.setdefault(value, at)
+        distinct = sorted(firsts)
+        cls = {value: c for c, value in enumerate(distinct)}
+        assert first.tolist() == [firsts[v] for v in distinct]
+        assert inverse.tolist() == [cls[v] for v in values]
 
     @pytest.mark.parametrize("chunk", [None, 4096])
     def test_bitwise_identical_to_keying_every_mask(self, monkeypatch, chunk):
