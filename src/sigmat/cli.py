@@ -25,6 +25,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from numpy.linalg import LinAlgError
@@ -98,47 +99,98 @@ def canonical_json(obj) -> str:
 
 
 def _write_json(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(format_float(obj))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                parts.append(", ")
-            _write_json(item, parts)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for k, (key, value) in enumerate(obj.items()):
-            if k:
-                parts.append(", ")
-            parts.append(json.dumps(str(key)))
-            parts.append(": ")
-            _write_json(value, parts)
-        parts.append("}")
-    elif isinstance(obj, Fraction):
-        parts.append(f'{{"num": {obj.numerator}, "den": {obj.denominator}}}')
-    elif is_dataclass(obj):
-        parts.append("{")
-        first = True
-        for name, _, encoded_key, optional in _layout(type(obj)):
-            value = getattr(obj, name)
-            if optional and value is None:
-                continue
-            parts.append(encoded_key if first else ", " + encoded_key)
-            _write_json(value, parts)
-            first = False
-        parts.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Append the JSON text of ``obj`` to ``parts``, with the writer
+    ``_WRITERS`` holds for its exact type or else :func:`_writer_for` its
+    type. The container writers repeat this lookup inline for their items."""
+    (_WRITERS.get(type(obj)) or _writer_for(type(obj)))(obj, parts)
+
+
+def _write_null(obj, parts: list[str]) -> None:
+    parts.append("null")
+
+
+def _write_bool(obj, parts: list[str]) -> None:
+    parts.append("true" if obj else "false")
+
+
+def _write_int(obj, parts: list[str]) -> None:
+    parts.append(str(obj))
+
+
+def _write_float(obj, parts: list[str]) -> None:
+    parts.append(format_float(obj))
+
+
+def _write_str(obj, parts: list[str]) -> None:
+    parts.append(encode_basestring_ascii(obj))
+
+
+def _write_array(obj, parts: list[str]) -> None:
+    parts.append("[")
+    writer = _WRITERS.get
+    for k, item in enumerate(obj):
+        if k:
+            parts.append(", ")
+        (writer(type(item)) or _writer_for(type(item)))(item, parts)
+    parts.append("]")
+
+
+def _write_object(obj, parts: list[str]) -> None:
+    parts.append("{")
+    writer = _WRITERS.get
+    for k, (key, value) in enumerate(obj.items()):
+        if k:
+            parts.append(", ")
+        parts.append(encode_basestring_ascii(str(key)))
+        parts.append(": ")
+        (writer(type(value)) or _writer_for(type(value)))(value, parts)
+    parts.append("}")
+
+
+def _write_fraction(obj, parts: list[str]) -> None:
+    parts.append(f'{{"num": {obj.numerator}, "den": {obj.denominator}}}')
+
+
+def _write_record(obj, parts: list[str]) -> None:
+    parts.append("{")
+    writer = _WRITERS.get
+    first = True
+    for name, _, encoded_key, optional in _layout(type(obj)):
+        value = getattr(obj, name)
+        if optional and value is None:
+            continue
+        parts.append(encoded_key if first else ", " + encoded_key)
+        (writer(type(value)) or _writer_for(type(value)))(value, parts)
+        first = False
+    parts.append("}")
+
+
+# by exact type; _writer_for matches any other class against these in order
+_WRITERS = {
+    type(None): _write_null,
+    bool: _write_bool,
+    int: _write_int,
+    float: _write_float,
+    str: _write_str,
+    list: _write_array,
+    tuple: _write_array,
+    dict: _write_object,
+    Fraction: _write_fraction,
+}
+
+
+@lru_cache(maxsize=None)
+def _writer_for(cls):
+    """The writer for a class without an entry in ``_WRITERS``: that of the
+    first entry it subclasses (``np.float64`` is written as a float, a
+    namedtuple as a list, an IntEnum as an int), else the record writer for
+    a result dataclass; chosen once per class."""
+    for base, write in _WRITERS.items():
+        if issubclass(cls, base):
+            return write
+    if is_dataclass(cls):
+        return _write_record
+    raise TypeError(f"cannot serialize {cls.__name__}")
 
 
 # ---------------------------------------------------------------------------

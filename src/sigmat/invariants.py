@@ -1,5 +1,8 @@
 """Exact degree-based indices: the irregularity measures and Zagreb-type
-sums, all returned as integers (variance as an exact Fraction)."""
+sums, all returned as integers (variance as an exact Fraction).
+
+Each index has its own function, its definition; :func:`full_report`
+evaluates all of them in one pass over the degrees and the edges."""
 
 from __future__ import annotations
 
@@ -59,10 +62,14 @@ def albertson_irr(g: Graph) -> int:
 
 
 def degree_variance(g: Graph) -> Fraction:
-    """Mean squared deviation of the degrees from the average degree."""
+    """Mean squared deviation of the degrees from the average degree 2m/n.
+
+    Each deviation d - 2m/n is scaled by n, so the sum stays in integers and
+    one Fraction divides it by n^3 at the end.
+    """
     degs = g.degrees()
-    mean = Fraction(sum(degs), g.n)
-    return sum(((d - mean) ** 2 for d in degs), Fraction(0)) / g.n
+    n, total = g.n, sum(degs)
+    return Fraction(sum((n * d - total) ** 2 for d in degs), n ** 3)
 
 
 @dataclass(frozen=True)
@@ -82,18 +89,30 @@ class InvariantReport:
 
 
 def full_report(g: Graph) -> InvariantReport:
-    """Evaluate every index on one graph."""
-    degs = g.degrees()
+    """Evaluate every index on one graph from one read of the degrees and
+    one walk over the edges; sigma_t = n*M1 - 4m^2 and the variance is
+    sigma_t / n^2 (the paper's identity). The per-index functions above are
+    the definitions these values are tested against."""
+    n, degs = g.n, g.degrees()
     total = sum(degs)
+    m1 = sum(d * d for d in degs)
+    st = n * m1 - total * total
+    sig = irr = m2 = 0
+    for u, v in g.edges():
+        a, b = degs[u], degs[v]
+        diff = a - b
+        sig += diff * diff
+        irr += abs(diff)
+        m2 += a * b
     return InvariantReport(
-        n=g.n,
+        n=n,
         m=total // 2,
-        sigma_t=sigma_t(g),
-        sigma=sigma(g),
-        albertson_irr=albertson_irr(g),
-        m1=zagreb_m1(g),
-        m2=zagreb_m2(g),
-        forgotten=forgotten_f(g),
-        variance=degree_variance(g),
-        mean_degree=Fraction(total, g.n),
+        sigma_t=st,
+        sigma=sig,
+        albertson_irr=irr,
+        m1=m1,
+        m2=m2,
+        forgotten=sum(d ** 3 for d in degs),
+        variance=Fraction(st, n * n),
+        mean_degree=Fraction(total, n),
     )

@@ -2,6 +2,9 @@
 Rayleigh-quotient ratio that brackets between the algebraic connectivity
 and the largest Laplacian eigenvalue, for one vector or a batch of them.
 
+Both matrices of a graph are built once, as one (2, n, n) stack, and solved
+by one ``np.linalg.eigvalsh`` call, looked up when it is called.
+
 All comparisons against eigenvalues use an absolute tolerance scaled by
 n*maxdeg; eigenvalues live in [0, 2*maxdeg], so a relative tolerance would
 misfire near zero.
@@ -22,17 +25,25 @@ def spectral_tolerance(g: Graph) -> float:
     return 1e-8 * max(1.0, g.n * max(g.degrees()))
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges():
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
+def spectral_matrices(g: Graph) -> np.ndarray:
+    """The Laplacian D - A and the adjacency matrix A of ``g`` as one
+    (2, n, n) float64 stack, L in slot 0 and A in slot 1.
 
-
-def laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return np.diag(a.sum(axis=1)) - a
+    A is unpacked once from the adjacency bitmasks; L is 0 - A with the
+    degrees on its diagonal, so its off-diagonal zeros are +0.0 as in
+    ``np.diag(A.sum(1)) - A``. Apart from the stack, the only n x n
+    temporary is the uint8 bit matrix.
+    """
+    n = g.n
+    width = (n + 7) // 8
+    raw = b"".join(a.to_bytes(width, "little") for a in g.adj)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(n, width), axis=1, count=n, bitorder="little")
+    stack = np.empty((2, n, n), dtype=np.float64)
+    lap, adj = stack
+    adj[...] = bits
+    np.subtract(0.0, adj, out=lap)
+    lap.flat[:: n + 1] = adj.sum(axis=1)
+    return stack
 
 
 @dataclass(frozen=True)
@@ -48,19 +59,20 @@ class SpectralSummary:
 
 
 def laplacian_spectrum(g: Graph) -> SpectralSummary:
-    """Full dense symmetric eigensolve of D - A and A.
+    """Full dense symmetric eigensolve of D - A and A: one ``eigvalsh``
+    call on the :func:`spectral_matrices` stack.
 
     Raises numpy's LinAlgError if the eigensolver fails to converge; partial
     spectra are never returned.
     """
-    lap = np.linalg.eigvalsh(laplacian_matrix(g))
-    adj = np.linalg.eigvalsh(adjacency_matrix(g))
+    lap, adj = np.linalg.eigvalsh(spectral_matrices(g))
+    lap_values = tuple(lap.tolist())
     return SpectralSummary(
-        laplacian_eigenvalues=tuple(float(x) for x in lap),
-        adjacency_eigenvalues=tuple(float(x) for x in adj),
+        laplacian_eigenvalues=lap_values,
+        adjacency_eigenvalues=tuple(adj.tolist()),
         energy=float(np.abs(adj).sum()),
-        mu2=float(lap[1]) if g.n >= 2 else None,
-        mu_max=float(lap[-1]),
+        mu2=lap_values[1] if g.n >= 2 else None,
+        mu_max=lap_values[-1],
     )
 
 

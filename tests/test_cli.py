@@ -1,11 +1,14 @@
 """CLI subcommands: exit codes, JSON byte stability, and table rendering."""
 
+import enum
 import io
 import json
 import logging
 import os
 import subprocess
 import sys
+from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +380,48 @@ class TestPlumbing:
         for x in (0.1, 2 - 2 ** 0.5, 1 / 3, 123456.789012345, 1e-30):
             once = cli.format_float(x)
             assert cli.format_float(float(once)) == once
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Label(str):
+    pass
+
+
+class TestEncoder:
+    """Values whose exact type has no writer of its own are written as the
+    first of int, float, str, list/tuple, dict and Fraction they are an
+    instance of, the same on the first call and once the choice is cached."""
+
+    CASES = (
+        (np.float64(1.5), "1.5"),
+        (np.float64(1 / 3), "0.333333333333"),
+        (Pair(1, 2.5), "[1, 2.5]"),
+        (Level.HIGH, "3"),
+        (True, "true"),
+        (False, "false"),
+        (Label('say "hi"'), '"say \\"hi\\""'),
+        ([Level.HIGH, np.float64(2.0), Pair(None, "a")], '[3, 2, [null, "a"]]'),
+        ({Level.HIGH: Pair(1, 2), "k": (Fraction(1, 3), None)},
+         '{"3": [1, 2], "k": [{"num": 1, "den": 3}, null]}'),
+    )
+
+    @pytest.mark.parametrize("value, expected", CASES)
+    def test_subclasses_write_as_their_base(self, value, expected):
+        assert cli.canonical_json(value) == expected
+        assert cli.canonical_json(value) == expected
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), object(), IdentitySummary])
+    def test_unknown_types_raise(self, value):
+        # a result dataclass's class is not a record; only its instances are
+        for _ in range(2):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                cli.canonical_json(value)
 
 
 PINNED = json.loads((Path(__file__).parent / "cli_output.json").read_text(encoding="utf-8"))

@@ -24,6 +24,7 @@ from sigmat.graph import (
     parse_graph6,
     two_coloring,
 )
+from sigmat.oracle import graph_from_mask
 
 
 def cycle(n):
@@ -53,6 +54,24 @@ def graphs(draw, max_n=12):
     mask = draw(st.integers(min_value=0, max_value=(1 << nbits) - 1))
     pairs = pair_order(n)
     return Graph(n, [pairs[e] for e in range(nbits) if mask >> e & 1])
+
+
+def labelled_graphs(max_n):
+    """Every labelled graph on 1..max_n vertices: K1, the edgeless and the
+    disconnected graphs included."""
+    for n in range(1, max_n + 1):
+        pairs = pair_order(n)
+        for mask in range(1 << len(pairs)):
+            yield graph_from_mask(n, mask, pairs)
+
+
+def seeded_graphs(rng, orders, count):
+    """``count`` graphs drawn from ``rng``, each with an order from
+    ``orders`` and its own edge density."""
+    for _ in range(count):
+        n = rng.choice(orders)
+        p = rng.random()
+        yield Graph(n, [pair for pair in pair_order(n) if rng.random() < p])
 
 
 class TestGraphType:

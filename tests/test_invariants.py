@@ -2,6 +2,7 @@
 together (all exact)."""
 
 import json
+import random
 from fractions import Fraction
 
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import given
 from sigmat.cli import canonical_json
 from sigmat.graph import Graph, is_regular, pair_order
 from sigmat.invariants import (
+    InvariantReport,
     albertson_irr,
     degree_variance,
     forgotten_f,
@@ -19,7 +21,33 @@ from sigmat.invariants import (
     zagreb_m1,
     zagreb_m2,
 )
-from tests.test_graph import complete, complete_bipartite, cycle, graphs, path, star
+from tests.test_graph import (
+    complete,
+    complete_bipartite,
+    cycle,
+    graphs,
+    labelled_graphs,
+    path,
+    seeded_graphs,
+    star,
+)
+
+
+def mean_variance(g):
+    """The degree variance by its textbook form: the mean of the squared
+    deviations from the Fraction mean degree."""
+    degs = g.degrees()
+    mean = Fraction(sum(degs), g.n)
+    return sum(((d - mean) ** 2 for d in degs), Fraction(0)) / g.n
+
+
+def report_by_definitions(g):
+    """full_report's fields, each from its own per-index function."""
+    return InvariantReport(
+        n=g.n, m=g.m, sigma_t=sigma_t(g), sigma=sigma(g), albertson_irr=albertson_irr(g),
+        m1=zagreb_m1(g), m2=zagreb_m2(g), forgotten=forgotten_f(g),
+        variance=degree_variance(g), mean_degree=Fraction(2 * g.m, g.n),
+    )
 
 
 class TestReferenceValues:
@@ -79,6 +107,14 @@ class TestFullReport:
         assert r.sigma_t == r.sigma == r.albertson_irr == 0
         assert r.m1 == 80
 
+    def test_every_labelled_graph_up_to_n6_matches_the_definitions(self):
+        for g in labelled_graphs(6):
+            assert full_report(g) == report_by_definitions(g), g
+
+    def test_seeded_graphs_match_the_definitions(self):
+        for g in seeded_graphs(random.Random(12), [12], 1000):
+            assert full_report(g) == report_by_definitions(g), g
+
     def test_json_dict(self):
         d = json.loads(canonical_json(full_report(complete_bipartite(2, 3))))
         assert d["sigmaT"] == 6 and d["sigma"] == 6
@@ -87,6 +123,20 @@ class TestFullReport:
             "n", "m", "sigmaT", "sigma", "albertsonIrr", "m1", "m2",
             "forgotten", "variance", "meanDegree",
         ]
+
+
+class TestVariance:
+    def test_every_labelled_graph_up_to_n6_matches_the_mean_form(self):
+        for g in labelled_graphs(6):
+            assert degree_variance(g) == mean_variance(g), g
+
+    def test_seeded_graphs_match_the_mean_form(self):
+        for g in seeded_graphs(random.Random(13), [12], 1000):
+            assert degree_variance(g) == mean_variance(g), g
+
+    @given(graphs(max_n=12))
+    def test_random(self, g):
+        assert degree_variance(g) == mean_variance(g)
 
 
 class TestIdentities:

@@ -1,25 +1,27 @@
-"""Spectra against closed forms, trace identities, and the Rayleigh ratio."""
+"""Spectra against closed forms, trace identities, a separately built
+reference, and the Rayleigh ratio."""
 
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from sigmat.cli import canonical_json
-from sigmat.graph import Graph, is_connected
+from sigmat.graph import Graph, encode_graph6, is_connected, pair_order, parse_graph6
 from sigmat.invariants import sigma, sigma_t
 from sigmat.spectral import (
-    adjacency_matrix,
-    laplacian_matrix,
+    SpectralSummary,
     laplacian_spectrum,
     rayleigh_ratio,
     rayleigh_ratios,
+    spectral_matrices,
     spectral_tolerance,
 )
-from tests.test_graph import complete, graphs, path, star
+from tests.test_graph import complete, graphs, labelled_graphs, path, seeded_graphs, star
 
 
 def test_star4_laplacian_closed_form():
@@ -65,11 +67,76 @@ def test_single_vertex():
 
 
 def test_matrices():
-    g = path(3)
-    a = adjacency_matrix(g)
-    lap = laplacian_matrix(g)
+    stack = spectral_matrices(path(3))
+    assert stack.shape == (2, 3, 3) and stack.dtype == np.float64
+    lap, a = stack
     assert np.array_equal(a, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+
+
+def reference_matrices(g):
+    """A by an edge loop and L = diag(rowsum) - A, built apart from
+    :func:`spectral_matrices`."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        a[u, v] = a[v, u] = 1.0
+    return np.diag(a.sum(1)) - a, a
+
+
+def reference_spectrum(lap_matrix, adj_matrix):
+    """Both spectra from two separate eigensolves."""
+    lap = np.linalg.eigvalsh(lap_matrix)
+    adj = np.linalg.eigvalsh(adj_matrix)
+    return SpectralSummary(
+        laplacian_eigenvalues=tuple(float(x) for x in lap),
+        adjacency_eigenvalues=tuple(float(x) for x in adj),
+        energy=float(np.abs(adj).sum()),
+        mu2=float(lap[1]) if len(lap) >= 2 else None,
+        mu_max=float(lap[-1]),
+    )
+
+
+def assert_matches_the_reference(g):
+    """Matrices and spectra equal the reference bit for bit, and no zero
+    entry, the off-diagonal Laplacian ones included, is -0.0."""
+    stack = spectral_matrices(g)
+    lap_matrix, adj_matrix = reference_matrices(g)
+    assert stack.tobytes() == lap_matrix.tobytes() + adj_matrix.tobytes()
+    assert np.array_equal(np.signbit(stack), stack < 0)
+    assert laplacian_spectrum(g) == reference_spectrum(lap_matrix, adj_matrix)
+
+
+def test_every_labelled_graph_up_to_n6_matches_the_reference():
+    for g in labelled_graphs(6):
+        assert_matches_the_reference(g)
+
+
+def test_seeded_random_graphs_match_the_reference():
+    for g in seeded_graphs(random.Random(20240613), range(7, 31), 500):
+        assert_matches_the_reference(g)
+
+
+def test_long_form_graph_matches_the_reference():
+    rng = random.Random(70)
+    record = encode_graph6(Graph(70, [(u, v) for u, v in pair_order(70) if rng.random() < 0.3]))
+    assert record.startswith("~")
+    assert_matches_the_reference(parse_graph6(record))
+
+
+def test_spectrum_memory_stays_near_the_stack():
+    # the (2, n, n) float64 stack is 2 x 8n^2 bytes and the uint8 bit matrix
+    # n^2 more; one more n x n float64 temporary would reach 3 x 8n^2
+    n = 1500
+    rng = random.Random(1500)
+    g = parse_graph6(encode_graph6(Graph(n, [(u, v) for u, v in pair_order(n) if rng.random() < 0.01])))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        laplacian_spectrum(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * 8 * n * n
 
 
 @given(graphs(max_n=9))
