@@ -12,16 +12,16 @@ extension step from cached tables of all graphs of each order up to 6
 (0.6 MB at order 6, built on first use), and nothing larger is cached, so
 an order-8 range extends its order-7 bases on the fly. :func:`batched_spectra`
 gives both spectra of many masks with one eigensolve pair per cospectral
-class in each chunk. Each mask is first mapped to an isomorphic copy with
-its vertices sorted by degree and neighbour-degree sum, which keeps its
-power sums; the exact integer power sums of A and L of each distinct copy,
-which fix both spectra, identify the class, so relabelled copies of a graph
-share one solve. Every labeled tree is likewise one Prüfer rank in
-``arange(n**(n-2))``; :func:`tree_table` decodes a range of them in lock
-step for the tree sweep, with each tree's leaf set held as a uint16 bitmask
-(enough for every order up to 17) so the smallest leaf is a lowest set bit,
-and with every per-chunk array kept small enough that the allocator does
-not map and unmap it on each chunk.
+class over the whole input. Each mask is first mapped to an isomorphic copy
+with its vertices sorted by degree and neighbour-degree sum, which keeps its
+power sums; the copies are grouped once, and the exact integer power sums
+of A and L of each distinct copy, which fix both spectra, identify the
+class, so relabelled copies of a graph share one solve. Every labeled tree
+is likewise one Prüfer rank in ``arange(n**(n-2))``; :func:`tree_table`
+decodes a range of them in lock step for the tree sweep, with each tree's
+leaf set held as a uint16 bitmask (enough for every order up to 17) so the
+smallest leaf is a lowest set bit, and with every per-chunk array kept
+small enough that the allocator does not map and unmap it on each chunk.
 The stream-based enumerators in :mod:`sigmat.oracle` are the reference
 implementations the tables are validated against, and the scalar
 :func:`sigmat.spectral.laplacian_spectrum` is the reference for the spectra.
@@ -41,7 +41,7 @@ from .graph import pair_order
 log = logging.getLogger("sigmat.bulk")
 
 # masks per chunk of the oracle's sweeps over the edge-subset space, each
-# chunk one table build, and per batch of eigensolves
+# chunk one table build
 CHUNK_MASKS = 1 << 16
 # masks per block of relabelling and of class keys in batched_spectra: the
 # arrays of one block stay in cache, which halves the cost of the power sums
@@ -347,7 +347,7 @@ def _bit_vertex(n: int) -> np.ndarray:
 def batched_spectra(n: int, masks: np.ndarray):
     """Energy, second-smallest and largest Laplacian eigenvalues for every
     mask, with one pair of dense symmetric eigensolves per cospectral class
-    in each chunk of CHUNK_MASKS masks.
+    over the whole input.
 
     Relabelling a graph does not change its spectra, and the 1,866,256
     connected masks at n = 7 are only 853 isomorphism classes. A mask's key
@@ -356,14 +356,15 @@ def batched_spectra(n: int, masks: np.ndarray):
     n x n matrix fix its characteristic polynomial, so masks with equal keys
     have equal spectra.
     Every mask is first mapped to a relabelled copy (:func:`_relabelled`),
-    and the key is computed once per distinct copy in each chunk, not once
-    per mask: a relabelling is an isomorphism, so a copy has the power sums
-    of its masks, and the 1,866,256 masks at n = 7 are 52,711 distinct
-    copies summed over the chunks. The key is exact. Every entry of A^k and
-    L^k and every partial sum of a trace is an integer of modulus at most
-    n * (2(n-1))^k, which is below 8 * 14^8 < 1.2e10 < 2^53 for n <= 8, so
-    the float64 matmuls and sums make no rounding error. The first original
-    mask of each class in mask order is solved and its values are copied to
+    the copies are grouped once over the whole input, and the key is
+    computed once per distinct copy, not once per mask: a relabelling is an
+    isomorphism, so a copy has the power sums of its masks, and the
+    1,866,256 masks at n = 7 have 3,218 distinct copies. The key is exact.
+    Every entry of A^k and L^k and every partial sum of a trace is an
+    integer of modulus at most n * (2(n-1))^k, which is below
+    8 * 14^8 < 1.2e10 < 2^53 for n <= 8, so the float64 matmuls and sums
+    make no rounding error. The first mask of each class in input order is
+    solved, one eigvalsh call per matrix kind, and its values are copied to
     the rest of the class. Masks must be integers below 2^C(n,2), for
     1 <= n <= 8.
 
@@ -379,34 +380,29 @@ def batched_spectra(n: int, masks: np.ndarray):
             f"masks [{masks.min()}, {masks.max()}] are not within [0, {1 << nedges}) at n={n}"
         )
     start = time.perf_counter()
-    energy = np.empty(masks.size, dtype=np.float64)
-    mu2 = np.empty(masks.size, dtype=np.float64)
-    mu_max = np.empty(masks.size, dtype=np.float64)
     relabelled = np.empty(masks.size, dtype=np.uint32)
     for b in range(0, masks.size, _KEY_BLOCK):
         relabelled[b:b + _KEY_BLOCK] = _relabelled(n, masks[b:b + _KEY_BLOCK])
-    forms = classes = 0
-    for lo in range(0, masks.size, CHUNK_MASKS):
-        part, copies = masks[lo:lo + CHUNK_MASKS], relabelled[lo:lo + CHUNK_MASKS]
-        distinct, copy = _classes(copies[None])  # each distinct copy's first mask, each mask's copy
-        by_mask = np.argsort(distinct)  # the distinct copies in the order of their first masks
-        first, cls = _classes(np.concatenate(
-            [_class_keys(n, copies[distinct[by_mask[b:b + _KEY_BLOCK]]])
-             for b in range(0, distinct.size, _KEY_BLOCK)], axis=1))
-        first = distinct[by_mask[first]]
-        copy_cls = np.empty_like(cls)
-        copy_cls[by_mask] = cls
-        inverse = copy_cls[copy]
-        forms += distinct.size
-        classes += first.size
-        adj, lap = _matrices(n, part[first])
-        adj_eigs = np.linalg.eigvalsh(adj)
-        lap_eigs = np.linalg.eigvalsh(lap)
-        energy[lo:lo + part.size] = np.abs(adj_eigs).sum(axis=1)[inverse]
-        mu2[lo:lo + part.size] = lap_eigs[inverse, 1] if n >= 2 else np.nan
-        mu_max[lo:lo + part.size] = lap_eigs[inverse, -1]
-    log.debug("batched spectra at n=%d: %d masks, %d forms, %d classes, %d eigensolves, %.3f s",
-              n, masks.size, forms, classes, 2 * classes, time.perf_counter() - start)
+    relabel = time.perf_counter()
+    distinct, inverse = _classes(relabelled[None])  # each distinct copy's first mask, each mask's copy
+    by_mask = np.argsort(distinct)  # the distinct copies in the order of their first masks
+    copies = relabelled[distinct[by_mask]]
+    first, cls = _classes(np.concatenate(  # one empty block when there are no masks
+        [_class_keys(n, copies[b:b + _KEY_BLOCK]) for b in range(0, copies.size or 1, _KEY_BLOCK)],
+        axis=1))
+    first = distinct[by_mask[first]]
+    inverse = cls[np.argsort(by_mask)].take(inverse)  # each mask's class, through its copy
+    keys = time.perf_counter()
+    adj, lap = _matrices(n, masks[first])
+    adj_eigs = np.linalg.eigvalsh(adj)
+    lap_eigs = np.linalg.eigvalsh(lap)
+    energy = np.abs(adj_eigs).sum(axis=1).take(inverse)
+    mu2 = lap_eigs[:, 1].take(inverse) if n >= 2 else np.full(masks.size, np.nan)
+    mu_max = lap_eigs[:, -1].take(inverse)
+    end = time.perf_counter()
+    log.debug("batched spectra at n=%d: %d masks, %d forms, %d classes, %d eigensolves, %.3f s "
+              "(relabel %.3f s, keys %.3f s, solve %.3f s)", n, masks.size, copies.size, first.size,
+              2 * first.size, end - start, relabel - start, keys - relabel, end - keys)
     return energy, mu2, mu_max
 
 
@@ -505,14 +501,15 @@ def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     size = key.shape[1]
     if key.shape[0] == 1 and key.dtype.kind == "u" and key.dtype.itemsize <= 4 and size <= 1 << 32:
-        packed = np.sort(key[0].astype(np.uint64) << np.uint64(32) | np.arange(size, dtype=np.uint64))
-        order = (packed & np.uint64(0xFFFFFFFF)).astype(np.intp)
-        ordered = (packed >> np.uint64(32))[None]
+        ordered = np.sort(key[0].astype(np.uint64) << np.uint64(32) | np.arange(size, dtype=np.uint64))[None]
+        order = (ordered[0] & np.uint64(0xFFFFFFFF)).astype(np.intp)
+        ordered >>= np.uint64(32)
     else:
         order = np.lexsort(key)
         ordered = key[:, order]
     new = np.ones(size, dtype=bool)
     new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    del ordered  # as large as the input: free it before the ranks
     inverse = np.empty(size, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse

@@ -997,10 +997,9 @@ def _spectra_reference(n):
     )
 
 
-def _class_count(ref, width):
-    """Cospectral classes summed over the chunks of ``width`` masks."""
-    keys = list(zip(ref.adj_poly, ref.lap_poly))
-    return sum(len(set(keys[lo:lo + width])) for lo in range(0, len(keys), width))
+def _class_count(ref):
+    """Cospectral classes among the masks, by characteristic polynomials."""
+    return len(set(zip(ref.adj_poly, ref.lap_poly)))
 
 
 def _exact_power_sums(n, mask):
@@ -1028,19 +1027,25 @@ def _permuted(n, masks, perm):
     return out
 
 
-def _chunked_reference(n, masks, width):
+def _keyed_reference(n, masks):
     """batched_spectra without the relabelling: every raw mask keyed by its
-    power sums, and the first mask of each class in each chunk solved."""
-    energy, mu2, mu_max = (np.empty(masks.size) for _ in range(3))
-    for lo in range(0, masks.size, width):
-        part = masks[lo:lo + width]
-        first, inverse = bulk._classes(bulk._class_keys(n, part))
-        adj, lap = bulk._matrices(n, part[first])
-        adj_eigs, lap_eigs = np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
-        energy[lo:lo + part.size] = np.abs(adj_eigs).sum(axis=1)[inverse]
-        mu2[lo:lo + part.size] = lap_eigs[inverse, 1]
-        mu_max[lo:lo + part.size] = lap_eigs[inverse, -1]
-    return energy, mu2, mu_max
+    power sums, and the first mask of each class in input order solved."""
+    first, inverse = bulk._classes(bulk._class_keys(n, masks))
+    adj, lap = bulk._matrices(n, masks[first])
+    adj_eigs, lap_eigs = np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
+    return np.abs(adj_eigs).sum(axis=1)[inverse], lap_eigs[inverse, 1], lap_eigs[inverse, -1]
+
+
+def _spectra_log_counts(message):
+    """The order, masks, forms, classes and eigensolves of batched_spectra's
+    debug line, after checking that its phase seconds add up to the total."""
+    match = re.fullmatch(r"batched spectra at n=(\d+): (\d+) masks, (\d+) forms, (\d+) classes, "
+                         r"(\d+) eigensolves, (\S+) s \(relabel (\S+) s, keys (\S+) s, solve (\S+) s\)",
+                         message)
+    assert match
+    total, *phases = map(float, match.groups()[5:])
+    assert min(phases) >= 0 and sum(phases) == pytest.approx(total, abs=2e-3)
+    return tuple(map(int, match.groups()[:5]))
 
 
 class TestBatchedSpectra:
@@ -1071,21 +1076,24 @@ class TestBatchedSpectra:
             assert (energy[k], mu2[k], mu_max[k]) == pytest.approx(
                 (summary.energy, summary.mu2, summary.mu_max), abs=1e-9)
 
-    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("seed", [1, 7, None])
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_matches_the_scalar_spectra(self, monkeypatch, n, chunk):
+    def test_matches_the_scalar_spectra(self, n, seed):
+        # the masks in a seeded random order (the table's ascending order
+        # for seed None), and that order reversed
         ref = _spectra_reference(n)
-        if chunk is not None:
-            monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
-        energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks)
-        for got, want in ((energy, ref.energy), (mu2, ref.mu2), (mu_max, ref.mu_max)):
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        rows = np.arange(ref.masks.size)
+        if seed is not None:
+            rows = np.random.default_rng(seed).permutation(rows)
+        for order in (rows, rows[::-1]):
+            energy, mu2, mu_max = bulk.batched_spectra(n, ref.masks[order])
+            for got, want in ((energy, ref.energy), (mu2, ref.mu2), (mu_max, ref.mu_max)):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want[order], rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("chunk", [None, 4096])
-    def test_one_eigensolve_pair_per_class_in_each_chunk(self, monkeypatch, chunk):
-        ref = _spectra_reference(6)
-        width = chunk or bulk.CHUNK_MASKS
+    @staticmethod
+    def _count_eigensolves(monkeypatch):
+        """Wrap numpy.linalg.eigvalsh: the number of matrices of each call."""
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -1094,14 +1102,43 @@ class TestBatchedSpectra:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return solved
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_one_eigensolve_pair_per_class_over_the_whole_input(self, monkeypatch, chunk):
+        # the sweep chunk does not split the classes
+        ref = _spectra_reference(6)
+        solved = self._count_eigensolves(monkeypatch)
         if chunk is not None:
             monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
         bulk.batched_spectra(6, ref.masks)
-        assert len(solved) == 2 * -(-ref.masks.size // width)
-        assert sum(solved) == 2 * _class_count(ref, width)
-        assert sum(solved) < 2 * ref.masks.size
-        if chunk is None:
-            assert sum(solved) == 2 * 112
+        assert solved == [_class_count(ref)] * 2 == [112] * 2
+
+    def test_one_eigensolve_pair_per_class_at_n7(self, monkeypatch, caplog, mask_tables, spectra7):
+        # the 1,866,256 connected masks at n = 7 are 853 isomorphism classes
+        solved = self._count_eigensolves(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
+            got = bulk.batched_spectra(7, mask_tables[7].masks)
+        assert solved == [853, 853]
+        [record] = [r for r in caplog.records if r.name == "sigmat.bulk"]
+        assert _spectra_log_counts(record.getMessage()) == (7, 1866256, 3218, 853, 1706)
+        for values, name in zip(got, ("energy", "mu2", "mu_max")):
+            assert np.array_equal(values, spectra7[name])
+
+    def test_whole_input_memory_is_bounded(self, mask_tables):
+        # no chunk loop caps the transients: the sort of the relabelled
+        # copies and the inverse index must stay near the results' size
+        masks = mask_tables[7].masks
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            results = bulk.batched_spectra(7, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(values.nbytes for values in results)
+        assert size == 3 * 8 * 1_866_256
+        assert peak < 2.5 * size
 
     def test_both_spectra_enter_the_key(self):
         # at n = 6 some graphs share the adjacency spectrum but not the
@@ -1170,9 +1207,11 @@ class TestBatchedSpectra:
             self._assert_grouped_as_lexsort(key)
 
     def test_relabelled_copies_group_as_the_stable_lexsort(self, mask_tables):
+        # batched_spectra groups the whole relabelled input at once
         masks = mask_tables[7].masks
-        for lo in (0, 7 * bulk.CHUNK_MASKS, masks.size - 1000):
-            self._assert_grouped_as_lexsort(bulk._relabelled(7, masks[lo:lo + bulk.CHUNK_MASKS])[None])
+        copies = np.concatenate([bulk._relabelled(7, masks[lo:lo + bulk.CHUNK_MASKS])
+                                 for lo in range(0, masks.size, bulk.CHUNK_MASKS)])
+        self._assert_grouped_as_lexsort(copies[None])
 
     @staticmethod
     def _assert_grouped_as_lexsort(key):
@@ -1191,13 +1230,16 @@ class TestBatchedSpectra:
 
     @pytest.mark.parametrize("chunk", [None, 4096])
     def test_bitwise_identical_to_keying_every_mask(self, monkeypatch, chunk):
-        # the first original mask of each class is solved, not its copy
-        masks = bulk.connected_table(6).masks
-        width = chunk or bulk.CHUNK_MASKS
+        # the first original mask of each class in input order is solved, not
+        # its copy, whatever the order and the sweep chunk
+        table = bulk.connected_table(6).masks
         if chunk is not None:
             monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
-        for got, want in zip(bulk.batched_spectra(6, masks), _chunked_reference(6, masks, width)):
-            assert np.array_equal(got, want)
+        rows = np.arange(table.size)
+        for order in (rows, rows[::-1], np.random.default_rng(6).permutation(rows)):
+            masks = table[order]
+            for got, want in zip(bulk.batched_spectra(6, masks), _keyed_reference(6, masks)):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n,match", [(0, "n >= 1"), (-2, "n >= 1"), (9, "uint32")])
     def test_order_outside_the_mask_width_is_rejected(self, n, match):
@@ -1226,14 +1268,11 @@ class TestBatchedSpectra:
 
     def test_logs_one_debug_line(self, monkeypatch, caplog, capsys):
         ref = _spectra_reference(4)
-        monkeypatch.setattr(bulk, "CHUNK_MASKS", 16)
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 16)  # the sweep chunk does not split the input
         with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
             bulk.batched_spectra(4, ref.masks)
         records = [r for r in caplog.records if r.name == "sigmat.bulk"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
-        classes = _class_count(ref, 16)
-        forms = sum(np.unique(bulk._relabelled(4, ref.masks[lo:lo + 16])).size for lo in range(0, 38, 16))
-        assert forms < 38
-        assert (f"n=4: 38 masks, {forms} forms, {classes} classes, {2 * classes} eigensolves"
-                in records[0].getMessage())
+        assert (_class_count(ref), np.unique(bulk._relabelled(4, ref.masks)).size) == (6, 9)
+        assert _spectra_log_counts(records[0].getMessage()) == (4, 38, 9, 6, 12)
         assert capsys.readouterr().out == ""
