@@ -3,14 +3,16 @@
 Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
-degree data, connectivity, triangle-freeness and the sigma indices
+degree data, connectivity, triangle-freeness and sigma_t
 (:func:`connected_table`, one pass over the mask range it is given), and is
-the fast engine behind the order-6/7 searches. The pairs of order n-1 are a
-prefix of those of order n, so the masks of order n are the graphs of order
-n-1 extended by the neighbourhood of vertex n-1: a table is built by one
-extension step from cached tables of all graphs of each order up to 6
-(0.6 MB at order 6, built on first use), and nothing larger is cached, so
-an order-8 range extends its order-7 bases on the fly. :func:`batched_spectra`
+the fast engine behind the order-6/7 searches; :func:`sigma_columns`
+derives sigma and the generalised-complete-k-partite flag of a table's
+rows, which no sweep reads. The pairs of order n-1 are a prefix of those of
+order n, so the masks of order n are the graphs of order n-1 extended by the
+neighbourhood of vertex n-1: a table is built by one extension step from
+cached tables of all graphs of each order up to 6 (0.6 MB at order 6, built
+on first use), and nothing larger is cached, so an order-8 range extends its
+order-7 bases on the fly. :func:`batched_spectra`
 gives both spectra of many masks with one eigensolve pair per cospectral
 class over the whole input. Each mask is first mapped to an isomorphic copy
 with its vertices sorted by degree and neighbour-degree sum, which keeps its
@@ -50,19 +52,17 @@ _KEY_BLOCK = 1 << 10
 
 @dataclass
 class MaskTable:
-    """Columns for the connected graphs in one mask range."""
+    """Columns for the connected graphs in one mask range. The multiplicity
+    of the max degree is ``(deg == max_deg).sum(0)``."""
 
     n: int
     masks: np.ndarray        # uint32, ascending
     deg: np.ndarray          # (n, k) uint8, degree of vertex v in column order
     m: np.ndarray            # int64 edge counts
     sigma_t: np.ndarray      # int64
-    sigma: np.ndarray        # int64
     triangle_free: np.ndarray  # bool
     max_deg: np.ndarray      # int64
     min_deg: np.ndarray      # int64
-    max_count: np.ndarray    # int64, multiplicity of the max degree
-    gen_kpartite: np.ndarray  # bool: non-adjacent pairs all have equal degree
 
 
 def _mask_pairs(n: int) -> list[tuple[int, int]]:
@@ -112,18 +112,15 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         deg=np.empty((n, size), dtype=np.uint8),
         m=np.empty(size, dtype=np.int64),
         sigma_t=np.empty(size, dtype=np.int64),
-        sigma=np.empty(size, dtype=np.int64),
         triangle_free=np.empty(size, dtype=bool),
         max_deg=np.empty(size, dtype=np.int64),
         min_deg=np.empty(size, dtype=np.int64),
-        max_count=np.empty(size, dtype=np.int64),
-        gen_kpartite=np.empty(size, dtype=bool),
     )
     at = 0
     for nbhd, base, kept, first in runs:
         rows = slice(at, at + kept.size)
         at += kept.size
-        _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), nbhd, table, rows)
+        _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), table, rows)
         table.masks[rows] = kept + first
     return table
 
@@ -202,42 +199,34 @@ def _graphs(k: int, lo: int, hi: int) -> np.ndarray:
                            for nbhd, blo, bhi in _runs(k, lo, hi)], axis=1)
 
 
-def _evaluate(n: int, graphs: np.ndarray, nbhd: int, table: MaskTable, rows: slice) -> None:
-    """Write the columns of the connected ``graphs`` of order n, whose vertex
-    n-1 has the neighbourhood ``nbhd``, into ``rows`` of ``table``."""
+def _evaluate(n: int, graphs: np.ndarray, table: MaskTable, rows: slice) -> None:
+    """Write the columns of the connected ``graphs`` of order n into ``rows``
+    of ``table``."""
     deg = graphs[:n]
-    adj = graphs[n:2 * n]
     table.deg[:, rows] = deg
     table.triangle_free[rows] = graphs[2 * n] == 0
     twice_m = deg.sum(axis=0, dtype=np.int16)
     table.m[rows] = twice_m >> 1
     table.sigma_t[rows] = n * (deg * deg).sum(axis=0, dtype=np.int16) - twice_m * twice_m
-    top = deg.max(axis=0)
-    table.max_deg[rows] = top
+    table.max_deg[rows] = deg.max(axis=0)
     table.min_deg[rows] = deg.min(axis=0)
-    table.max_count[rows] = (deg == top).sum(axis=0, dtype=np.int8)
-    # int8 holds every degree difference and its square (at most 49); sigma
-    # sums the squares over the edges, and ``apart`` is nonzero where a
-    # non-adjacent pair has unequal degrees
-    signed = deg.view(np.int8)
-    sigma = np.zeros(deg.shape[1], dtype=np.int16)
-    apart = np.zeros(deg.shape[1], dtype=np.int8)
-    for j in range(1, n - 1):
-        for i in range(j):
-            diff = signed[i] - signed[j]
-            square = diff * diff
-            edge = square * ((adj[i] >> j) & 1).view(np.int8)
-            sigma += edge
-            apart |= square ^ edge
-    last = nbhd.bit_count()  # the degree of vertex n-1
-    for i in range(n - 1):
-        diff = signed[i] - last
-        if nbhd >> i & 1:
-            sigma += diff * diff
-        else:
-            apart |= diff
-    table.sigma[rows] = sigma
-    table.gen_kpartite[rows] = apart == 0
+
+
+def sigma_columns(table: MaskTable) -> tuple[np.ndarray, np.ndarray]:
+    """sigma (int64) and the generalised-complete-k-partite flag (bool) of
+    every row of ``table``, from its masks and degrees alone, in one pass
+    over the pairs: sigma sums (deg i - deg j)^2 over the edges ij, and the
+    flag holds where every non-adjacent pair has equal degrees. Neither
+    reads sigma_t, so sigma == sigma_t against the flag is a real check."""
+    signed = table.deg.view(np.int8)  # int8 holds every difference and its square
+    sigma = np.zeros(table.masks.size, dtype=np.int16)  # at most 28 squares of 49
+    apart = np.zeros(table.masks.size, dtype=bool)
+    for e, (i, j) in enumerate(pair_order(table.n)):
+        edge = (table.masks >> e & 1).astype(bool)
+        diff = signed[i] - signed[j]
+        sigma += diff * diff * edge
+        apart |= (diff != 0) & ~edge
+    return sigma.astype(np.int64), ~apart
 
 
 @dataclass

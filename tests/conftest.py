@@ -17,3 +17,9 @@ def spectra7(mask_tables):
     table = mask_tables[7]
     energy, mu2, mu_max = bulk.batched_spectra(7, table.masks)
     return {"energy": energy, "mu2": mu2, "mu_max": mu_max}
+
+
+@pytest.fixture(scope="session")
+def mask_sigma_columns(mask_tables):
+    """sigma and the generalised k-partite flag of every table row, by order."""
+    return {n: bulk.sigma_columns(table) for n, table in mask_tables.items()}

@@ -533,13 +533,14 @@ class TestTreeSweepFastPath:
         assert 0.03 <= decode <= seconds
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_values_match_the_mask_table_trees(self, mask_tables, n):
+    def test_values_match_the_mask_table_trees(self, mask_tables, mask_sigma_columns, n):
         trees = bulk.tree_table(n)
         table = mask_tables[n]
+        table_sigma, _ = mask_sigma_columns[n]
         is_tree = table.m == n - 1
         assert trees.ranks.tolist() == list(range(n ** (n - 2)))
         assert Counter(zip(trees.sigma_t.tolist(), trees.sigma.tolist())) == Counter(
-            zip(table.sigma_t[is_tree].tolist(), table.sigma[is_tree].tolist()))
+            zip(table.sigma_t[is_tree].tolist(), table_sigma[is_tree].tolist()))
         assert Counter(trees.max_deg.tolist()) == Counter(table.max_deg[is_tree].tolist())
 
     @pytest.mark.parametrize("width", [1, 7, 64])
@@ -761,40 +762,53 @@ class TestIdentitySuite:
 
 
 def _scalar_rows(n, lo, hi):
-    """The table rows of the connected masks in [lo, hi), from the scalar
-    graph and invariants."""
-    rows = []
+    """The rows of the connected masks in [lo, hi), from the scalar graph and
+    invariants: the table's columns, and the columns derived from it."""
+    stored, derived = [], []
     for mask in range(lo, hi):
         g = graph_from_mask(n, mask)
         if not is_connected(g):
             continue
         stats = degree_stats(g)
-        rows.append({
+        stored.append({
             "masks": mask, "deg": list(g.degrees()), "m": g.m, "sigma_t": sigma_t(g),
-            "sigma": sigma(g), "triangle_free": is_triangle_free(g),
+            "triangle_free": is_triangle_free(g),
             "max_deg": stats.max_degree, "min_deg": stats.min_degree,
-            "max_count": stats.max_degree_count,
-            "gen_kpartite": is_generalized_complete_kpartite(g),
         })
-    return rows
+        derived.append({
+            "sigma": sigma(g), "gen_kpartite": is_generalized_complete_kpartite(g),
+            "max_count": stats.max_degree_count,
+        })
+    return stored, derived
 
 
 MASK_TABLE_DTYPES = {
     "masks": np.uint32, "deg": np.uint8, "m": np.int64, "sigma_t": np.int64,
-    "sigma": np.int64, "triangle_free": np.bool_, "max_deg": np.int64,
-    "min_deg": np.int64, "max_count": np.int64, "gen_kpartite": np.bool_,
+    "triangle_free": np.bool_, "max_deg": np.int64, "min_deg": np.int64,
 }
+DERIVED_DTYPES = {"sigma": np.int64, "gen_kpartite": np.bool_, "max_count": np.int64}
+
+
+def _derived_columns(table):
+    """sigma and the generalised k-partite flag from bulk.sigma_columns, and
+    the multiplicity of the max degree from the degrees."""
+    sigma, gen_kpartite = bulk.sigma_columns(table)
+    return {"sigma": sigma, "gen_kpartite": gen_kpartite,
+            "max_count": (table.deg == table.max_deg).sum(axis=0)}
 
 
 def _assert_table_matches(table, n, lo, hi):
     assert table.n == n
-    want = _scalar_rows(n, lo, hi)
-    for name, dtype in MASK_TABLE_DTYPES.items():
-        column = getattr(table, name)
-        assert column.dtype == dtype, name
-        assert column.shape == ((n, len(want)) if name == "deg" else (len(want),)), name
-        got = column.T.tolist() if name == "deg" else column.tolist()
-        assert got == [row[name] for row in want], (name, n, lo, hi)
+    stored, derived = _scalar_rows(n, lo, hi)
+    for columns, dtypes, want in (
+            ({name: getattr(table, name) for name in MASK_TABLE_DTYPES}, MASK_TABLE_DTYPES, stored),
+            (_derived_columns(table), DERIVED_DTYPES, derived)):
+        for name, dtype in dtypes.items():
+            column = columns[name]
+            assert column.dtype == dtype, name
+            assert column.shape == ((n, len(want)) if name == "deg" else (len(want),)), name
+            got = column.T.tolist() if name == "deg" else column.tolist()
+            assert got == [row[name] for row in want], (name, n, lo, hi)
 
 
 # runs of one neighbourhood of the last vertex are 2^15 masks wide at n = 7
@@ -846,19 +860,20 @@ class TestBulkCrossValidation:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_table_matches_scalar_path(self, n):
         table = bulk.connected_table(n)
+        derived = _derived_columns(table)
         stream = list(enumerate_connected_graphs(n))
         assert table.masks.size == len(stream)
         for k, g in enumerate(stream):
             assert graph_from_mask(n, int(table.masks[k])) == g
             assert int(table.sigma_t[k]) == sigma_t(g)
-            assert int(table.sigma[k]) == sigma(g)
+            assert int(derived["sigma"][k]) == sigma(g)
             assert int(table.m[k]) == g.m
             assert bool(table.triangle_free[k]) == is_triangle_free(g)
-            assert bool(table.gen_kpartite[k]) == is_generalized_complete_kpartite(g)
+            assert bool(derived["gen_kpartite"][k]) == is_generalized_complete_kpartite(g)
             stats = degree_stats(g)
             assert int(table.max_deg[k]) == stats.max_degree
             assert int(table.min_deg[k]) == stats.min_degree
-            assert int(table.max_count[k]) == stats.max_degree_count
+            assert int(derived["max_count"][k]) == stats.max_degree_count
             assert tuple(int(x) for x in table.deg[:, k]) == g.degrees()
 
     @pytest.mark.parametrize("n,lo,hi", BUILDER_RANGES + _seeded_ranges())
@@ -871,24 +886,16 @@ class TestBulkCrossValidation:
         for lo, hi in ((0, min(1 << n * (n - 1) // 2, 600)), (0, 0)):
             _assert_table_matches(bulk.connected_table(n, lo, hi), n, lo, hi)
 
-    def test_gen_kpartite_comes_from_the_non_adjacent_pairs(self, monkeypatch):
+    def test_gen_kpartite_comes_from_the_non_adjacent_pairs(self):
         # sigma == sigma_t holds exactly where gen_kpartite does (criterion
-        # 9), so a column derived from that equality would agree with every
-        # reference; only sigma columns that read back wrong expose it
-        class Sink:
-            def __setitem__(self, key, value):
-                pass
-
-            def __getitem__(self, key):
-                return np.zeros(1, dtype=np.int64)
-
-        whole = bulk.connected_table(5)
-        table = bulk.MaskTable
-        monkeypatch.setattr(bulk, "MaskTable",
-                            lambda **columns: table(**{**columns, "sigma": Sink(), "sigma_t": Sink()}))
-        sunk = bulk.connected_table(5)
-        assert isinstance(sunk.sigma, Sink) and 0 < whole.gen_kpartite.sum() < whole.masks.size
-        assert sunk.gen_kpartite.tolist() == whole.gen_kpartite.tolist()
+        # 9), so a flag derived from that equality would agree with every
+        # reference; only a sigma_t column that reads wrong exposes it
+        table = bulk.connected_table(5)
+        corrupted = replace(table, sigma_t=np.full_like(table.sigma_t, -1))
+        _, gen_kpartite = bulk.sigma_columns(corrupted)
+        want = [is_generalized_complete_kpartite(graph_from_mask(5, int(mask))) for mask in table.masks]
+        assert 0 < sum(want) < table.masks.size
+        assert gen_kpartite.tolist() == want
 
     def test_only_orders_up_to_six_are_cached(self):
         bulk._all_graphs.cache_clear()
@@ -962,8 +969,8 @@ class TestBulkCrossValidation:
 
     def test_whole_table_memory_is_bounded(self):
         # the n = 7 table is built in one pass straight into its columns, so
-        # the peak is the table plus the kept indices of its 64 runs (8 bytes
-        # a row) and the temporaries of one run
+        # the peak is the table (44 bytes a row) plus the kept indices of its
+        # 64 runs (8 bytes a row) and the temporaries of one run
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -972,7 +979,7 @@ class TestBulkCrossValidation:
         finally:
             tracemalloc.stop()
         size = sum(v.nbytes for v in vars(table).values() if hasattr(v, "nbytes"))
-        assert table.masks.size == 1_866_256 and size == 113_841_616
+        assert table.masks.size == 1_866_256 and size == 82_115_264
         assert peak < 1.5 * size
 
 
