@@ -12,14 +12,12 @@ order n, so the masks of order n are the graphs of order n-1 extended by the
 neighbourhood of vertex n-1: a table is built by one extension step from
 cached tables of all graphs of each order up to 6 (0.6 MB at order 6, built
 on first use), and nothing larger is cached, so an order-8 range extends its
-order-7 bases on the fly. :func:`batched_spectra`
-gives both spectra of many masks with one eigensolve pair per cospectral
-class over the whole input. Each mask is first mapped to an isomorphic copy
-with its vertices sorted by degree and neighbour-degree sum, which keeps its
-power sums; the copies are grouped once, and the exact integer power sums
-of A and L of each distinct copy, which fix both spectra, identify the
-class, so relabelled copies of a graph share one solve. Every labeled tree
-is likewise one Prüfer rank in ``arange(n**(n-2))``; :func:`tree_table`
+order-7 bases on the fly. :func:`batched_spectra` gives both spectra of
+many masks with one eigensolve pair per distinct relabelled copy over the
+whole input: each mask is mapped to an isomorphic copy with its vertices
+sorted by degree and neighbour-degree sum, the copies are grouped once, and
+the masks of one copy share one solve. Every labeled tree is likewise one
+Prüfer rank in ``arange(n**(n-2))``; :func:`tree_table`
 decodes a range of them in lock step for the tree sweep, with each tree's
 leaf set held as a uint16 bitmask (enough for every order up to 17) so the
 smallest leaf is a lowest set bit, and with every per-chunk array kept
@@ -45,9 +43,9 @@ log = logging.getLogger("sigmat.bulk")
 # masks per chunk of the oracle's sweeps over the edge-subset space, each
 # chunk one table build
 CHUNK_MASKS = 1 << 16
-# masks per block of relabelling and of class keys in batched_spectra: the
-# arrays of one block stay in cache, which halves the cost of the power sums
-_KEY_BLOCK = 1 << 10
+# masks per block of relabelling in batched_spectra: the arrays of one
+# block stay in cache
+_RELABEL_BLOCK = 1 << 10
 
 
 @dataclass
@@ -335,27 +333,16 @@ def _bit_vertex(n: int) -> np.ndarray:
 
 def batched_spectra(n: int, masks: np.ndarray):
     """Energy, second-smallest and largest Laplacian eigenvalues for every
-    mask, with one pair of dense symmetric eigensolves per cospectral class
-    over the whole input.
+    mask, with one pair of dense symmetric eigensolves per distinct
+    relabelled copy over the whole input.
 
-    Relabelling a graph does not change its spectra, and the 1,866,256
-    connected masks at n = 7 are only 853 isomorphism classes. A mask's key
-    is the power sums (tr A^k, tr L^k for k = 1..n) of its adjacency matrix A
-    and Laplacian L: by Newton's identities the power sums p_1..p_n of an
-    n x n matrix fix its characteristic polynomial, so masks with equal keys
-    have equal spectra.
-    Every mask is first mapped to a relabelled copy (:func:`_relabelled`),
-    the copies are grouped once over the whole input, and the key is
-    computed once per distinct copy, not once per mask: a relabelling is an
-    isomorphism, so a copy has the power sums of its masks, and the
-    1,866,256 masks at n = 7 have 3,218 distinct copies. The key is exact.
-    Every entry of A^k and L^k and every partial sum of a trace is an
-    integer of modulus at most n * (2(n-1))^k, which is below
-    8 * 14^8 < 1.2e10 < 2^53 for n <= 8, so the float64 matmuls and sums
-    make no rounding error. The first mask of each class in input order is
-    solved, one eigvalsh call per matrix kind, and its values are copied to
-    the rest of the class. Masks must be integers below 2^C(n,2), for
-    1 <= n <= 8.
+    Every mask is first mapped to an isomorphic copy (:func:`_relabelled`).
+    A copy is a vertex permutation of its masks, so it has their spectra.
+    The copies are grouped once over the whole input: the 1,866,256
+    connected masks at n = 7 have 3,218 distinct copies. The first mask of
+    each copy in input order is solved, one eigvalsh call per matrix kind,
+    and its values are copied to the other masks of that copy. Masks must be
+    integers below 2^C(n,2), for 1 <= n <= 8.
 
     Returns (energy, mu2, mu_max) float64 arrays aligned with ``masks``.
     For n == 1 mu2 is reported as NaN.
@@ -370,18 +357,11 @@ def batched_spectra(n: int, masks: np.ndarray):
         )
     start = time.perf_counter()
     relabelled = np.empty(masks.size, dtype=np.uint32)
-    for b in range(0, masks.size, _KEY_BLOCK):
-        relabelled[b:b + _KEY_BLOCK] = _relabelled(n, masks[b:b + _KEY_BLOCK])
+    for b in range(0, masks.size, _RELABEL_BLOCK):
+        relabelled[b:b + _RELABEL_BLOCK] = _relabelled(n, masks[b:b + _RELABEL_BLOCK])
     relabel = time.perf_counter()
-    distinct, inverse = _classes(relabelled[None])  # each distinct copy's first mask, each mask's copy
-    by_mask = np.argsort(distinct)  # the distinct copies in the order of their first masks
-    copies = relabelled[distinct[by_mask]]
-    first, cls = _classes(np.concatenate(  # one empty block when there are no masks
-        [_class_keys(n, copies[b:b + _KEY_BLOCK]) for b in range(0, copies.size or 1, _KEY_BLOCK)],
-        axis=1))
-    first = distinct[by_mask[first]]
-    inverse = cls[np.argsort(by_mask)].take(inverse)  # each mask's class, through its copy
-    keys = time.perf_counter()
+    first, inverse = _classes(relabelled)  # each distinct copy's first mask, each mask's copy
+    group = time.perf_counter()
     adj, lap = _matrices(n, masks[first])
     adj_eigs = np.linalg.eigvalsh(adj)
     lap_eigs = np.linalg.eigvalsh(lap)
@@ -389,9 +369,9 @@ def batched_spectra(n: int, masks: np.ndarray):
     mu2 = lap_eigs[:, 1].take(inverse) if n >= 2 else np.full(masks.size, np.nan)
     mu_max = lap_eigs[:, -1].take(inverse)
     end = time.perf_counter()
-    log.debug("batched spectra at n=%d: %d masks, %d forms, %d classes, %d eigensolves, %.3f s "
-              "(relabel %.3f s, keys %.3f s, solve %.3f s)", n, masks.size, copies.size, first.size,
-              2 * first.size, end - start, relabel - start, keys - relabel, end - keys)
+    log.debug("batched spectra at n=%d: %d masks, %d forms, %d eigensolves, %.3f s "
+              "(relabel %.3f s, group %.3f s, solve %.3f s)", n, masks.size, first.size,
+              2 * first.size, end - start, relabel - start, group - relabel, end - group)
     return energy, mu2, mu_max
 
 
@@ -456,49 +436,22 @@ def _relabelled(n: int, masks: np.ndarray) -> np.ndarray:
     return (bits << (hi * (hi - 1) // 2 + np.minimum(ra, rb))).sum(axis=0, dtype=np.uint32)
 
 
-def _class_keys(n: int, masks: np.ndarray) -> np.ndarray:
-    """The exact key of each mask, one column per mask: tr A^k, then
-    tr L^k, for k = 1..n."""
-    adj, lap = _matrices(n, masks)
-    return np.concatenate([_power_sums(adj), _power_sums(lap)])
-
-
-def _power_sums(x: np.ndarray) -> np.ndarray:
-    """tr X^k for each symmetric integer n x n matrix of a stack, as an
-    int64 array with one row per power k = 1..n. tr X^k is the elementwise
-    sum of X^(k//2) * X^(k - k//2), so powers up to X^ceil(n/2) suffice."""
-    n = x.shape[-1]
-    powers = [x]  # powers[p - 1] = X^p
-    while len(powers) < (n + 1) // 2:
-        powers.append(powers[-1] @ x)
-    sums = np.empty((n, x.shape[0]), dtype=np.int64)
-    sums[0] = np.einsum("kii->k", x)
-    for k in range(2, n + 1):
-        sums[k - 1] = np.einsum("kij,kij->k", powers[k // 2 - 1], powers[k - k // 2 - 1])
-    return sums
-
-
 def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the columns of a key array into classes of equal columns: the
-    first column of each class, and the class of every column. The sort is
-    stable, so a class's first column in sorted order is its first in the
-    input.
+    """Group the entries of a 1-D unsigned array of at most 32 bits, with
+    fewer than 2^32 entries, into classes of equal values: the first index
+    of each class, with the classes in ascending order of value, and the
+    class of every entry. A class's first index is its first in the input.
 
-    A one-row unsigned key of at most 32 bits is sorted as the uint64
-    ``key << 32 | index``, which orders ties by index as a stable sort does
-    and takes a fraction of the time of ``np.lexsort``.
+    The values are sorted as the uint64 ``key << 32 | index``, which orders
+    ties by index as a stable sort does and takes a third of the time of
+    ``np.unique``.
     """
-    size = key.shape[1]
-    if key.shape[0] == 1 and key.dtype.kind == "u" and key.dtype.itemsize <= 4 and size <= 1 << 32:
-        ordered = np.sort(key[0].astype(np.uint64) << np.uint64(32) | np.arange(size, dtype=np.uint64))[None]
-        order = (ordered[0] & np.uint64(0xFFFFFFFF)).astype(np.intp)
-        ordered >>= np.uint64(32)
-    else:
-        order = np.lexsort(key)
-        ordered = key[:, order]
-    new = np.ones(size, dtype=bool)
-    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    ordered = np.sort(key.astype(np.uint64) << np.uint64(32) | np.arange(key.size, dtype=np.uint64))
+    order = (ordered & np.uint64(0xFFFFFFFF)).astype(np.intp)
+    ordered >>= np.uint64(32)
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
     del ordered  # as large as the input: free it before the ranks
-    inverse = np.empty(size, dtype=np.intp)
+    inverse = np.empty(key.size, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse

@@ -12,7 +12,8 @@ Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table).
 Exit codes: 0 success, 1 verification failure (violated bound or
 conjecture counterexample), 2 usage or input error, 3 internal error (a
 failed eigensolve or any other unexpected exception; the traceback is
-logged at debug level, see ``SIGMAT_LOG``).
+logged at debug level, see ``SIGMAT_LOG``), 141 stdout closed by its reader
+(128 + SIGPIPE, with nothing printed).
 """
 
 from __future__ import annotations
@@ -455,6 +456,11 @@ def main(argv: Iterable[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except LinAlgError as exc:  # a ValueError, but not the user's
         internal = exc
+    except BrokenPipeError:  # an OSError, but not a usage or input error
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, Graph6Error, LimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,15 +30,21 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def run_child(argv, log_level=None):
-    """``sigmat`` in a child process, so SIGMAT_LOG really installs a stderr
-    handler (under pytest the root logger already has handlers)."""
+def child_env(log_level=None):
+    """The environment of a child ``sigmat``: this checkout's package, and
+    SIGMAT_LOG set to ``log_level`` or unset."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     env.pop("SIGMAT_LOG", None)
     if log_level is not None:
         env["SIGMAT_LOG"] = log_level
+    return env
+
+
+def run_child(argv, log_level=None):
+    """``sigmat`` in a child process, so SIGMAT_LOG really installs a stderr
+    handler (under pytest the root logger already has handlers)."""
     return subprocess.run([sys.executable, "-m", "sigmat.cli", *argv], capture_output=True,
-                          env=env, timeout=120)
+                          env=child_env(log_level), timeout=120)
 
 
 class TestCompute:
@@ -375,6 +381,23 @@ class TestPlumbing:
         logged = run_child(argv, "debug")
         assert plain.returncode == logged.returncode == 0
         assert plain.stdout and logged.stdout == plain.stdout
+
+    def test_closed_stdout_exits_141_silently(self, tmp_path):
+        # `sigmat compute --file big.g6 | head -1`: the output is past the
+        # 64 KB a pipe buffers, so the child is still writing when the reader
+        # closes after one line
+        stream = tmp_path / "big.g6"
+        stream.write_text(f"{P4}\n" * 2000)
+        argv = [sys.executable, "-m", "sigmat.cli", "compute", "--file", str(stream)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=child_env()) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            stderr = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert len(first) * 2000 > 1 << 16
+        assert json.loads(first)["sigmaT"] == 4
+        assert code == 141 and stderr == b""
 
     def test_float_format_idempotent(self):
         for x in (0.1, 2 - 2 ** 0.5, 1 / 3, 123456.789012345, 1e-30):

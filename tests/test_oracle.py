@@ -1004,9 +1004,21 @@ def _spectra_reference(n):
     )
 
 
-def _class_count(ref):
-    """Cospectral classes among the masks, by characteristic polynomials."""
-    return len(set(zip(ref.adj_poly, ref.lap_poly)))
+@lru_cache(maxsize=None)
+def _copy_count(n):
+    """Distinct sorted copies among the connected masks of order n, each
+    built by :func:`_sorted_copy`."""
+    return len({_sorted_copy(n, int(mask)) for mask in bulk.connected_table(n).masks})
+
+
+def _sorted_copy(n, mask):
+    """The mask with its vertices renumbered in the Python stable sort on
+    (degree, neighbour-degree sum): ties stay in vertex order."""
+    g = graph_from_mask(n, mask)
+    key = [(g.degree(v), sum(map(g.degree, g.neighbors(v)))) for v in range(n)]
+    label = {v: k for k, v in enumerate(sorted(range(n), key=key.__getitem__))}
+    at = {frozenset(pair): e for e, pair in enumerate(pair_order(n))}
+    return sum(1 << at[frozenset((label[u], label[v]))] for u, v in g.edges())
 
 
 def _exact_power_sums(n, mask):
@@ -1035,40 +1047,33 @@ def _permuted(n, masks, perm):
 
 
 def _keyed_reference(n, masks):
-    """batched_spectra without the relabelling: every raw mask keyed by its
-    power sums, and the first mask of each class in input order solved."""
-    first, inverse = bulk._classes(bulk._class_keys(n, masks))
-    adj, lap = bulk._matrices(n, masks[first])
+    """batched_spectra with the grouping in a dict: every mask keyed by its
+    relabelled copy, and the first mask of each copy in input order solved."""
+    copies = bulk._relabelled(n, masks).tolist()
+    first = {}
+    for at, copy in enumerate(copies):
+        first.setdefault(copy, at)
+    cls = {copy: c for c, copy in enumerate(first)}
+    inverse = [cls[copy] for copy in copies]
+    adj, lap = bulk._matrices(n, masks[list(first.values())])
     adj_eigs, lap_eigs = np.linalg.eigvalsh(adj), np.linalg.eigvalsh(lap)
     return np.abs(adj_eigs).sum(axis=1)[inverse], lap_eigs[inverse, 1], lap_eigs[inverse, -1]
 
 
 def _spectra_log_counts(message):
-    """The order, masks, forms, classes and eigensolves of batched_spectra's
-    debug line, after checking that its phase seconds add up to the total."""
-    match = re.fullmatch(r"batched spectra at n=(\d+): (\d+) masks, (\d+) forms, (\d+) classes, "
-                         r"(\d+) eigensolves, (\S+) s \(relabel (\S+) s, keys (\S+) s, solve (\S+) s\)",
-                         message)
+    """The order, masks, forms and eigensolves of batched_spectra's debug
+    line, after checking that its phase seconds add up to the total."""
+    match = re.fullmatch(r"batched spectra at n=(\d+): (\d+) masks, (\d+) forms, (\d+) eigensolves, "
+                         r"(\S+) s \(relabel (\S+) s, group (\S+) s, solve (\S+) s\)", message)
     assert match
-    total, *phases = map(float, match.groups()[5:])
+    total, *phases = map(float, match.groups()[4:])
     assert min(phases) >= 0 and sum(phases) == pytest.approx(total, abs=2e-3)
-    return tuple(map(int, match.groups()[:5]))
+    return tuple(map(int, match.groups()[:4]))
 
 
 class TestBatchedSpectra:
-    """One eigensolve pair per cospectral class, against the scalar spectra."""
-
-    def test_class_keys_are_exact_power_sums(self):
-        # dense graphs at n = 8, the largest order, where the traces pass
-        # float32's 24-bit mantissa but must stay exact in float64
-        rng = np.random.default_rng(5)
-        dense = np.bitwise_or.reduce(rng.integers(0, 1 << 28, (3, 48)))  # 7 edges in 8 kept
-        masks = np.concatenate([[(1 << 28) - 1], dense]).astype(np.uint32)
-        keys = bulk._class_keys(8, masks)
-        assert keys.dtype == np.int64 and keys.shape == (16, masks.size)
-        for column, mask in enumerate(masks):
-            assert keys[:, column].tolist() == _exact_power_sums(8, int(mask))
-        assert (keys.astype(np.float32).astype(np.int64) != keys).any()
+    """One eigensolve pair per distinct relabelled copy, against the scalar
+    spectra."""
 
     def test_the_last_power_sum_tells_spectra_apart(self):
         # two graphs on 8 vertices with one Laplacian spectrum and equal
@@ -1114,21 +1119,21 @@ class TestBatchedSpectra:
     @pytest.mark.parametrize("chunk", [None, 4096])
     def test_one_eigensolve_pair_per_class_over_the_whole_input(self, monkeypatch, chunk):
         # the sweep chunk does not split the classes
-        ref = _spectra_reference(6)
+        masks = bulk.connected_table(6).masks
         solved = self._count_eigensolves(monkeypatch)
         if chunk is not None:
             monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
-        bulk.batched_spectra(6, ref.masks)
-        assert solved == [_class_count(ref)] * 2 == [112] * 2
+        bulk.batched_spectra(6, masks)
+        assert solved == [_copy_count(6)] * 2 == [391] * 2
 
     def test_one_eigensolve_pair_per_class_at_n7(self, monkeypatch, caplog, mask_tables, spectra7):
-        # the 1,866,256 connected masks at n = 7 are 853 isomorphism classes
+        # the 1,866,256 connected masks at n = 7 have 3,218 distinct copies
         solved = self._count_eigensolves(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
             got = bulk.batched_spectra(7, mask_tables[7].masks)
-        assert solved == [853, 853]
+        assert solved == [3218, 3218]
         [record] = [r for r in caplog.records if r.name == "sigmat.bulk"]
-        assert _spectra_log_counts(record.getMessage()) == (7, 1866256, 3218, 853, 1706)
+        assert _spectra_log_counts(record.getMessage()) == (7, 1866256, 3218, 6436)
         for values, name in zip(got, ("energy", "mu2", "mu_max")):
             assert np.array_equal(values, spectra7[name])
 
@@ -1199,18 +1204,14 @@ class TestBatchedSpectra:
         copies = bulk._relabelled(6, masks)
         assert np.unique(copies).size < masks.size
         for mask, copy in zip(masks[::97], copies[::97]):
-            g = graph_from_mask(6, int(mask))
-            key = [(g.degree(v), sum(map(g.degree, g.neighbors(v)))) for v in range(6)]
-            order = sorted(range(6), key=key.__getitem__)  # stable: ties in vertex order
-            label = {v: k for k, v in enumerate(order)}
-            assert copy == _permuted(6, np.array([mask]), [label[v] for v in range(6)])[0]
+            assert copy == _sorted_copy(6, int(mask))
 
     @pytest.mark.parametrize("dtype,high", [(np.uint32, 1 << 32), (np.uint32, 40),
                                             (np.uint16, 1 << 16), (np.uint8, 3)])
     def test_one_row_keys_group_as_the_stable_lexsort(self, dtype, high):
         rng = np.random.default_rng(high)
         for size in (0, 1, 2, 1000):
-            key = rng.integers(0, high, (1, size), dtype=np.uint64).astype(dtype)
+            key = rng.integers(0, high, size, dtype=np.uint64).astype(dtype)
             self._assert_grouped_as_lexsort(key)
 
     def test_relabelled_copies_group_as_the_stable_lexsort(self, mask_tables):
@@ -1218,15 +1219,18 @@ class TestBatchedSpectra:
         masks = mask_tables[7].masks
         copies = np.concatenate([bulk._relabelled(7, masks[lo:lo + bulk.CHUNK_MASKS])
                                  for lo in range(0, masks.size, bulk.CHUNK_MASKS)])
-        self._assert_grouped_as_lexsort(copies[None])
+        self._assert_grouped_as_lexsort(copies)
 
     @staticmethod
     def _assert_grouped_as_lexsort(key):
         first, inverse = bulk._classes(key)
-        # a zero second row sends the same grouping through np.lexsort
-        lex_first, lex_inverse = bulk._classes(np.concatenate([key, np.zeros_like(key)]))
-        assert first.tolist() == lex_first.tolist() and inverse.tolist() == lex_inverse.tolist()
-        values = key[0].tolist()
+        order = np.lexsort(key[None])  # the stable sort the packed sort stands in for
+        ordered = key[order]
+        new = np.ones(key.size, dtype=bool)
+        new[1:] = ordered[1:] != ordered[:-1]
+        assert first.tolist() == order[new].tolist()
+        assert inverse[order].tolist() == (np.cumsum(new) - 1).tolist()
+        values = key.tolist()
         firsts = {}
         for at, value in enumerate(values):
             firsts.setdefault(value, at)
@@ -1237,8 +1241,8 @@ class TestBatchedSpectra:
 
     @pytest.mark.parametrize("chunk", [None, 4096])
     def test_bitwise_identical_to_keying_every_mask(self, monkeypatch, chunk):
-        # the first original mask of each class in input order is solved, not
-        # its copy, whatever the order and the sweep chunk
+        # the first original mask of each copy in input order is solved, not
+        # the copy, whatever the order and the sweep chunk
         table = bulk.connected_table(6).masks
         if chunk is not None:
             monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
@@ -1280,6 +1284,6 @@ class TestBatchedSpectra:
             bulk.batched_spectra(4, ref.masks)
         records = [r for r in caplog.records if r.name == "sigmat.bulk"]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
-        assert (_class_count(ref), np.unique(bulk._relabelled(4, ref.masks)).size) == (6, 9)
-        assert _spectra_log_counts(records[0].getMessage()) == (4, 38, 9, 6, 12)
+        assert _copy_count(4) == 9
+        assert _spectra_log_counts(records[0].getMessage()) == (4, 38, 9, 18)
         assert capsys.readouterr().out == ""
