@@ -1,4 +1,4 @@
-"""Vectorized table sweeps over all labeled graphs or trees of a small order.
+"""Vectorized table sweeps over all labeled graphs of a small order.
 
 Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
@@ -16,15 +16,11 @@ order-7 bases on the fly. :func:`batched_spectra` gives both spectra of
 many masks with one eigensolve pair per distinct relabelled copy over the
 whole input: each mask is mapped to an isomorphic copy with its vertices
 sorted by degree and neighbour-degree sum, the copies are grouped once, and
-the masks of one copy share one solve. Every labeled tree is likewise one
-Prüfer rank in ``arange(n**(n-2))``; :func:`tree_table`
-decodes a range of them in lock step for the tree sweep, with each tree's
-leaf set held as a uint16 bitmask (enough for every order up to 17) so the
-smallest leaf is a lowest set bit, and with every per-chunk array kept
-small enough that the allocator does not map and unmap it on each chunk.
-The stream-based enumerators in :mod:`sigmat.oracle` are the reference
-implementations the tables are validated against, and the scalar
-:func:`sigmat.spectral.laplacian_spectrum` is the reference for the spectra.
+the masks of one copy share one solve. The stream-based enumerators in
+:mod:`sigmat.oracle` are the reference implementations the tables are
+validated against, and the scalar :func:`sigmat.spectral.laplacian_spectrum`
+is the reference for the spectra. The tree sweep needs no table: it runs
+over the free trees in :mod:`sigmat.oracle`.
 """
 
 from __future__ import annotations
@@ -225,110 +221,6 @@ def sigma_columns(table: MaskTable) -> tuple[np.ndarray, np.ndarray]:
         sigma += diff * diff * edge
         apart |= (diff != 0) & ~edge
     return sigma.astype(np.int64), ~apart
-
-
-@dataclass
-class TreeTable:
-    """Columns for the labeled trees whose Prüfer ranks lie in one range."""
-
-    n: int
-    ranks: np.ndarray        # int64, ascending
-    max_deg: np.ndarray      # int16
-    sigma_t: np.ndarray      # int64
-    sigma: np.ndarray        # int64
-
-
-def tree_table(n: int, rank_lo: int = 0, rank_hi: int | None = None) -> TreeTable:
-    """Build the table for every labeled tree whose Prüfer sequence has its
-    rank in [rank_lo, rank_hi), a range within the n^(n-2) sequences (all of
-    them by default).
-
-    A rank reads the sequence as base-n digits, most significant first, so
-    ranks ascend in ``itertools.product`` order. All sequences of the range
-    are decoded in lock step: at step t every tree joins its smallest leaf
-    to seq[t], and the last edge joins the remaining leaf to n-1. A vertex
-    not yet removed is a leaf once it no longer occurs in seq[t:], so each
-    tree's leaves are the bitmask ``free = ~(gone[t] | removed)``, where
-    ``gone[t]`` is the suffix OR of the bits of seq[t:] and ``removed`` the
-    bits of the leaves taken so far; the smallest leaf is the lowest set
-    bit, ``free & -free``, and a small cached table turns it into a vertex.
-
-    The bitmasks are uint16, which covers every order accepted here
-    (n <= 17) although bit 16 does not fit at n = 17. The tree left before
-    each step has at least two vertices, so at least two leaves, and its
-    smallest leaf is below n-1. So a dropped bit 16 is never the one read,
-    and the bits above n-1 that the complement sets are never the lowest.
-
-    The degrees are a vertex-major (n, k) int16 array, so the per-tree
-    reductions run along the long axis, and each step gathers the two
-    degrees of its edges through one k-length flat index apiece. Every
-    per-chunk array stays below 128 KB at n = 9 and k = CHUNK_TREES: in a
-    fresh process the allocator maps and unmaps a larger one, such as a
-    whole (n-1, k) intp stack of indices, on every chunk, which costs more
-    than the stack saves.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    total = n ** (n - 2)
-    if total >= 1 << 63:
-        raise ValueError(f"ranks are int64, so n^(n-2) < 2^63 and n <= 17; got n={n}")
-    if rank_hi is None:
-        rank_hi = total
-    if not 0 <= rank_lo <= rank_hi <= total:
-        raise ValueError(f"rank range [{rank_lo}, {rank_hi}) is not within [0, {total}) at n={n}")
-    ranks = np.arange(rank_lo, rank_hi, dtype=np.int64)
-    k = ranks.size
-    col = np.arange(k)
-
-    # int16 holds every degree, squared degree and squared difference at n <= 17
-    seq = np.empty((n - 2, k), dtype=np.int16)
-    gone = np.zeros((n - 1, k), dtype=np.uint16)  # gone[t]: the vertices of seq[t:]
-    rest = ranks
-    for t in range(n - 3, -1, -1):
-        quotient = rest // n  # with the product below, faster than np.divmod on int64
-        seq[t] = rest - quotient * n
-        rest = quotient
-        np.bitwise_or(gone[t + 1], np.uint16(1) << seq[t].view(np.uint16), out=gone[t])
-    deg = np.ones((n, k), dtype=np.int16)  # vertex-major: deg[v, j] of tree j
-    labels = np.arange(n, dtype=np.int16)[:, None]
-    for x in seq:
-        np.add(deg, labels == x, out=deg)
-    flat = deg.ravel()
-    sigma_t = n * (deg * deg).sum(axis=0, dtype=np.int64) - 4 * (n - 1) ** 2
-
-    vertex = _bit_vertex(n)
-    removed = np.zeros(k, dtype=np.uint16)
-    sigma = np.zeros(k, dtype=np.int16)  # n - 1 squares of at most (n-2)^2: below 2^15
-    for t in range(n - 1):
-        free = ~(gone[t] | removed)
-        leaf = free & -free
-        removed |= leaf
-        d = flat.take(_flat_index(vertex.take(leaf), k, col))
-        if t < n - 2:
-            d -= flat.take(_flat_index(seq[t], k, col))
-        else:  # the last edge joins the remaining leaf to n-1
-            d -= deg[n - 1]
-        sigma += d * d
-
-    return TreeTable(n=n, ranks=ranks, max_deg=deg.max(axis=0), sigma_t=sigma_t,
-                     sigma=sigma.astype(np.int64))
-
-
-def _flat_index(v: np.ndarray, k: int, col: np.ndarray) -> np.ndarray:
-    """v * k + col as intp, whatever numpy's casting of the scalar k."""
-    index = np.multiply(v, k, dtype=np.intp)
-    index += col
-    return index
-
-
-@lru_cache(maxsize=None)
-def _bit_vertex(n: int) -> np.ndarray:
-    """The vertex v of each leaf bit 1 << v of order n, indexed by the bit.
-    The smallest leaf is below n-1, so the table stops there: 2^(n-1) int8
-    entries, 64 KB at n = 17."""
-    vertex = np.zeros(1 << (n - 1), dtype=np.int8)
-    vertex[1 << np.arange(n - 1)] = np.arange(n - 1)
-    return vertex
 
 
 def batched_spectra(n: int, masks: np.ndarray):

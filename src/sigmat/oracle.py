@@ -1,32 +1,35 @@
-"""Exhaustive labeled enumeration of small graphs and trees, extremal
-search, and conjecture verification.
+"""Exhaustive enumeration of small graphs and trees, extremal search, and
+conjecture verification.
 
-Enumeration is labeled, not isomorphism-reduced: every quantity tested is
-isomorphism-invariant, so scanning all 2^C(n,2) edge subsets (or all n^(n-2)
-labeled trees) proves the same statements while avoiding canonical forms.
-Internal limits are n <= 7 for graphs and n <= 9 for trees, checked by one
+Graph enumeration is labeled, not isomorphism-reduced: every quantity
+tested is isomorphism-invariant, so scanning all 2^C(n,2) edge subsets
+proves the same statements while avoiding canonical forms. Trees are swept
+as free trees, each counted as its n!/|Aut| labeled trees, so every count is
+still one of labeled trees; the labeled Prüfer decode is their reference.
+Internal limits are n <= 7 for graphs and n <= 18 for trees, checked by one
 helper before a sweep does any other work; larger orders arrive through
 graph6 line streams produced by external generators. A search filter is one
 entry of FILTERS, which says what it keeps of a stream and of a mask table.
 
 Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, and the tree sweep
-walks the Prüfer ranks in fixed chunks of CHUNK_TREES ranks, so memory stays
-bounded whatever the order. Both run on one sweep engine, which builds and
-scans the chunks in order on the calling thread and merges their partials
-in that order. Every count and witness list is one reducer, a Tally: an
-exact count and the first WITNESS_CAP keys in visiting order.
+reduces the classes in fixed blocks of TREE_BLOCK, so memory stays bounded
+whatever the order. Both run on one sweep engine, which makes and scans the
+chunks in order on the calling thread and merges their partials in that
+order. Every count and witness list is one reducer, a Tally: an exact count,
+weighted or not, and the first WITNESS_CAP keys in visiting order.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,22 +42,23 @@ from .invariants import degree_variance, sigma, sigma_t, sigma_t_pairsum, zagreb
 log = logging.getLogger("sigmat.oracle")
 
 MAX_ENUM_ORDER = 7
-MAX_TREE_ORDER = 9
+MAX_TREE_ORDER = 18
+MAX_PRUFER_ORDER = 9
 WITNESS_CAP = 16
-CHUNK_TREES = 1 << 12
+TREE_BLOCK = 1 << 12
 
 
 class LimitError(ValueError):
     """Requested order is beyond the internal enumeration limits."""
 
 
-def _require_order(n: int, least: int, sweep: str, trees: bool = False) -> None:
-    """The order limit of every labeled sweep: raise LimitError unless
-    ``least <= n`` and n is at most MAX_TREE_ORDER for a tree sweep or
-    MAX_ENUM_ORDER for a graph sweep, past which graphs come as a stream."""
-    most = MAX_TREE_ORDER if trees else MAX_ENUM_ORDER
+def _require_order(n: int, least: int, sweep: str, most: int = MAX_ENUM_ORDER) -> None:
+    """The order limit of every sweep: raise LimitError unless
+    ``least <= n <= most``, where ``most`` is MAX_ENUM_ORDER for a graph
+    sweep, past which graphs come as a stream."""
     if not least <= n <= most:
-        hint = "" if trees or n < least else "; feed larger graphs as a graph6 stream (ingest_graph6)"
+        stream = most == MAX_ENUM_ORDER and n > most
+        hint = "; feed larger graphs as a graph6 stream (ingest_graph6)" if stream else ""
         raise LimitError(f"{sweep} covers {least} <= n <= {most}, got n={n}{hint}")
 
 
@@ -122,8 +126,9 @@ def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
-    """All n^(n-2) labeled trees via Prüfer decoding, in sequence order."""
-    _require_order(n, 2, "tree enumeration", trees=True)
+    """All n^(n-2) labeled trees via Prüfer decoding, in sequence order: the
+    reference for the tree sweep."""
+    _require_order(n, 2, "tree enumeration", MAX_PRUFER_ORDER)
     for seq in product(range(n), repeat=n - 2):
         yield Graph(n, prufer_edges(seq, n))
 
@@ -195,9 +200,11 @@ class Tally:
     keys: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, keys: np.ndarray) -> "Tally":
-        """Partial for one chunk's selected keys, in visiting order."""
-        return cls(int(keys.size), keys[:WITNESS_CAP].tolist())
+    def of(cls, keys: np.ndarray, weights: np.ndarray | None = None) -> "Tally":
+        """Partial for one chunk's selected keys, in visiting order, each
+        counted once or as its int64 weight, summed as an exact Python int."""
+        count = int(keys.size) if weights is None else sum(weights.tolist())
+        return cls(count, keys[:WITNESS_CAP].tolist())
 
     def merge(self, part: "Tally") -> None:
         self.count += part.count
@@ -210,9 +217,9 @@ class Extreme:
 
     Keys are opaque here and decoded by the caller: the graph searches store
     Graphs (from a stream) or edge masks (from a sweep chunk), which
-    :meth:`result` encodes; the tree sweep stores Prüfer ranks and decodes
-    them itself. Merging chunk partials in chunk order gives the same state
-    as one pass over the whole family.
+    :meth:`result` encodes; the tree sweep stores degree-profile indices and
+    finds its witnesses itself. Merging chunk partials in chunk order gives
+    the same state as one pass over the whole family.
     """
 
     def __init__(self, objective: str):
@@ -224,13 +231,16 @@ class Extreme:
         self.visited = 0
 
     @classmethod
-    def of_chunk(cls, objective: str, values: np.ndarray, keys: np.ndarray) -> "Extreme":
-        """Partial for one chunk, where ``values[k]`` is sigma_t of ``keys[k]``."""
+    def of_chunk(cls, objective: str, values: np.ndarray, keys: np.ndarray,
+                 weights: np.ndarray | None = None) -> "Extreme":
+        """Partial for one chunk, where ``values[k]`` is sigma_t of ``keys[k]``,
+        a row that stands for ``weights[k]`` graphs if weights are given."""
         part = cls(objective)
-        part.visited = int(values.size)
+        part.visited = Tally.of(values, weights).count
         if values.size:
             part.value = int(values.max() if objective == "max" else values.min())
-            part.hits = Tally.of(keys[values == part.value])
+            hit = values == part.value
+            part.hits = Tally.of(keys[hit], None if weights is None else weights[hit])
         return part
 
     def add(self, value: int, key) -> None:
@@ -332,19 +342,23 @@ def chunk_ranges(n: int) -> list[tuple[int, int]]:
 
 def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable,
            totals: tuple) -> tuple:
-    """Merge ``scan(build(n, lo, hi))``, one partial per total, into
-    ``totals`` for every chunk range, in chunk order, on the calling thread,
-    and return the totals. Each chunk is built only after the previous
-    chunk's partials are merged, so memory does not grow with the number of
-    chunks. This is the only place where chunk partials merge.
+    """:func:`_reduce` over ``build(n, lo, hi)`` for every chunk range, in
+    order. ``build`` is a :mod:`sigmat.bulk` table builder that the caller
+    read from the module when it was called, or a function that reads one
+    from the module on every call, so a wrapper installed on ``bulk`` sees
+    every chunk."""
+    return _reduce((build(n, lo, hi) for lo, hi in ranges), scan, totals)
 
-    ``build`` is a :mod:`sigmat.bulk` table builder that the caller read
-    from the module when it was called, or a function that reads one from
-    the module on every call, so a wrapper installed on ``bulk`` sees every
-    chunk.
-    """
-    for lo, hi in ranges:
-        for total, part in zip(totals, scan(build(n, lo, hi)), strict=True):
+
+def _reduce(tables: Iterable, scan: Callable, totals: tuple) -> tuple:
+    """Merge ``scan(table)``, one partial per total, into ``totals`` for
+    every table in order, on the calling thread, and return the totals.
+    Each table is made only after the previous table's partials are merged,
+    so memory does not grow with the number of tables, and no reference to
+    a table outlives its scan. This is the only place where chunk partials
+    merge."""
+    for parts in map(scan, tables):
+        for total, part in zip(totals, parts, strict=True):
             total.merge(part)
     return totals
 
@@ -374,12 +388,164 @@ def search_connected(n: int, objective: str, graph_filter: str = "none") -> Sear
 
 
 # ---------------------------------------------------------------------------
-# labeled tree sweep
+# tree sweep over the free trees
 # ---------------------------------------------------------------------------
+
+def free_trees(n: int) -> Iterator[tuple[int, ...]]:
+    """Every tree on n >= 1 vertices up to isomorphism, exactly once, as its
+    canonical level sequence: the depth of each vertex in preorder, rooted at
+    a centre, with the subtrees of every vertex in non-increasing
+    lexicographic order.
+
+    This is the generator of Wright, Richmond, Odlyzko and McKay (SIAM J.
+    Comput. 15, 1986). It steps through the rooted trees by the successor of
+    Beyer and Hedetniemi, keeps those whose first root subtree is not above
+    the rest of the tree in the order of :func:`_halves` (so the root is a
+    centre, and of two centres the canonical one), and jumps past the runs
+    of rooted trees that fail.
+    """
+    if n < 3:
+        yield tuple(range(n))
+        return
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))  # the path
+    while True:
+        first, rest = _halves(levels)
+        if first <= rest:
+            yield tuple(levels)
+            p = n - 1
+            while levels[p] == 1:
+                p -= 1
+            if p == 0:  # the star is the last tree
+                return
+            _next_rooted(levels, p)
+        else:
+            p = first[1]  # the last vertex of the first subtree
+            jump = levels[p] > 2
+            _next_rooted(levels, p)
+            if jump:
+                height = _halves(levels)[0][0] + 1
+                levels[n - height:] = range(1, height + 1)
+
+
+def _halves(levels: Sequence[int]) -> tuple[tuple, tuple]:
+    """The root's first subtree and the rest of the tree, each as (height,
+    order, level sequence from its own root). The root is a centre when the
+    first is not above the rest; when they are equal the tree has two
+    centres and an automorphism that swaps them."""
+    second = levels.index(1, 2) if 1 in levels[2:] else len(levels)
+    first, rest = [d - 1 for d in levels[1:second]], [0, *levels[second:]]
+    return (max(first, default=-1), len(first), first), (max(rest), len(rest), rest)
+
+
+def _next_rooted(levels: list[int], p: int) -> None:
+    """The successor of Beyer and Hedetniemi, in place: the subtree of the
+    parent of vertex p, cut at p, is repeated to fill positions p onwards."""
+    q = p - 1
+    while levels[q] != levels[p] - 1:
+        q -= 1
+    for i in range(p, len(levels)):
+        levels[i] = levels[i - p + q]
+
+
+def _tree_class(levels: tuple[int, ...]) -> tuple[list[int], list[int], int]:
+    """The degrees, the parent of every vertex (0 for the root) and |Aut| of
+    the free tree with the canonical level sequence ``levels``.
+
+    Isomorphic sibling subtrees are adjacent, equal slices, so a run of k of
+    them contributes k! to the automorphisms that fix the root: each sibling
+    equal to the one before it multiplies in its place in the run. Equal
+    halves (:func:`_halves`) add the automorphisms that swap them.
+    """
+    n = len(levels)
+    degrees, parent, last, run = [1] * n, [0] * n, [0] * n, [1] * n  # last: per depth
+    degrees[0], aut = 0, 1
+    for c in range(1, n):
+        depth = levels[c]
+        p = parent[c] = last[depth - 1]
+        degrees[p] += 1
+        before = last[depth]
+        if before > p:  # the previous sibling, whose subtree ends at c
+            end = 2 * c - before
+            if levels[c:end] == levels[before:c] and (end == n or levels[end] <= depth):
+                run[c] = run[before] + 1
+                aut *= run[c]
+        last[depth] = c
+    first, rest = _halves(levels)
+    return degrees, parent, 2 * aut if first == rest else aut
+
+
+def _tree_sigmas(degrees: list[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """sigma_t = n*M1 - 4(n-1)^2 and sigma of a tree with these degrees and
+    edges: the one evaluation behind the class rows and the witnesses."""
+    n = len(degrees)
+    return (n * sum(d * d for d in degrees) - 4 * (n - 1) ** 2,
+            sum((degrees[u] - degrees[v]) ** 2 for u, v in edges))
+
+
+def _class_blocks(n: int, profiles: dict) -> Iterator[np.ndarray]:
+    """The free trees of order n in blocks of TREE_BLOCK, in generation
+    order, each a (5, k) int64 array of the rows n!/|Aut|, sigma_t, sigma,
+    max degree and profile index. ``profiles`` maps each degree profile met
+    (the digit counts degree - 1 of the class's Prüfer sequences, sorted
+    descending) to its index and its sigma_t."""
+    labelled = math.factorial(n)
+
+    def row(levels: tuple[int, ...]) -> tuple[int, ...]:
+        degrees, parent, aut = _tree_class(levels)
+        st, sg = _tree_sigmas(degrees, zip(range(1, n), parent[1:]))
+        counts = tuple(sorted((d - 1 for d in degrees), reverse=True))
+        return labelled // aut, st, sg, counts[0] + 1, profiles.setdefault(counts, (len(profiles), st))[0]
+
+    rows = map(row, free_trees(n))
+    while block := list(islice(rows, TREE_BLOCK)):
+        yield np.array(block, dtype=np.int64).T
+
+
+class _Profiles(set):
+    """A reducer of the profile indices of the classes a predicate keeps."""
+
+    merge = set.update
+
+
+def _prufer_witnesses(n: int, targets: list[tuple[int, ...]],
+                      keep: Callable[[int, int], bool] | None = None) -> tuple[tuple[str, ...], int]:
+    """graph6 strings of the first WITNESS_CAP labeled trees in Prüfer rank
+    order whose sorted digit counts are one of ``targets`` and whose sigma_t
+    and sigma ``keep`` accepts, if given, and the number of sequences
+    decoded: a depth-first search in lexicographic (rank) order that drops a
+    prefix once its sorted digit counts are not pointwise at most some
+    target's."""
+    counts, seq, found = [0] * n, [], []
+    decoded = 0
+
+    def walk() -> bool:
+        nonlocal decoded
+        if len(seq) == n - 2:
+            edges = prufer_edges(seq, n)
+            decoded += 1
+            if keep is None or keep(*_tree_sigmas([c + 1 for c in counts], edges)):
+                found.append(encode_graph6(Graph(n, edges)))
+            return len(found) == WITNESS_CAP
+        for x in range(n):
+            counts[x] += 1
+            seq.append(x)
+            have = sorted(counts, reverse=True)
+            done = any(all(map(int.__le__, have, t)) for t in targets) and walk()
+            counts[x] -= 1
+            seq.pop()
+            if done:
+                return True
+        return False
+
+    if targets:
+        walk()
+    return tuple(found), decoded
+
 
 @dataclass(frozen=True)
 class TreeSweep:
-    """Everything one exhaustive pass over the labeled trees establishes."""
+    """Everything one exhaustive pass over the trees of order n establishes,
+    counted in labeled trees."""
 
     n: int
     trees: int
@@ -403,79 +569,81 @@ class TreeSweep:
 
 @lru_cache(maxsize=None)
 def tree_sweep(n: int) -> TreeSweep:
-    """One pass over all n^(n-2) labeled trees collecting the extremal
-    values, the sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t
-    set.
+    """One pass over the free trees of order n, each class weighted by its
+    n!/|Aut| labeled trees, collecting the extremal values, the
+    sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t set.
 
-    The Prüfer ranks are walked in fixed chunks of CHUNK_TREES, each decoded
-    by :func:`sigmat.bulk.tree_table`; partials merge in rank order and
-    memory stays bounded. Witnesses are the first WITNESS_CAP trees in rank
-    order. The cache holds at most eight small records, one per order 2..9
-    (the orders are capped by MAX_TREE_ORDER); the uncached sweep is
-    ``tree_sweep.__wrapped__``.
+    The classes come from :func:`free_trees` and reduce in blocks of
+    TREE_BLOCK, so memory does not grow with their number; the weights sum
+    as Python ints, since n^(n-2) passes 2^63 at n = 18. Witnesses are the
+    first WITNESS_CAP labeled trees in Prüfer rank order, found by
+    :func:`_prufer_witnesses` among the degree profiles of the classes that
+    hold; sigma_t depends on the profile alone. The cache holds at most 17
+    small records, one per order 2..18 (the orders are capped by
+    MAX_TREE_ORDER); the uncached sweep is ``tree_sweep.__wrapped__``.
     """
-    _require_order(n, 2, "tree sweep", trees=True)
+    _require_order(n, 2, "tree sweep", MAX_TREE_ORDER)
     start = time.perf_counter()
 
-    def scan(table: bulk.TreeTable) -> tuple:
-        st, ranks = table.sigma_t, table.ranks
+    def scan(block: np.ndarray) -> tuple:
+        weight, st, sg, max_deg, profile = block
         # a tree is the star iff a degree reaches n-1, a path iff none exceeds 2
-        star, path = table.max_deg == n - 1, table.max_deg <= 2
-        bound = (n - 2) * table.sigma
-        over, equal, sigma_eq = st > bound, st == bound, st == table.sigma
+        star, path = max_deg == n - 1, max_deg <= 2
+        over, equal, sigma_eq = st > (n - 2) * sg, st == (n - 2) * sg, st == sg
         return (
-            Extreme.of_chunk("max", st, ranks),
-            Extreme.of_chunk("min", st, ranks),
-            Extreme.of_chunk("max", st[~star], ranks[~star]),
-            Extreme.of_chunk("min", st[~path], ranks[~path]),
-            *(Tally.of(ranks[keep]) for keep in (
+            Extreme.of_chunk("max", st, profile, weight),
+            Extreme.of_chunk("min", st, profile, weight),
+            Extreme.of_chunk("max", st[~star], profile[~star], weight[~star]),
+            Extreme.of_chunk("min", st[~path], profile[~path], weight[~path]),
+            *(Tally.of(profile[keep], weight[keep]) for keep in (
                 over, equal, equal & ~path, sigma_eq, sigma_eq & ~star, star)),
+            Tally.of(profile),
+            _Profiles(profile[over].tolist()),
+            _Profiles(profile[equal].tolist()),
         )
 
-    decode = 0.0
+    profiles: dict[tuple[int, ...], tuple[int, int]] = {}  # profile: (index, sigma_t)
+    (top, bottom, nonstar_top, nonpath_bottom, over, equal, equal_nonpath, sigma_eq,
+     sigma_eq_nonstar, star, classes, over_profiles, equal_profiles) = _reduce(
+        _class_blocks(n, profiles), scan,
+        (Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"), *(Tally() for _ in range(7)),
+         _Profiles(), _Profiles()))
 
-    def build(n: int, lo: int, hi: int) -> bulk.TreeTable:
-        # bulk.tree_table is read on every call, so a wrapper installed on
-        # the module still sees every chunk
-        nonlocal decode
-        begin = time.perf_counter()
-        table = bulk.tree_table(n, lo, hi)
-        decode += time.perf_counter() - begin
-        return table
+    decoded = 0
 
-    ranges = _tiles(n ** (n - 2), CHUNK_TREES)
-    (top, bottom, nonstar_top, nonpath_bottom,
-     over, equal, equal_nonpath, sigma_eq, sigma_eq_nonstar, star) = _sweep(
-        build, n, ranges, scan,
-        (Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"), *(Tally() for _ in range(6))))
+    def witness(count: int, kept: Callable, keep: Callable | None = None) -> tuple[str, ...]:
+        # the first labeled witnesses among the profiles whose (index, sigma_t) kept accepts
+        nonlocal decoded
+        found, tried = _prufer_witnesses(n, [c for c, (i, st) in profiles.items() if kept(i, st)], keep)
+        decoded += tried
+        assert len(found) == min(WITNESS_CAP, count), f"{len(found)} witnesses of {count} at n={n}"
+        return found
 
-    seconds = time.perf_counter() - start
-    log.debug("tree sweep at n=%d: %d trees in %d chunks, %.3f s (decode %.3f s), %.0f trees/s",
-              n, top.visited, len(ranges), seconds, decode, top.visited / seconds)
-
-    def witness(ranks: list[int]) -> tuple[str, ...]:
-        return tuple(encode_graph6(Graph(n, prufer_edges(prufer_sequence(r, n), n))) for r in ranks)
-
-    return TreeSweep(
+    sweep = TreeSweep(
         n=n,
         trees=top.visited,
         max_value=top.value,
         max_count=top.hits.count,
         max_all_stars=nonstar_top.value is None or nonstar_top.value < top.value,
-        max_witnesses=witness(top.hits.keys),
+        max_witnesses=witness(top.hits.count, lambda i, st: st == top.value),
         min_value=bottom.value,
         min_count=bottom.hits.count,
         min_all_paths=nonpath_bottom.value is None or nonpath_bottom.value > bottom.value,
-        min_witnesses=witness(bottom.hits.keys),
+        min_witnesses=witness(bottom.hits.count, lambda i, st: st == bottom.value),
         ratio_violations=over.count,
-        ratio_violation_witnesses=witness(over.keys),
+        ratio_violation_witnesses=witness(over.count, lambda i, st: i in over_profiles,
+                                          lambda st, sg: st > (n - 2) * sg),
         ratio_equality_count=equal.count,
         ratio_equality_all_paths=equal_nonpath.count == 0,
-        ratio_equality_witnesses=witness(equal.keys),
+        ratio_equality_witnesses=witness(equal.count, lambda i, st: i in equal_profiles,
+                                         lambda st, sg: st == (n - 2) * sg),
         sigma_eq_count=sigma_eq.count,
         sigma_eq_all_stars=sigma_eq_nonstar.count == 0,
         star_count=star.count,
     )
+    log.debug("tree sweep at n=%d: %d classes, %d labelled trees, %d witness candidates decoded, "
+              "%.3f s", n, classes.count, sweep.trees, decoded, time.perf_counter() - start)
+    return sweep
 
 
 def search_trees(n: int, objective: str) -> SearchResult:
@@ -580,7 +748,7 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
 def verify_conjecture2(n: int) -> ConjectureReport:
     """Check sigma_t(T) <= (n-2) * sigma(T) over every labeled tree, with
     equality exactly on paths, read from the cached :func:`tree_sweep`."""
-    _require_order(n, 3, "conjecture 2", trees=True)
+    _require_order(n, 3, "conjecture 2", MAX_TREE_ORDER)
     sweep = tree_sweep(n)
     ok = sweep.ratio_violations == 0 and sweep.ratio_equality_all_paths
     counterexamples = sweep.ratio_violation_witnesses

@@ -4,6 +4,7 @@ import enum
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 from sigmat import cli
 from sigmat.graph import encode_graph6, parse_graph6
 from sigmat.invariants import sigma_t
+from sigmat.cli import canonical_json
 from sigmat.oracle import ConjectureReport, IdentitySummary
 from tests.test_graph import complete, cycle, path, star
 
@@ -192,6 +194,17 @@ class TestSearch:
         body = json.loads(out)
         assert body["extremeValue"] == 8 and body["tieCount"] == 360
 
+    def test_tree_filter_past_the_labelled_limit(self, capsys):
+        # n = 12: the max is (n-1)(n-2)^2 on the n stars, the min 2n-4 on the n!/2 paths
+        n = 12
+        top = json.loads(run(capsys, ["search", "--n", "12", "--objective", "max", "--filter", "tree"])[1])
+        assert (top["extremeValue"], top["tieCount"], top["graphsVisited"]) == ((n - 1) * (n - 2) ** 2, n, n ** 10)
+        assert all(sorted(parse_graph6(w).degrees()) == [1] * (n - 1) + [n - 1] for w in top["witnesses"])
+        bottom = json.loads(run(capsys, ["search", "--n", "12", "--objective", "min", "--filter", "tree"])[1])
+        assert (bottom["extremeValue"], bottom["tieCount"]) == (2 * n - 4, math.factorial(n) // 2)
+        assert all(sorted(parse_graph6(w).degrees()) == [1, 1] + [2] * (n - 2) for w in bottom["witnesses"])
+        assert len(bottom["witnesses"]) == 16
+
     def test_stream_search(self, capsys, tmp_path):
         stream = tmp_path / "in.g6"
         stream.write_text("".join(encode_graph6(star(n)) + "\n" for n in [5] * 3))
@@ -234,6 +247,29 @@ class TestConjecture:
             sorted(parse_graph6(w).degrees()) == [1, 1, 2, 2, 2, 2]
             for w in body["equalityWitnesses"]
         )
+
+    def test_id2_n12(self, capsys):
+        code, out, _ = run(capsys, ["conjecture", "--id", "2", "--n", "12"])
+        body = json.loads(out)
+        assert (code, body["status"], body["graphsVisited"]) == (0, "verified", 12 ** 10)
+        assert body["equalityCount"] == math.factorial(12) // 2 and body["equalityAllPaths"] is True
+
+    def test_id2_order_limit(self, capsys):
+        assert run(capsys, ["conjecture", "--id", "2", "--n", "19"]) == (
+            2, "", "error: conjecture 2 covers 3 <= n <= 18, got n=19\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_labelled_counts_print_exactly_past_int64(self, capsys, monkeypatch, fmt):
+        # 18^16 labelled trees at n = 18 do not fit an int64 or a float
+        report = ConjectureReport(
+            conjecture_id=2, n_range=(18, 18), status="verified", counterexamples=(),
+            extremal_witnesses=(), graphs_visited=18 ** 16, equality_count=math.factorial(18) // 2)
+        monkeypatch.setattr(cli, "verify_conjecture2", lambda n: report)
+        code, out, _ = run(capsys, ["conjecture", "--id", "2", "--n", "18", "--format", fmt])
+        assert code == 0 and "121439531096594251776" in out and "3201186852864000" in out
+        if fmt == "json":
+            assert out == canonical_json(report) + "\n"
+            assert json.loads(out)["graphsVisited"] == 18 ** 16
 
     def test_id1_n5(self, capsys):
         code, out, _ = run(capsys, ["conjecture", "--id", "1", "--n", "5"])
@@ -355,7 +391,7 @@ class TestPlumbing:
             (["conjecture", "--id", "1", "--n", "4"],
              b"DEBUG:sigmat.oracle:conjecture 1 at n=4: max 12 vs bipartite 12 over 19 graphs\n"),
             (["conjecture", "--id", "2", "--n", "5"],
-             b"DEBUG:sigmat.oracle:tree sweep at n=5: 125 trees in 1 chunks, "),
+             b"DEBUG:sigmat.oracle:tree sweep at n=5: 3 classes, 125 labelled trees, "),
             (["search", "--n", "5", "--objective", "max"],
              b"DEBUG:sigmat.oracle:search at n=5, filter none: 1024 masks scanned, "
              b"728 graphs kept in 1 chunks, "),

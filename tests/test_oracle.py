@@ -4,9 +4,11 @@ tables."""
 
 import json
 import logging
+import math
 import re
 import time
 import tracemalloc
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
 from functools import lru_cache
@@ -346,6 +348,23 @@ class TestChunkBoundaries:
         assert events == [event for lo in range(chunks)
                           for event in (("build", lo), ("merge", lo), ("merge", -lo))]
 
+    def test_sweep_drops_each_table_before_building_the_next(self):
+        # a table still referenced while the next one is built doubles the
+        # peak memory of a sweep
+        class Table:
+            pass
+
+        built = []
+
+        def build(n, lo, hi):
+            assert all(ref() is None for ref in built)
+            table = Table()
+            built.append(weakref.ref(table))
+            return table
+
+        assert oracle._sweep(build, 0, [(i, i + 1) for i in range(3)], lambda table: (), ()) == ()
+        assert len(built) == 3
+
     def test_sweep_memory_is_bounded(self):
         tracemalloc.start()
         try:
@@ -372,6 +391,21 @@ class TestTally:
             for k in part:
                 streamed.merge(oracle.Tally(1, [k]))
         assert chunked == streamed == one_pass
+
+    def test_weights_sum_exactly_past_int64(self):
+        # 18! and 18^16 pass what an int64 sum could hold
+        weights = np.array([math.factorial(18), 2 ** 62, 2 ** 62, 5], dtype=np.int64)
+        total = math.factorial(18) + 2 ** 63 + 5
+        keys = np.arange(4)
+        assert oracle.Tally.of(keys, weights) == oracle.Tally(total, [0, 1, 2, 3])
+        assert oracle.Tally.of(keys[1:3], weights[1:3]).count == 2 ** 63
+        values = np.array([7, 9, 9, 7])
+        top = oracle.Extreme.of_chunk("max", values, keys, weights)
+        assert (top.visited, top.value, top.hits) == (total, 9, oracle.Tally(2 ** 63, [1, 2]))
+        bottom = oracle.Extreme.of_chunk("min", values, keys, weights)
+        bottom.merge(oracle.Extreme.of_chunk("min", values[:1], keys[:1], weights[:1]))
+        assert (bottom.visited, bottom.hits.count) == (total + math.factorial(18), 2 * math.factorial(18) + 5)
+        assert all(type(x) is int for x in (top.visited, top.hits.count, bottom.hits.count))
 
 
 class TestSearchTrees:
@@ -457,19 +491,78 @@ def _tree_reference(n):
     )
 
 
-def _tree_windows(n, width=50):
-    """Rank windows at order n for the scalar cross-check: the first, the
-    last (its last rank puts n-1 in every position), two seeded ones, and
-    one straddling each digit boundary n^j."""
-    total = n ** (n - 2)
-    rng = np.random.default_rng(100 + n)
-    starts = {0, total - width, *(int(rng.integers(0, total - width)) for _ in range(2)),
-              *(max(n ** j - width // 2, 0) for j in range(1, n - 2))}
-    return [(lo, lo + width) for lo in sorted(starts)]
+# trees on n vertices up to isomorphism, n = 1..16 (OEIS A000055)
+FREE_TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320)
+
+
+def _level_tree(levels):
+    """The Graph of a level sequence: each vertex joined to the latest
+    vertex one level up."""
+    last, edges = {}, []
+    for v, depth in enumerate(levels):
+        if depth:
+            edges.append((last[depth - 1], v))
+        last[depth] = v
+    return Graph(len(levels), edges)
+
+
+def _ahu(t):
+    """A canonical string of a tree, by Aho, Hopcroft and Ullman's encoding
+    rooted at its centre, or at both centres joined by their edge:
+    independent of the level sequences of oracle.free_trees."""
+    adj = [set(t.neighbors(v)) for v in range(t.n)]
+    rest, layer = set(range(t.n)), [v for v in range(t.n) if len(adj[v]) <= 1]
+    while len(rest) > 2:
+        rest -= set(layer)
+        layer = [v for v in rest if len(adj[v] & rest) <= 1]
+
+    def code(v, up):
+        return "(" + "".join(sorted(code(c, {v}) for c in adj[v] - up)) + ")"
+
+    return "|".join(sorted(code(v, rest - {v}) for v in rest))
+
+
+def _profiles(n):
+    """Every sorted digit-count profile of order n: the partitions of n - 2,
+    padded with zeros to n parts."""
+    def parts(total, most):
+        if total == 0:
+            yield ()
+        for first in range(min(total, most), 0, -1):
+            for rest in parts(total - first, first):
+                yield (first, *rest)
+
+    return [p + (0,) * (n - len(p)) for p in parts(n - 2, n - 2)]
+
+
+def _class_rows(n):
+    """Every row of the tree sweep's class blocks at order n, with its
+    level sequence, in generation order."""
+    rows = np.concatenate(list(oracle._class_blocks(n, {})), axis=1).T.tolist()
+    return list(zip(oracle.free_trees(n), rows, strict=True))
+
+
+class TestFreeTrees:
+    """The free-tree classes against counts and labelled trees computed
+    another way."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_class_counts_and_cayley(self, n):
+        weights = [math.factorial(n) // oracle._tree_class(levels)[2] for levels in oracle.free_trees(n)]
+        assert len(weights) == FREE_TREE_COUNTS[n - 1]
+        assert sum(weights) == round(n ** (n - 2))  # Cayley
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_weights_count_the_labelled_trees_of_each_class(self, n):
+        labelled = Counter(_ahu(t) for t in (enumerate_trees(n) if n > 1 else [Graph(1, [])]))
+        weights = {_ahu(_level_tree(levels)): math.factorial(n) // oracle._tree_class(levels)[2]
+                   for levels in oracle.free_trees(n)}
+        assert weights == labelled
 
 
 class TestTreeSweepFastPath:
-    """The chunked lock-step decode against independent references."""
+    """The free-tree sweep and its labelled witness search against
+    independent references."""
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_every_field_matches_the_reference(self, n):
@@ -477,87 +570,108 @@ class TestTreeSweepFastPath:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_table_matches_scalar_path(self, n):
-        table = bulk.tree_table(n)
-        for k, t in enumerate(enumerate_trees(n)):
-            assert int(table.ranks[k]) == k
-            assert int(table.sigma_t[k]) == sigma_t(t)
-            assert int(table.sigma[k]) == sigma(t)
-            assert int(table.max_deg[k]) == max(t.degrees())
-
-    @pytest.mark.parametrize("n", [8, 9, 12, 17])
-    def test_rank_windows_match_the_scalar_decode(self, n):
-        windows = _tree_windows(n)
-        if n in (9, 17):  # a whole chunk, whose flat indices pass 2^15
-            lo = int(np.random.default_rng(n).integers(0, n ** (n - 2) - oracle.CHUNK_TREES))
-            windows.append((lo, lo + oracle.CHUNK_TREES))
-        for lo, hi in windows:
-            table = bulk.tree_table(n, lo, hi)
-            assert table.ranks.tolist() == list(range(lo, hi))
-            for k, rank in enumerate(range(lo, hi)):
-                t = Graph(n, prufer_edges(prufer_sequence(rank, n), n))
-                assert (int(table.sigma_t[k]), int(table.sigma[k]), int(table.max_deg[k])) == (
-                    sigma_t(t), sigma(t), max(t.degrees())), (n, rank)
-
-    def test_chunk_decode_memory_is_small(self):
-        # an array above about 128 KB is mapped and unmapped on every chunk
-        # in a fresh process, which slows the decode far more than it saves
-        lo = 12345
-        bulk.tree_table(9, lo, lo + oracle.CHUNK_TREES)  # builds the cached leaf table
-        tracemalloc.start()
-        try:
-            table = bulk.tree_table(9, lo, lo + oracle.CHUNK_TREES)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.ranks.size == oracle.CHUNK_TREES
-        assert peak < 2 ** 20
-
-    def test_debug_line_reports_the_decode_time(self, monkeypatch, caplog):
-        build = bulk.tree_table
-
-        def slow(n, lo, hi):
-            time.sleep(0.01)
-            return build(n, lo, hi)
-
-        monkeypatch.setattr(bulk, "tree_table", slow)
-        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
-        with caplog.at_level(logging.DEBUG, logger="sigmat.oracle"):
-            assert tree_sweep.__wrapped__(4) == _tree_reference(4)
-        (record,) = [r for r in caplog.records if r.name == "sigmat.oracle"]
-        assert record.levelno == logging.DEBUG
-        match = re.fullmatch(r"tree sweep at n=4: 16 trees in 3 chunks, "
-                             r"(\d+\.\d{3}) s \(decode (\d+\.\d{3}) s\), \d+ trees/s",
-                             record.getMessage())
-        assert match, record.getMessage()
-        seconds, decode = map(float, match.groups())
-        assert 0.03 <= decode <= seconds
+        # the class rows against the scalar invariants of each class's tree
+        profiles = {}
+        for levels, (weight, st, sg, max_deg, index) in _class_rows(n):
+            t = _level_tree(levels)
+            assert is_tree(t)
+            assert (st, sg, max_deg) == (sigma_t(t), sigma(t), max(t.degrees()))
+            counts = tuple(sorted((d - 1 for d in t.degrees()), reverse=True))
+            assert profiles.setdefault(counts, index) == index
+        assert sorted(profiles.values()) == list(range(len(profiles)))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_values_match_the_mask_table_trees(self, mask_tables, mask_sigma_columns, n):
-        trees = bulk.tree_table(n)
         table = mask_tables[n]
         table_sigma, _ = mask_sigma_columns[n]
         is_tree = table.m == n - 1
-        assert trees.ranks.tolist() == list(range(n ** (n - 2)))
-        assert Counter(zip(trees.sigma_t.tolist(), trees.sigma.tolist())) == Counter(
-            zip(table.sigma_t[is_tree].tolist(), table_sigma[is_tree].tolist()))
-        assert Counter(trees.max_deg.tolist()) == Counter(table.max_deg[is_tree].tolist())
+        weighted, deg_weighted = Counter(), Counter()
+        for _, (weight, st, sg, max_deg, _) in _class_rows(n):
+            weighted[st, sg] += weight
+            deg_weighted[max_deg] += weight
+        assert weighted == Counter(zip(table.sigma_t[is_tree].tolist(), table_sigma[is_tree].tolist()))
+        assert deg_weighted == Counter(table.max_deg[is_tree].tolist())
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 17])
+    def test_rank_windows_match_the_scalar_decode(self, n):
+        # the witness search walks the Prüfer ranks in order: with every
+        # profile its first hits are ranks 0..15, with a sigma predicate the
+        # first ranks that pass it, and with the path or star profile the
+        # first injective or constant sequences
+        def decoded(seqs):
+            return tuple(encode_graph6(Graph(n, prufer_edges(seq, n))) for seq in seqs)
+
+        every = _profiles(n)
+        ranks = [prufer_sequence(k, n) for k in range(4000)]
+        assert oracle._prufer_witnesses(n, every) == (decoded(ranks[:16]), 16)
+        passing = [s for s in ranks if sigma(Graph(n, prufer_edges(s, n))) % 3 == 1][:16]
+        assert len(passing) == 16
+        assert oracle._prufer_witnesses(n, every, lambda st, sg: sg % 3 == 1)[0] == decoded(passing)
+        path = (1,) * (n - 2) + (0, 0)
+        assert oracle._prufer_witnesses(n, [path])[0] == decoded(islice(permutations(range(n), n - 2), 16))
+        star = (n - 2,) + (0,) * (n - 1)
+        stars = decoded((v,) * (n - 2) for v in range(min(n, 16)))
+        assert oracle._prufer_witnesses(n, [star]) == (stars, len(stars))
+        assert oracle._prufer_witnesses(n, []) == ((), 0)
+
+    def test_witnesses_at_n8_and_n9_are_pinned(self):
+        # the first labelled witnesses in Prüfer rank order, as the labelled
+        # sweep found them
+        n8, n9 = tree_sweep.__wrapped__(8), tree_sweep.__wrapped__(9)
+        assert n8.max_witnesses == ("GsaCC?", "GiPAA?", "GXG`@?", "GFCO__", "G?{GOO", "G?BwGG",
+                                    "G??FwC", "G???F{")
+        assert n8.min_witnesses == n8.ratio_equality_witnesses == (
+            "GhCK?G", "GhE?OC", "GhE??S", "Gh?[?O", "Gh_OGC", "Gh_O?K", "GhA?oO", "Gh_?gG",
+            "Gh_?_K", "GhA?Oo", "Gh_?Gg", "Gh_?Gc", "GgKS?G", "GgM?_C", "GgM??c", "GgG[?_")
+        assert n9.max_witnesses == ("HsaCCA?", "HiPAA@?", "HXG`@?_", "HFCO__O", "H?{GOOG",
+                                    "H?BwGGC", "H??FwCA", "H???F{@", "H????B~")
+        assert n9.min_witnesses == n9.ratio_equality_witnesses == (
+            "HhCGK?A", "HhCK?G@", "HhCK??D", "HhC?[?C", "HhE?OC@", "HhE?O?B", "HhCC?WC", "HhE??SA",
+            "HhE??OB", "HhCC?GK", "HhE??CI", "HhE??CH", "Hh?WS?A", "Hh?[?O@", "Hh?[??H", "Hh?O[?G")
+        assert (n9.trees, n9.max_count, n9.min_count, n9.ratio_violations) == (9 ** 7, 9, 9 * 8 * 7 * 6 * 5 * 4 * 3, 0)
+
+    def test_chunk_decode_memory_is_small(self):
+        # one block of TREE_BLOCK classes is built from a running generator
+        # and a list of its rows, never the whole class list
+        blocks = oracle._class_blocks(16, {})
+        tracemalloc.start()
+        try:
+            block = next(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (5, oracle.TREE_BLOCK)
+        assert peak < 2 ** 20
+
+    def test_debug_line_reports_classes_and_candidates(self, monkeypatch, caplog):
+        walk = oracle._prufer_witnesses
+
+        def slow(*args):
+            time.sleep(0.01)
+            return walk(*args)
+
+        monkeypatch.setattr(oracle, "_prufer_witnesses", slow)
+        with caplog.at_level(logging.DEBUG, logger="sigmat.oracle"):
+            assert tree_sweep.__wrapped__(5) == _tree_reference(5)
+        (record,) = [r for r in caplog.records if r.name == "sigmat.oracle"]
+        assert record.levelno == logging.DEBUG
+        # 5 stars, 16 of the 60 paths for the minimum, 16 for the equality
+        match = re.fullmatch(r"tree sweep at n=5: 3 classes, 125 labelled trees, "
+                             r"37 witness candidates decoded, (\d+\.\d{3}) s", record.getMessage())
+        assert match, record.getMessage()
+        assert float(match.group(1)) >= 0.04  # the four witness searches
 
     @pytest.mark.parametrize("width", [1, 7, 64])
     @pytest.mark.parametrize("n", [2, 5, 6])
     def test_chunk_boundaries(self, monkeypatch, n, width):
-        monkeypatch.setattr(oracle, "CHUNK_TREES", width)
+        monkeypatch.setattr(oracle, "TREE_BLOCK", width)
         assert tree_sweep.__wrapped__(n) == _tree_reference(n)
 
     def test_violations_are_capped_across_chunks(self, monkeypatch):
         # sigma read as 0 puts every tree on 6 vertices over the ratio bound
-        build = bulk.tree_table
-
-        def no_sigma(n, lo, hi):
-            return replace(build(n, lo, hi), sigma=np.zeros(hi - lo, dtype=np.int64))
-
-        monkeypatch.setattr(bulk, "tree_table", no_sigma)
-        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
+        evaluate = oracle._tree_sigmas
+        monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (evaluate(degrees, edges)[0], 0))
+        monkeypatch.setattr(oracle, "TREE_BLOCK", 2)
         monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
         assert tree_sweep.__wrapped__(6) == replace(
@@ -569,14 +683,8 @@ class TestTreeSweepFastPath:
     def test_flags_see_non_stars_and_non_paths_across_chunks(self, monkeypatch):
         # sigma_t and sigma read as 0: every tree attains both extremes, the
         # ratio equality and sigma == sigma_t, so no "all stars/paths" holds
-        build = bulk.tree_table
-
-        def flat(n, lo, hi):
-            zero = np.zeros(hi - lo, dtype=np.int64)
-            return replace(build(n, lo, hi), sigma_t=zero, sigma=zero)
-
-        monkeypatch.setattr(bulk, "tree_table", flat)
-        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
+        monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (0, 0))
+        monkeypatch.setattr(oracle, "TREE_BLOCK", 2)
         monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
         trees = 6 ** 4
@@ -588,52 +696,39 @@ class TestTreeSweepFastPath:
         report = verify_conjecture2(6)
         assert report.status == "counterexample" and report.counterexamples == first
 
-    def test_chunks_reach_the_table_builder_in_rank_order(self, monkeypatch):
-        calls = []
-        build = bulk.tree_table
+    def test_blocks_reach_the_reducer_in_generation_order(self, monkeypatch):
+        calls, reference = [], tree_sweep.__wrapped__(9)
+        reduce = oracle._reduce
 
-        def recording(n, lo, hi):
-            calls.append((lo, hi))
-            return build(n, lo, hi)
+        def recording(blocks, scan, totals):
+            return reduce((calls.append(block.shape) or block for block in blocks), scan, totals)
 
-        monkeypatch.setattr(oracle, "CHUNK_TREES", 7)
-        monkeypatch.setattr(bulk, "tree_table", recording)
-        assert tree_sweep.__wrapped__(4) == _tree_reference(4)
-        assert calls == [(0, 7), (7, 14), (14, 16)]
-
-    def test_rank_ranges_slice_the_table(self):
-        whole = bulk.tree_table(5)
-        parts = [bulk.tree_table(5, lo, min(lo + 7, 125)) for lo in range(0, 125, 7)]
-        for field in ("ranks", "max_deg", "sigma_t", "sigma"):
-            assert np.concatenate([getattr(p, field) for p in parts]).tolist() == \
-                getattr(whole, field).tolist()
-        assert bulk.tree_table(5, 9, 9).ranks.size == 0
-
-    @pytest.mark.parametrize("lo,hi", [(-1, 3), (5, 4), (0, 17), (16, 17)])
-    def test_rank_range_outside_the_space_is_rejected(self, lo, hi):
-        with pytest.raises(ValueError, match="rank range"):
-            bulk.tree_table(4, lo, hi)
+        monkeypatch.setattr(oracle, "TREE_BLOCK", 7)
+        monkeypatch.setattr(oracle, "_reduce", recording)
+        assert tree_sweep.__wrapped__(9) == reference
+        assert calls == [(5, 7)] * 6 + [(5, 5)]  # the 47 classes at n = 9
+        whole = np.concatenate(list(oracle._class_blocks(9, {})), axis=1)
+        monkeypatch.setattr(oracle, "TREE_BLOCK", 1 << 12)
+        assert whole.tolist() == next(oracle._class_blocks(9, {})).tolist()
 
     def test_order_limit_follows_the_rank_width(self):
-        top = bulk.tree_table(17, 0, 3)
-        for k in range(3):
-            t = Graph(17, prufer_edges(prufer_sequence(k, 17), 17))
-            assert (int(top.ranks[k]), int(top.sigma_t[k]), int(top.sigma[k])) == (k, sigma_t(t), sigma(t))
-        with pytest.raises(ValueError, match="int64"):
-            bulk.tree_table(18, 0, 1)
-        with pytest.raises(ValueError, match="n >= 2"):
-            bulk.tree_table(1)
+        # the weight column is int64: n!/|Aut| <= n! must fit at the cap
+        assert math.factorial(oracle.MAX_TREE_ORDER) < 2 ** 63
+        assert max(next(oracle._class_blocks(18, {}))[0]) <= math.factorial(18)
+        for n in (1, oracle.MAX_TREE_ORDER + 1):
+            with pytest.raises(LimitError, match=f"tree sweep covers 2 <= n <= 18, got n={n}"):
+                tree_sweep(n)
 
     def test_sweep_builds_once_per_order(self, monkeypatch):
         monkeypatch.setattr(oracle, "tree_sweep", lru_cache(maxsize=None)(tree_sweep.__wrapped__))
         calls = []
-        build = bulk.tree_table
+        generate = oracle.free_trees
 
-        def recording(n, lo, hi):
+        def recording(n):
             calls.append(n)
-            return build(n, lo, hi)
+            return generate(n)
 
-        monkeypatch.setattr(bulk, "tree_table", recording)
+        monkeypatch.setattr(oracle, "free_trees", recording)
         for _ in range(2):
             for n in (4, 5):
                 assert oracle.tree_sweep(n) is oracle.tree_sweep(n)
@@ -646,23 +741,24 @@ class TestTreeSweepFastPath:
     def test_tree_commands_reuse_the_cached_sweep(self, monkeypatch):
         tree_sweep(6)
 
-        def no_table(n, lo, hi):
-            raise AssertionError(f"tree table rebuilt for n={n}")
+        def no_trees(n):
+            raise AssertionError(f"free trees generated again for n={n}")
 
-        monkeypatch.setattr(bulk, "tree_table", no_table)
+        monkeypatch.setattr(oracle, "free_trees", no_trees)
         assert search_trees(6, "max").graphs_visited == 6 ** 4
         assert verify_conjecture2(6).status == "verified"
 
     def test_sweep_memory_is_bounded(self):
-        # keeps the peak RSS of `conjecture --id 2 --n 9` near the bare import's
+        # the classes reduce in blocks: the 19,320 classes at n = 16 are
+        # never held at once
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            sweep = tree_sweep.__wrapped__(8)
+            sweep = tree_sweep.__wrapped__(16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sweep.trees == 8 ** 6
+        assert sweep.trees == 16 ** 14
         assert peak < 2 * 2 ** 20
 
 
@@ -734,7 +830,7 @@ class TestConjecture2:
         with pytest.raises(LimitError):
             verify_conjecture2(2)
         with pytest.raises(LimitError):
-            verify_conjecture2(10)
+            verify_conjecture2(19)
 
     def test_json_has_equality_fields(self):
         d = json.loads(canonical_json(verify_conjecture2(4)))
