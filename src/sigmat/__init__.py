@@ -1,6 +1,11 @@
 """Degree-based graph irregularity indices, their extremal families and
 bounds, and exhaustive small-order verification tools."""
 
+import os
+
+# numpy's OpenBLAS thread pool only slows start-up: every eigensolve here is small
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .graph import (
     DegreeStats,
     Graph,

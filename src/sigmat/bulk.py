@@ -19,8 +19,7 @@ sorted by degree and neighbour-degree sum, the copies are grouped once, and
 the masks of one copy share one solve. The stream-based enumerators in
 :mod:`sigmat.oracle` are the reference implementations the tables are
 validated against, and the scalar :func:`sigmat.spectral.laplacian_spectrum`
-is the reference for the spectra. The tree sweep needs no table: it runs
-over the free trees in :mod:`sigmat.oracle`.
+is the reference for the spectra.
 """
 
 from __future__ import annotations

@@ -15,9 +15,7 @@ Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, and the tree sweep
 reduces the classes in fixed blocks of TREE_BLOCK, so memory stays bounded
 whatever the order. Both run on one sweep engine, which makes and scans the
-chunks in order on the calling thread and merges their partials in that
-order. Every count and witness list is one reducer, a Tally: an exact count,
-weighted or not, and the first WITNESS_CAP keys in visiting order.
+chunks in order on the calling thread and merges their partials in that order.
 """
 
 from __future__ import annotations
@@ -218,8 +216,7 @@ class Extreme:
     Keys are opaque here and decoded by the caller: the graph searches store
     Graphs (from a stream) or edge masks (from a sweep chunk), which
     :meth:`result` encodes; the tree sweep stores degree-profile indices and
-    finds its witnesses itself. Merging chunk partials in chunk order gives
-    the same state as one pass over the whole family.
+    finds its witnesses itself.
     """
 
     def __init__(self, objective: str):
@@ -573,13 +570,12 @@ def tree_sweep(n: int) -> TreeSweep:
     n!/|Aut| labeled trees, collecting the extremal values, the
     sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t set.
 
-    The classes come from :func:`free_trees` and reduce in blocks of
-    TREE_BLOCK, so memory does not grow with their number; the weights sum
-    as Python ints, since n^(n-2) passes 2^63 at n = 18. Witnesses are the
-    first WITNESS_CAP labeled trees in Prüfer rank order, found by
-    :func:`_prufer_witnesses` among the degree profiles of the classes that
-    hold; sigma_t depends on the profile alone. The cache holds at most 17
-    small records, one per order 2..18 (the orders are capped by
+    The classes come from :func:`free_trees` in blocks of TREE_BLOCK; the
+    weights sum as Python ints, since n^(n-2) passes 2^63 at n = 18.
+    Witnesses are the first WITNESS_CAP labeled trees in Prüfer rank order,
+    found by :func:`_prufer_witnesses` among the degree profiles of the
+    classes that hold; sigma_t depends on the profile alone. The cache holds
+    at most 17 small records, one per order 2..18 (the orders are capped by
     MAX_TREE_ORDER); the uncached sweep is ``tree_sweep.__wrapped__``.
     """
     _require_order(n, 2, "tree sweep", MAX_TREE_ORDER)

@@ -406,6 +406,24 @@ class TestPlumbing:
             assert line in logged.stderr
             assert plain.stdout and logged.stdout == plain.stdout
 
+    @pytest.mark.parametrize("preset", [None, "3"])
+    def test_blas_threads(self, preset):
+        # importing sigmat before numpy keeps OpenBLAS to one thread, unless the
+        # environment already chose a number
+        env = child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        probe = ("import os, sigmat, numpy; task = '/proc/self/task'; "
+                 "print(os.environ['OPENBLAS_NUM_THREADS'], "
+                 "len(os.listdir(task)) if os.path.isdir(task) else 1)")
+        child = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        value, threads = child.stdout.split()
+        assert value.decode() == (preset or "1")
+        if preset is None:
+            assert threads == b"1"
+
     @pytest.mark.parametrize("argv", [
         ["compute", "--graph6", P4],
         ["bounds", "--graph6", P4],
