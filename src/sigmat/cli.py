@@ -262,20 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("compute", help="all invariants of each input graph")
-    _add_input_flags(p, required=True)
-    _add_format_flag(p)
-    p.add_argument("--skip-bad-lines", action="store_true")
-
-    p = subs.add_parser("bounds", help="run every applicable bound check")
-    _add_input_flags(p, required=True)
-    _add_format_flag(p)
-    p.add_argument("--skip-bad-lines", action="store_true")
-
-    p = subs.add_parser("spectral", help="Laplacian/adjacency spectra and energy")
-    _add_input_flags(p, required=True)
-    _add_format_flag(p)
-    p.add_argument("--skip-bad-lines", action="store_true")
+    for name, about in (("compute", "all invariants of each input graph"),
+                        ("bounds", "run every applicable bound check"),
+                        ("spectral", "Laplacian/adjacency spectra and energy")):
+        p = subs.add_parser(name, help=about)
+        _add_input_flags(p, required=True)
+        _add_format_flag(p)
+        p.add_argument("--skip-bad-lines", action="store_true")
 
     p = subs.add_parser("extremal", help="extremal family constructions and optima")
     p.add_argument("--family", choices=("split", "bipartite", "star", "path"), required=True)

@@ -12,10 +12,11 @@ graph6 line streams produced by external generators. A search filter is one
 entry of FILTERS, which says what it keeps of a stream and of a mask table.
 
 Searches over the edge-subset space walk it in fixed chunks of
-``bulk.CHUNK_MASKS`` masks, read when the sweep starts, and the tree sweep
-reduces the classes in fixed blocks of TREE_BLOCK, so memory stays bounded
-whatever the order. Both run on one sweep engine, which makes and scans the
-chunks in order on the calling thread and merges their partials in that order.
+``bulk.CHUNK_MASKS`` masks, read when the sweep starts, so memory stays
+bounded whatever the order. One sweep engine makes and scans the chunks in
+order on the calling thread and merges their partials in that order. The tree
+sweep is one plain pass over the free trees that keeps a few counts per degree
+profile, of which there are p(n-2): 231 at n = 18.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ import logging
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +45,6 @@ MAX_ENUM_ORDER = 7
 MAX_TREE_ORDER = 18
 MAX_PRUFER_ORDER = 9
 WITNESS_CAP = 16
-TREE_BLOCK = 1 << 12
 
 
 class LimitError(ValueError):
@@ -110,17 +111,6 @@ def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             leaf = ptr
     edges.append((leaf, n - 1))
     return edges
-
-
-def prufer_sequence(rank: int, n: int) -> tuple[int, ...]:
-    """The length n-2 Prüfer sequence with the given rank: its base-n digits,
-    most significant first, so rank k is the k-th sequence of
-    :func:`enumerate_trees`."""
-    digits = []
-    for _ in range(n - 2):
-        rank, digit = divmod(rank, n)
-        digits.append(digit)
-    return tuple(reversed(digits))
 
 
 def enumerate_trees(n: int) -> Iterator[Graph]:
@@ -191,18 +181,16 @@ class SearchResult:
 @dataclass
 class Tally:
     """An exact count and the first WITNESS_CAP keys in visiting order: the
-    one reducer behind every count and witness list of the sweeps. Merging
-    chunk partials in chunk order gives the same tally as one pass."""
+    one reducer behind every count and witness list of the graph searches.
+    Merging chunk partials in chunk order gives the same tally as one pass."""
 
     count: int = 0
     keys: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, keys: np.ndarray, weights: np.ndarray | None = None) -> "Tally":
-        """Partial for one chunk's selected keys, in visiting order, each
-        counted once or as its int64 weight, summed as an exact Python int."""
-        count = int(keys.size) if weights is None else sum(weights.tolist())
-        return cls(count, keys[:WITNESS_CAP].tolist())
+    def of(cls, keys: np.ndarray) -> "Tally":
+        """Partial for one chunk's selected keys, in visiting order."""
+        return cls(int(keys.size), keys[:WITNESS_CAP].tolist())
 
     def merge(self, part: "Tally") -> None:
         self.count += part.count
@@ -213,10 +201,8 @@ class Extreme:
     """Running max or min of sigma_t over a family: the graphs visited, and
     the graphs attaining it as one :class:`Tally` of keys.
 
-    Keys are opaque here and decoded by the caller: the graph searches store
-    Graphs (from a stream) or edge masks (from a sweep chunk), which
-    :meth:`result` encodes; the tree sweep stores degree-profile indices and
-    finds its witnesses itself.
+    Keys are Graphs (from a stream) or edge masks (from a sweep chunk),
+    which :meth:`result` encodes.
     """
 
     def __init__(self, objective: str):
@@ -228,16 +214,13 @@ class Extreme:
         self.visited = 0
 
     @classmethod
-    def of_chunk(cls, objective: str, values: np.ndarray, keys: np.ndarray,
-                 weights: np.ndarray | None = None) -> "Extreme":
-        """Partial for one chunk, where ``values[k]`` is sigma_t of ``keys[k]``,
-        a row that stands for ``weights[k]`` graphs if weights are given."""
+    def of_chunk(cls, objective: str, values: np.ndarray, keys: np.ndarray) -> "Extreme":
+        """Partial for one chunk, where ``values[k]`` is sigma_t of ``keys[k]``."""
         part = cls(objective)
-        part.visited = Tally.of(values, weights).count
+        part.visited = int(values.size)
         if values.size:
             part.value = int(values.max() if objective == "max" else values.min())
-            hit = values == part.value
-            part.hits = Tally.of(keys[hit], None if weights is None else weights[hit])
+            part.hits = Tally.of(keys[values == part.value])
         return part
 
     def add(self, value: int, key) -> None:
@@ -339,23 +322,17 @@ def chunk_ranges(n: int) -> list[tuple[int, int]]:
 
 def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable,
            totals: tuple) -> tuple:
-    """:func:`_reduce` over ``build(n, lo, hi)`` for every chunk range, in
-    order. ``build`` is a :mod:`sigmat.bulk` table builder that the caller
-    read from the module when it was called, or a function that reads one
-    from the module on every call, so a wrapper installed on ``bulk`` sees
-    every chunk."""
-    return _reduce((build(n, lo, hi) for lo, hi in ranges), scan, totals)
-
-
-def _reduce(tables: Iterable, scan: Callable, totals: tuple) -> tuple:
-    """Merge ``scan(table)``, one partial per total, into ``totals`` for
-    every table in order, on the calling thread, and return the totals.
-    Each table is made only after the previous table's partials are merged,
-    so memory does not grow with the number of tables, and no reference to
-    a table outlives its scan. This is the only place where chunk partials
-    merge."""
-    for parts in map(scan, tables):
-        for total, part in zip(totals, parts, strict=True):
+    """Merge ``scan(build(n, lo, hi))``, one partial per total, into
+    ``totals`` for every chunk range in order, on the calling thread, and
+    return the totals. Each table is made only after the previous table's
+    partials are merged, so memory does not grow with the number of chunks,
+    and no reference to a table outlives its scan. This is the only place
+    where chunk partials merge. ``build`` is a :mod:`sigmat.bulk` table
+    builder that the caller read from the module when it was called, or a
+    function that reads one from the module on every call, so a wrapper
+    installed on ``bulk`` sees every chunk."""
+    for lo, hi in ranges:
+        for total, part in zip(totals, scan(build(n, lo, hi)), strict=True):
             total.merge(part)
     return totals
 
@@ -473,35 +450,10 @@ def _tree_class(levels: tuple[int, ...]) -> tuple[list[int], list[int], int]:
 
 def _tree_sigmas(degrees: list[int], edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """sigma_t = n*M1 - 4(n-1)^2 and sigma of a tree with these degrees and
-    edges: the one evaluation behind the class rows and the witnesses."""
+    edges: the one evaluation behind the sweep and the witnesses."""
     n = len(degrees)
     return (n * sum(d * d for d in degrees) - 4 * (n - 1) ** 2,
             sum((degrees[u] - degrees[v]) ** 2 for u, v in edges))
-
-
-def _class_blocks(n: int, profiles: dict) -> Iterator[np.ndarray]:
-    """The free trees of order n in blocks of TREE_BLOCK, in generation
-    order, each a (5, k) int64 array of the rows n!/|Aut|, sigma_t, sigma,
-    max degree and profile index. ``profiles`` maps each degree profile met
-    (the digit counts degree - 1 of the class's Prüfer sequences, sorted
-    descending) to its index and its sigma_t."""
-    labelled = math.factorial(n)
-
-    def row(levels: tuple[int, ...]) -> tuple[int, ...]:
-        degrees, parent, aut = _tree_class(levels)
-        st, sg = _tree_sigmas(degrees, zip(range(1, n), parent[1:]))
-        counts = tuple(sorted((d - 1 for d in degrees), reverse=True))
-        return labelled // aut, st, sg, counts[0] + 1, profiles.setdefault(counts, (len(profiles), st))[0]
-
-    rows = map(row, free_trees(n))
-    while block := list(islice(rows, TREE_BLOCK)):
-        yield np.array(block, dtype=np.int64).T
-
-
-class _Profiles(set):
-    """A reducer of the profile indices of the classes a predicate keeps."""
-
-    merge = set.update
 
 
 def _prufer_witnesses(n: int, targets: list[tuple[int, ...]],
@@ -566,79 +518,80 @@ class TreeSweep:
 
 @lru_cache(maxsize=None)
 def tree_sweep(n: int) -> TreeSweep:
-    """One pass over the free trees of order n, each class weighted by its
+    """One pass over the free trees of order n, each class counted as its
     n!/|Aut| labeled trees, collecting the extremal values, the
     sigma_t <= (n-2)*sigma comparison, and the sigma == sigma_t set.
 
-    The classes come from :func:`free_trees` in blocks of TREE_BLOCK; the
-    weights sum as Python ints, since n^(n-2) passes 2^63 at n = 18.
+    sigma_t depends on the degree profile alone: the digit counts degree - 1
+    of the class's Prüfer sequences, sorted descending. So the pass keeps,
+    per profile met, its sigma_t and its labeled trees, and the labeled trees
+    over the ratio bound, at it, and with sigma == sigma_t. Every count is a
+    Python int, since n^(n-2) passes 2^63 at n = 18. The star is the one tree
+    with the profile (n-2, 0, ..., 0), and the path with (1, ..., 1, 0, 0).
     Witnesses are the first WITNESS_CAP labeled trees in Prüfer rank order,
-    found by :func:`_prufer_witnesses` among the degree profiles of the
-    classes that hold; sigma_t depends on the profile alone. The cache holds
-    at most 17 small records, one per order 2..18 (the orders are capped by
-    MAX_TREE_ORDER); the uncached sweep is ``tree_sweep.__wrapped__``.
+    found by :func:`_prufer_witnesses` among the profiles that hold. The
+    cache holds at most 17 small records, one per order 2..18 (the orders
+    are capped by MAX_TREE_ORDER); the uncached sweep is
+    ``tree_sweep.__wrapped__``.
     """
     _require_order(n, 2, "tree sweep", MAX_TREE_ORDER)
     start = time.perf_counter()
+    labelled, classes = math.factorial(n), 0
+    profiles: dict[tuple[int, ...], list[int]] = {}  # profile: [sigma_t, labeled trees]
+    over, equal, sigma_eq = Counter(), Counter(), Counter()  # profile: labeled trees
+    for classes, levels in enumerate(free_trees(n), start=1):
+        degrees, parent, aut = _tree_class(levels)
+        st, sg = _tree_sigmas(degrees, zip(range(1, n), parent[1:]))
+        profile = tuple(sorted((d - 1 for d in degrees), reverse=True))
+        weight = labelled // aut
+        profiles.setdefault(profile, [st, 0])[1] += weight
+        if st > (n - 2) * sg:
+            over[profile] += weight
+        elif st == (n - 2) * sg:
+            equal[profile] += weight
+        if st == sg:
+            sigma_eq[profile] += weight
 
-    def scan(block: np.ndarray) -> tuple:
-        weight, st, sg, max_deg, profile = block
-        # a tree is the star iff a degree reaches n-1, a path iff none exceeds 2
-        star, path = max_deg == n - 1, max_deg <= 2
-        over, equal, sigma_eq = st > (n - 2) * sg, st == (n - 2) * sg, st == sg
-        return (
-            Extreme.of_chunk("max", st, profile, weight),
-            Extreme.of_chunk("min", st, profile, weight),
-            Extreme.of_chunk("max", st[~star], profile[~star], weight[~star]),
-            Extreme.of_chunk("min", st[~path], profile[~path], weight[~path]),
-            *(Tally.of(profile[keep], weight[keep]) for keep in (
-                over, equal, equal & ~path, sigma_eq, sigma_eq & ~star, star)),
-            Tally.of(profile),
-            _Profiles(profile[over].tolist()),
-            _Profiles(profile[equal].tolist()),
-        )
-
-    profiles: dict[tuple[int, ...], tuple[int, int]] = {}  # profile: (index, sigma_t)
-    (top, bottom, nonstar_top, nonpath_bottom, over, equal, equal_nonpath, sigma_eq,
-     sigma_eq_nonstar, star, classes, over_profiles, equal_profiles) = _reduce(
-        _class_blocks(n, profiles), scan,
-        (Extreme("max"), Extreme("min"), Extreme("max"), Extreme("min"), *(Tally() for _ in range(7)),
-         _Profiles(), _Profiles()))
+    def at(value: int) -> tuple[list[tuple[int, ...]], int]:
+        # the profiles with this sigma_t and their labeled trees
+        kept = [p for p, (st, _) in profiles.items() if st == value]
+        return kept, sum(profiles[p][1] for p in kept)
 
     decoded = 0
 
-    def witness(count: int, kept: Callable, keep: Callable | None = None) -> tuple[str, ...]:
-        # the first labeled witnesses among the profiles whose (index, sigma_t) kept accepts
+    def witness(count: int, targets: Iterable, keep: Callable | None = None) -> tuple[str, ...]:
         nonlocal decoded
-        found, tried = _prufer_witnesses(n, [c for c, (i, st) in profiles.items() if kept(i, st)], keep)
+        found, tried = _prufer_witnesses(n, list(targets), keep)
         decoded += tried
         assert len(found) == min(WITNESS_CAP, count), f"{len(found)} witnesses of {count} at n={n}"
         return found
 
+    star, path = (n - 2,) + (0,) * (n - 1), (1,) * (n - 2) + (0, 0)
+    top = max(st for st, _ in profiles.values())
+    bottom = min(st for st, _ in profiles.values())
+    (tops, top_count), (bottoms, bottom_count) = at(top), at(bottom)
     sweep = TreeSweep(
         n=n,
-        trees=top.visited,
-        max_value=top.value,
-        max_count=top.hits.count,
-        max_all_stars=nonstar_top.value is None or nonstar_top.value < top.value,
-        max_witnesses=witness(top.hits.count, lambda i, st: st == top.value),
-        min_value=bottom.value,
-        min_count=bottom.hits.count,
-        min_all_paths=nonpath_bottom.value is None or nonpath_bottom.value > bottom.value,
-        min_witnesses=witness(bottom.hits.count, lambda i, st: st == bottom.value),
-        ratio_violations=over.count,
-        ratio_violation_witnesses=witness(over.count, lambda i, st: i in over_profiles,
-                                          lambda st, sg: st > (n - 2) * sg),
-        ratio_equality_count=equal.count,
-        ratio_equality_all_paths=equal_nonpath.count == 0,
-        ratio_equality_witnesses=witness(equal.count, lambda i, st: i in equal_profiles,
-                                         lambda st, sg: st == (n - 2) * sg),
-        sigma_eq_count=sigma_eq.count,
-        sigma_eq_all_stars=sigma_eq_nonstar.count == 0,
-        star_count=star.count,
+        trees=sum(trees for _, trees in profiles.values()),
+        max_value=top,
+        max_count=top_count,
+        max_all_stars=tops == [star],
+        max_witnesses=witness(top_count, tops),
+        min_value=bottom,
+        min_count=bottom_count,
+        min_all_paths=bottoms == [path],
+        min_witnesses=witness(bottom_count, bottoms),
+        ratio_violations=over.total(),
+        ratio_violation_witnesses=witness(over.total(), over, lambda st, sg: st > (n - 2) * sg),
+        ratio_equality_count=equal.total(),
+        ratio_equality_all_paths=equal.keys() <= {path},
+        ratio_equality_witnesses=witness(equal.total(), equal, lambda st, sg: st == (n - 2) * sg),
+        sigma_eq_count=sigma_eq.total(),
+        sigma_eq_all_stars=sigma_eq.keys() <= {star},
+        star_count=profiles[star][1],
     )
     log.debug("tree sweep at n=%d: %d classes, %d labelled trees, %d witness candidates decoded, "
-              "%.3f s", n, classes.count, sweep.trees, decoded, time.perf_counter() - start)
+              "%.3f s", n, classes, sweep.trees, decoded, time.perf_counter() - start)
     return sweep
 
 

@@ -49,7 +49,6 @@ from sigmat.oracle import (
     graph_from_mask,
     ingest_graph6,
     prufer_edges,
-    prufer_sequence,
     random_graphs,
     search_connected,
     search_extremal,
@@ -125,11 +124,6 @@ class TestTrees:
             for seq in product(range(n), repeat=n - 2):
                 fast = {tuple(sorted(e)) for e in prufer_edges(seq, n)}
                 assert fast == naive_prufer(seq, n)
-
-    def test_ranks_follow_the_enumeration_order(self):
-        for n in (2, 3, 4, 5):
-            assert [prufer_sequence(k, n) for k in range(n ** (n - 2))] == list(
-                product(range(n), repeat=n - 2))
 
     def test_limits(self):
         with pytest.raises(LimitError):
@@ -392,21 +386,6 @@ class TestTally:
                 streamed.merge(oracle.Tally(1, [k]))
         assert chunked == streamed == one_pass
 
-    def test_weights_sum_exactly_past_int64(self):
-        # 18! and 18^16 pass what an int64 sum could hold
-        weights = np.array([math.factorial(18), 2 ** 62, 2 ** 62, 5], dtype=np.int64)
-        total = math.factorial(18) + 2 ** 63 + 5
-        keys = np.arange(4)
-        assert oracle.Tally.of(keys, weights) == oracle.Tally(total, [0, 1, 2, 3])
-        assert oracle.Tally.of(keys[1:3], weights[1:3]).count == 2 ** 63
-        values = np.array([7, 9, 9, 7])
-        top = oracle.Extreme.of_chunk("max", values, keys, weights)
-        assert (top.visited, top.value, top.hits) == (total, 9, oracle.Tally(2 ** 63, [1, 2]))
-        bottom = oracle.Extreme.of_chunk("min", values, keys, weights)
-        bottom.merge(oracle.Extreme.of_chunk("min", values[:1], keys[:1], weights[:1]))
-        assert (bottom.visited, bottom.hits.count) == (total + math.factorial(18), 2 * math.factorial(18) + 5)
-        assert all(type(x) is int for x in (top.visited, top.hits.count, bottom.hits.count))
-
 
 class TestSearchTrees:
     @pytest.mark.parametrize("n", [5, 6])
@@ -536,10 +515,14 @@ def _profiles(n):
 
 
 def _class_rows(n):
-    """Every row of the tree sweep's class blocks at order n, with its
-    level sequence, in generation order."""
-    rows = np.concatenate(list(oracle._class_blocks(n, {})), axis=1).T.tolist()
-    return list(zip(oracle.free_trees(n), rows, strict=True))
+    """Every free tree of order n in generation order, with its level
+    sequence, n!/|Aut|, sigma_t, sigma, max degree and degree profile as the
+    tree sweep evaluates them."""
+    for levels in oracle.free_trees(n):
+        degrees, parent, aut = oracle._tree_class(levels)
+        st, sg = oracle._tree_sigmas(degrees, zip(range(1, n), parent[1:]))
+        profile = tuple(sorted((d - 1 for d in degrees), reverse=True))
+        yield levels, (math.factorial(n) // aut, st, sg, max(degrees), profile)
 
 
 class TestFreeTrees:
@@ -559,6 +542,24 @@ class TestFreeTrees:
                    for levels in oracle.free_trees(n)}
         assert weights == labelled
 
+    # the two facts the tree sweep's per-profile counts rest on
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_sigma_t_is_one_value_per_degree_profile(self, n):
+        values = defaultdict(set)
+        for _, (_, st, _, _, profile) in _class_rows(n):
+            values[profile].add(st)
+        assert all(len(v) == 1 for v in values.values())
+        assert len(values) == len(_profiles(n))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_star_and_path_profiles_are_one_class_each(self, n):
+        classes = defaultdict(list)
+        for _, (_, _, _, max_deg, profile) in _class_rows(n):
+            classes[profile].append(max_deg)
+        assert classes[(n - 2,) + (0,) * (n - 1)] == [n - 1]  # the star
+        assert classes[(1,) * (n - 2) + (0, 0)] == [min(n - 1, 2)]  # the path
+
 
 class TestTreeSweepFastPath:
     """The free-tree sweep and its labelled witness search against
@@ -571,14 +572,11 @@ class TestTreeSweepFastPath:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_table_matches_scalar_path(self, n):
         # the class rows against the scalar invariants of each class's tree
-        profiles = {}
-        for levels, (weight, st, sg, max_deg, index) in _class_rows(n):
+        for levels, (weight, st, sg, max_deg, profile) in _class_rows(n):
             t = _level_tree(levels)
             assert is_tree(t)
             assert (st, sg, max_deg) == (sigma_t(t), sigma(t), max(t.degrees()))
-            counts = tuple(sorted((d - 1 for d in t.degrees()), reverse=True))
-            assert profiles.setdefault(counts, index) == index
-        assert sorted(profiles.values()) == list(range(len(profiles)))
+            assert profile == tuple(sorted((d - 1 for d in t.degrees()), reverse=True))
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_values_match_the_mask_table_trees(self, mask_tables, mask_sigma_columns, n):
@@ -602,7 +600,7 @@ class TestTreeSweepFastPath:
             return tuple(encode_graph6(Graph(n, prufer_edges(seq, n))) for seq in seqs)
 
         every = _profiles(n)
-        ranks = [prufer_sequence(k, n) for k in range(4000)]
+        ranks = list(islice(product(range(n), repeat=n - 2), 4000))
         assert oracle._prufer_witnesses(n, every) == (decoded(ranks[:16]), 16)
         passing = [s for s in ranks if sigma(Graph(n, prufer_edges(s, n))) % 3 == 1][:16]
         assert len(passing) == 16
@@ -630,19 +628,6 @@ class TestTreeSweepFastPath:
             "HhE??OB", "HhCC?GK", "HhE??CI", "HhE??CH", "Hh?WS?A", "Hh?[?O@", "Hh?[??H", "Hh?O[?G")
         assert (n9.trees, n9.max_count, n9.min_count, n9.ratio_violations) == (9 ** 7, 9, 9 * 8 * 7 * 6 * 5 * 4 * 3, 0)
 
-    def test_chunk_decode_memory_is_small(self):
-        # one block of TREE_BLOCK classes is built from a running generator
-        # and a list of its rows, never the whole class list
-        blocks = oracle._class_blocks(16, {})
-        tracemalloc.start()
-        try:
-            block = next(blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert block.shape == (5, oracle.TREE_BLOCK)
-        assert peak < 2 ** 20
-
     def test_debug_line_reports_classes_and_candidates(self, monkeypatch, caplog):
         walk = oracle._prufer_witnesses
 
@@ -661,17 +646,10 @@ class TestTreeSweepFastPath:
         assert match, record.getMessage()
         assert float(match.group(1)) >= 0.04  # the four witness searches
 
-    @pytest.mark.parametrize("width", [1, 7, 64])
-    @pytest.mark.parametrize("n", [2, 5, 6])
-    def test_chunk_boundaries(self, monkeypatch, n, width):
-        monkeypatch.setattr(oracle, "TREE_BLOCK", width)
-        assert tree_sweep.__wrapped__(n) == _tree_reference(n)
-
     def test_violations_are_capped_across_chunks(self, monkeypatch):
         # sigma read as 0 puts every tree on 6 vertices over the ratio bound
         evaluate = oracle._tree_sigmas
         monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (evaluate(degrees, edges)[0], 0))
-        monkeypatch.setattr(oracle, "TREE_BLOCK", 2)
         monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
         assert tree_sweep.__wrapped__(6) == replace(
@@ -684,7 +662,6 @@ class TestTreeSweepFastPath:
         # sigma_t and sigma read as 0: every tree attains both extremes, the
         # ratio equality and sigma == sigma_t, so no "all stars/paths" holds
         monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (0, 0))
-        monkeypatch.setattr(oracle, "TREE_BLOCK", 2)
         monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
         trees = 6 ** 4
@@ -696,25 +673,7 @@ class TestTreeSweepFastPath:
         report = verify_conjecture2(6)
         assert report.status == "counterexample" and report.counterexamples == first
 
-    def test_blocks_reach_the_reducer_in_generation_order(self, monkeypatch):
-        calls, reference = [], tree_sweep.__wrapped__(9)
-        reduce = oracle._reduce
-
-        def recording(blocks, scan, totals):
-            return reduce((calls.append(block.shape) or block for block in blocks), scan, totals)
-
-        monkeypatch.setattr(oracle, "TREE_BLOCK", 7)
-        monkeypatch.setattr(oracle, "_reduce", recording)
-        assert tree_sweep.__wrapped__(9) == reference
-        assert calls == [(5, 7)] * 6 + [(5, 5)]  # the 47 classes at n = 9
-        whole = np.concatenate(list(oracle._class_blocks(9, {})), axis=1)
-        monkeypatch.setattr(oracle, "TREE_BLOCK", 1 << 12)
-        assert whole.tolist() == next(oracle._class_blocks(9, {})).tolist()
-
     def test_order_limit_follows_the_rank_width(self):
-        # the weight column is int64: n!/|Aut| <= n! must fit at the cap
-        assert math.factorial(oracle.MAX_TREE_ORDER) < 2 ** 63
-        assert max(next(oracle._class_blocks(18, {}))[0]) <= math.factorial(18)
         for n in (1, oracle.MAX_TREE_ORDER + 1):
             with pytest.raises(LimitError, match=f"tree sweep covers 2 <= n <= 18, got n={n}"):
                 tree_sweep(n)
@@ -749,8 +708,8 @@ class TestTreeSweepFastPath:
         assert verify_conjecture2(6).status == "verified"
 
     def test_sweep_memory_is_bounded(self):
-        # the classes reduce in blocks: the 19,320 classes at n = 16 are
-        # never held at once
+        # the classes are counted as they are generated: the 19,320
+        # classes at n = 16 are never held at once
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
