@@ -3,7 +3,9 @@ bounds, and exhaustive small-order verification tools."""
 
 import os
 
-# numpy's OpenBLAS thread pool only slows start-up: every eigensolve here is small
+# numpy's OpenBLAS thread pool only slows start-up: every eigensolve here is
+# small. sigmat imports numpy only where it builds arrays, after this line has
+# run, so the default holds for those later imports too.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .graph import (

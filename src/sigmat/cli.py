@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 verification failure (violated bound or
 conjecture counterexample), 2 usage or input error, 3 internal error (a
 failed eigensolve or any other unexpected exception; the traceback is
 logged at debug level, see ``SIGMAT_LOG``), 141 stdout closed by its reader
-(128 + SIGPIPE, with nothing printed).
+(128 + SIGPIPE, with nothing printed). A failed eigensolve is numpy's
+``LinAlgError``, a ValueError; it is told apart from input errors through
+``sys.modules``, so this module never imports numpy and only the commands
+that build arrays (``bounds``, ``spectral`` and the mask sweeps) load it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
-
-from numpy.linalg import LinAlgError
 
 from .bounds import BoundCheck, check_all
 from .extremal import (
@@ -447,16 +448,19 @@ def main(argv: Iterable[str] | None = None) -> int:
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
         return _COMMANDS[args.command](args)
-    except LinAlgError as exc:  # a ValueError, but not the user's
-        internal = exc
     except BrokenPipeError:  # an OSError, but not a usage or input error
         # the reader closed stdout: point it at devnull so the interpreter's
         # final flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (UsageError, Graph6Error, LimitError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # numpy's LinAlgError is a ValueError, but not the user's; it cannot
+        # have been raised unless numpy.linalg is loaded
+        linalg = sys.modules.get("numpy.linalg")
+        if linalg is None or not isinstance(exc, linalg.LinAlgError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        internal = exc
     except Exception as exc:
         internal = exc
     log.debug("internal error in %s", args.command, exc_info=internal)

@@ -14,8 +14,9 @@ entry of FILTERS, which says what it keeps of a stream and of a mask table.
 Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, so memory stays
 bounded whatever the order. One sweep engine makes and scans the chunks in
-order on the calling thread and merges their partials in that order. The tree
-sweep is one plain pass over the free trees that keeps a few counts per degree
+order on the calling thread and merges their partials in that order. Only
+these sweeps import :mod:`sigmat.bulk`, and numpy with it. The tree sweep is
+one plain pass over the free trees that keeps a few counts per degree
 profile, of which there are p(n-2): 231 at n = 18.
 """
 
@@ -29,15 +30,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from . import bulk
 from .extremal import max_bipartite_split
 from .graph import (Graph, Graph6Error, encode_graph6, is_connected, is_regular, is_tree,
                     is_triangle_free, pair_order, parse_graph6)
 from .invariants import degree_variance, sigma, sigma_t, sigma_t_pairsum, zagreb_m1
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import bulk
 
 log = logging.getLogger("sigmat.oracle")
 
@@ -317,6 +320,8 @@ def _tiles(total: int, width: int) -> list[tuple[int, int]]:
 def chunk_ranges(n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) ranges of ``bulk.CHUNK_MASKS`` masks tiling the
     edge-subset space at order n; the last one may be shorter."""
+    from . import bulk
+
     return _tiles(1 << (n * (n - 1) // 2), bulk.CHUNK_MASKS)
 
 
@@ -344,6 +349,8 @@ def search_connected(n: int, objective: str, graph_filter: str = "none") -> Sear
     _require_order(n, 1, "graph search")
     if graph_filter not in FILTERS:
         raise ValueError(f"unknown filter {graph_filter!r}; expected one of {tuple(FILTERS)}")
+    from . import bulk
+
     rows = FILTERS[graph_filter].rows
     start = time.perf_counter()
 
@@ -659,6 +666,7 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     reference = max_bipartite_split(n).value  # raises for n < 2
     triangle_free = FILTERS["triangle-free"]
     if graphs is None:
+        from . import bulk
 
         def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally]:
             keep = triangle_free.rows(table)

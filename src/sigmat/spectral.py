@@ -3,7 +3,9 @@ Rayleigh-quotient ratio that brackets between the algebraic connectivity
 and the largest Laplacian eigenvalue, for one vector or a batch of them.
 
 Both matrices of a graph are built once, as one (2, n, n) stack, and solved
-by one ``np.linalg.eigvalsh`` call, looked up when it is called.
+by one ``np.linalg.eigvalsh`` call, looked up when it is called. numpy is
+imported by the functions that build arrays, so a command that never asks
+for a spectrum does not load it.
 
 All comparisons against eigenvalues use an absolute tolerance scaled by
 n*maxdeg; eigenvalues live in [0, 2*maxdeg], so a relative tolerance would
@@ -13,11 +15,12 @@ misfire near zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def spectral_tolerance(g: Graph) -> float:
@@ -34,6 +37,8 @@ def spectral_matrices(g: Graph) -> np.ndarray:
     ``np.diag(A.sum(1)) - A``. Apart from the stack, the only n x n
     temporary is the uint8 bit matrix.
     """
+    import numpy as np
+
     n = g.n
     width = (n + 7) // 8
     raw = b"".join(a.to_bytes(width, "little") for a in g.adj)
@@ -65,6 +70,8 @@ def laplacian_spectrum(g: Graph) -> SpectralSummary:
     Raises numpy's LinAlgError if the eigensolver fails to converge; partial
     spectra are never returned.
     """
+    import numpy as np
+
     lap, adj = np.linalg.eigvalsh(spectral_matrices(g))
     lap_values = tuple(lap.tolist())
     return SpectralSummary(
@@ -96,6 +103,8 @@ def rayleigh_ratio(g: Graph, x: Sequence[float]) -> float:
 def rayleigh_ratios(g: Graph, xs: np.ndarray) -> np.ndarray:
     """:func:`rayleigh_ratio` for each row of a (k, n) array of nonconstant
     vectors, as a float64 array of k ratios."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != g.n:
         raise ValueError(f"vectors of shape {xs.shape} are not a (k, {g.n}) array")

@@ -49,6 +49,31 @@ def run_child(argv, log_level=None):
                           env=child_env(log_level), timeout=120)
 
 
+# cli.main on the probe's arguments, then what the process loaded
+IMPORT_PROBE = """
+import contextlib, io, json, os, sys
+from sigmat import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+task = "/proc/self/task"
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "bulk": "sigmat.bulk" in sys.modules,
+                  "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir(task)) if os.path.isdir(task) else 1}))
+"""
+
+
+def probe_imports(argv):
+    """Run ``cli.main(argv)`` in a fresh interpreter with OPENBLAS_NUM_THREADS
+    unset; returns the probe's report and stderr."""
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    child = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
+                           env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout), child.stderr.decode()
+
+
 class TestCompute:
     def test_p4_json(self, capsys):
         code, out, _ = run(capsys, ["compute", "--graph6", P4])
@@ -425,6 +450,34 @@ class TestPlumbing:
             assert threads == b"1"
 
     @pytest.mark.parametrize("argv", [
+        ["extremal", "--family", "split", "--n", "8"],
+        ["extremal", "--family", "bipartite", "--n", "10"],
+        ["conjecture", "--id", "2", "--n", "9"],
+        ["search", "--n", "9", "--objective", "min", "--filter", "tree"],
+        ["compute", "--graph6", P4],
+        ["verify-identities", "--n", "5"],
+        ["verify-identities", "--random", "20", "--n", "6"],
+        ["search", "--graph6", P4, "--objective", "max", "--filter", "triangle-free"],
+        ["conjecture", "--id", "1", "--n", "4", "--graph6", P4],
+    ])
+    def test_integer_commands_do_not_load_numpy(self, argv):
+        report, err = probe_imports(argv)
+        assert (report["code"], err) == (0, "")
+        assert not report["numpy"] and not report["bulk"]
+
+    @pytest.mark.parametrize("argv, bulk", [
+        (["bounds", "--graph6", P4], False),
+        (["spectral", "--graph6", P4], False),
+        (["search", "--n", "5", "--objective", "max"], True),
+        (["conjecture", "--id", "1", "--n", "5"], True),
+    ])
+    def test_array_commands_load_numpy_with_one_blas_thread(self, argv, bulk):
+        report, err = probe_imports(argv)
+        assert (report["code"], err) == (0, "")
+        assert report["numpy"] and report["bulk"] == bulk
+        assert report["blas"] == "1" and report["threads"] == 1
+
+    @pytest.mark.parametrize("argv", [
         ["compute", "--graph6", P4],
         ["bounds", "--graph6", P4],
         ["search", "--n", "5", "--objective", "max"],
@@ -522,6 +575,16 @@ class TestInternalErrors:
         code, out, err = run(capsys, ["spectral", "--graph6", P4])
         assert code == 3 and out == ""
         assert err == "error: internal: LinAlgError: Eigenvalues did not converge\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["conjecture", "--id", "2", "--n", "30"], "conjecture 2 covers 3 <= n <= 18, got n=30"),
+        (["search", "--n", "8", "--objective", "max"], "graph search covers 1 <= n <= 7, got n=8"),
+    ])
+    def test_limit_error_exits_2_without_numpy(self, argv, message):
+        # the ValueError branch tells a LinAlgError apart without importing numpy
+        report, err = probe_imports(argv)
+        assert report["code"] == 2 and err.startswith(f"error: {message}")
+        assert not report["numpy"]
 
     def test_unexpected_exception_exits_3_with_debug_traceback(self, capsys, monkeypatch, caplog):
         def fail(n):

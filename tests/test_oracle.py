@@ -646,7 +646,7 @@ class TestTreeSweepFastPath:
         assert match, record.getMessage()
         assert float(match.group(1)) >= 0.04  # the four witness searches
 
-    def test_violations_are_capped_across_chunks(self, monkeypatch):
+    def test_violation_witnesses_are_capped_in_pruefer_order(self, monkeypatch):
         # sigma read as 0 puts every tree on 6 vertices over the ratio bound
         evaluate = oracle._tree_sigmas
         monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (evaluate(degrees, edges)[0], 0))
@@ -658,7 +658,7 @@ class TestTreeSweepFastPath:
         report = verify_conjecture2(6)
         assert report.status == "counterexample" and report.counterexamples == first
 
-    def test_flags_see_non_stars_and_non_paths_across_chunks(self, monkeypatch):
+    def test_star_and_path_flags_fail_when_every_tree_ties(self, monkeypatch):
         # sigma_t and sigma read as 0: every tree attains both extremes, the
         # ratio equality and sigma == sigma_t, so no "all stars/paths" holds
         monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (0, 0))
@@ -673,7 +673,7 @@ class TestTreeSweepFastPath:
         report = verify_conjecture2(6)
         assert report.status == "counterexample" and report.counterexamples == first
 
-    def test_order_limit_follows_the_rank_width(self):
+    def test_orders_outside_2_to_18_raise_limit_error(self):
         for n in (1, oracle.MAX_TREE_ORDER + 1):
             with pytest.raises(LimitError, match=f"tree sweep covers 2 <= n <= 18, got n={n}"):
                 tree_sweep(n)
