@@ -6,7 +6,9 @@ Fractions; checks involving radicals or eigenvalues compare floats within
 the spectral tolerance, and their equality flags are advisory only.
 Individual checks raise PreconditionError when their hypotheses fail;
 ``check_all`` evaluates each graph once into a ``GraphFacts`` record and
-downgrades those failures to skip markers so batch reports are total.
+downgrades those failures to skip markers so batch reports are total;
+``graph_facts`` builds the records of many graphs with the spectra of the
+connected ones solved together.
 A ``BoundCheck`` keeps its sides as they were compared (int, Fraction or
 float); the CLI writes a Fraction side as ``{"num": a, "den": b}``.
 """
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .graph import (
     Graph,
@@ -28,7 +30,7 @@ from .graph import (
     is_path_graph,
 )
 from .invariants import sigma, sigma_t
-from .spectral import SpectralSummary, laplacian_spectrum, spectral_tolerance
+from .spectral import SpectralSummary, laplacian_spectra, laplacian_spectrum, spectral_tolerance
 
 
 class PreconditionError(ValueError):
@@ -62,8 +64,8 @@ def _skipped(bound_id: str, reason: str) -> BoundCheck:
 
 class GraphFacts:
     """What the graph bounds read about one graph, each computed once:
-    degree statistics, connectivity, sigma_t, the spectral tolerance and,
-    on first use, both spectra."""
+    degree statistics, connectivity, sigma_t, the spectral tolerance and
+    both spectra, solved on first use unless :func:`graph_facts` set them."""
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -79,6 +81,17 @@ class GraphFacts:
     def require_connected(self, bound_id: str) -> None:
         if not self.connected:
             raise PreconditionError(f"{bound_id}: graph is disconnected")
+
+
+def graph_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
+    """The GraphFacts of each graph, in input order, with the spectra of the
+    connected ones filled in from one :func:`laplacian_spectra` call; only
+    the bounds of connected graphs read a spectrum."""
+    facts = [GraphFacts(g) for g in graphs]
+    connected = [f for f in facts if f.connected]
+    for f, spectrum in zip(connected, laplacian_spectra([f.graph for f in connected])):
+        f.spectrum = spectrum
+    return facts
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:
@@ -312,11 +325,12 @@ _GRAPH_CHECKS = (
 )
 
 
-def check_all(g: Graph) -> list[BoundCheck]:
-    """Evaluate the graph once into a GraphFacts record and run every graph
-    bound of ``_GRAPH_CHECKS`` on it; a failed precondition becomes one skip
-    marker per bound id of its check. The result is ordered by bound id."""
-    facts = GraphFacts(g)
+def check_all(g: Graph | GraphFacts) -> list[BoundCheck]:
+    """Evaluate the graph once into a GraphFacts record (or take the one
+    given) and run every graph bound of ``_GRAPH_CHECKS`` on it; a failed
+    precondition becomes one skip marker per bound id of its check. The
+    result is ordered by bound id."""
+    facts = _facts(g)
     results: list[BoundCheck] = []
     for bound_ids, check in _GRAPH_CHECKS:
         try:

@@ -9,14 +9,22 @@ under its name in camelCase (or the key its ``json_key`` metadata names),
 and a field marked ``json_optional`` is left out while it is None. A
 Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table).
 
+``bounds`` and ``spectral`` read their input in chunks of at most
+``CHUNK_GRAPHS`` graphs and ``CHUNK_ENTRIES`` summed n^2 matrix entries (a
+larger graph is a chunk of its own), solve each chunk's spectra by order in
+stacked eigensolves, and then print its records in input order. An input
+error prints the records read before it first.
+
 Exit codes: 0 success, 1 verification failure (violated bound or
 conjecture counterexample), 2 usage or input error, 3 internal error (a
 failed eigensolve or any other unexpected exception; the traceback is
 logged at debug level, see ``SIGMAT_LOG``), 141 stdout closed by its reader
-(128 + SIGPIPE, with nothing printed). A failed eigensolve is numpy's
-``LinAlgError``, a ValueError; it is told apart from input errors through
-``sys.modules``, so this module never imports numpy and only the commands
-that build arrays (``bounds``, ``spectral`` and the mask sweeps) load it.
+(128 + SIGPIPE, with nothing printed). A failed eigensolve drops every
+record of its chunk: the records of earlier chunks are printed, none of its
+own. It is numpy's ``LinAlgError``, a ValueError; it is told apart from
+input errors through ``sys.modules``, so this module never imports numpy
+and only the commands that build arrays (``bounds``, ``spectral`` and the
+mask sweeps) load it.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
-from .bounds import BoundCheck, check_all
+from .bounds import BoundCheck, check_all, graph_facts
 from .extremal import (
     make_complete_bipartite,
     make_path,
@@ -56,9 +64,15 @@ from .oracle import (
     verify_conjecture2,
     verify_identity_suite,
 )
-from .spectral import laplacian_spectrum
+from .spectral import laplacian_spectra
 
 log = logging.getLogger("sigmat.cli")
+
+# a chunk of bounds/spectral input closes at whichever limit it reaches
+# first; the matrix stacks of a chunk of two or more graphs take at most
+# 16 * CHUNK_ENTRIES bytes
+CHUNK_GRAPHS = 256
+CHUNK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +338,32 @@ def _input_graphs(args) -> Iterator[Graph]:
         yield from ingest_graph6(sys.stdin, on_bad)
 
 
+def _chunks(graphs: Iterable[Graph]) -> Iterator[list[Graph]]:
+    """The graphs in input order, in lists of at most ``CHUNK_GRAPHS``
+    graphs and ``CHUNK_ENTRIES`` summed n^2 entries; a graph of more
+    entries is a list of its own. If reading the input raises, the graphs
+    read before it are yielded first."""
+    chunk: list[Graph] = []
+    entries = 0
+    try:
+        for g in graphs:
+            size = g.n * g.n
+            if chunk and entries + size > CHUNK_ENTRIES:
+                yield chunk
+                chunk, entries = [], 0
+            chunk.append(g)
+            entries += size
+            if len(chunk) == CHUNK_GRAPHS or entries >= CHUNK_ENTRIES:
+                yield chunk
+                chunk, entries = [], 0
+    except Exception:
+        if chunk:
+            yield chunk
+        raise
+    if chunk:
+        yield chunk
+
+
 def _emit(args, payload) -> None:
     print(render_table(payload) if args.format == "table" else canonical_json(payload))
 
@@ -340,16 +380,18 @@ def _cmd_compute(args) -> int:
 
 def _cmd_bounds(args) -> int:
     violated = False
-    for g in _input_graphs(args):
-        checks = check_all(g)
-        violated = violated or any(not c.holds for c in checks)
-        _emit(args, checks)
+    for chunk in _chunks(_input_graphs(args)):
+        for facts in graph_facts(chunk):
+            checks = check_all(facts)
+            violated = violated or any(not c.holds for c in checks)
+            _emit(args, checks)
     return 1 if violated else 0
 
 
 def _cmd_spectral(args) -> int:
-    for g in _input_graphs(args):
-        _emit(args, laplacian_spectrum(g))
+    for chunk in _chunks(_input_graphs(args)):
+        for spectrum in laplacian_spectra(chunk):
+            _emit(args, spectrum)
     return 0
 
 

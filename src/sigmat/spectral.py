@@ -2,8 +2,9 @@
 Rayleigh-quotient ratio that brackets between the algebraic connectivity
 and the largest Laplacian eigenvalue, for one vector or a batch of them.
 
-Both matrices of a graph are built once, as one (2, n, n) stack, and solved
-by one ``np.linalg.eigvalsh`` call, looked up when it is called. numpy is
+The matrices of many graphs are built by order, as one (k, 2, n, n) stack
+per order, and each stack is solved by one ``np.linalg.eigvalsh`` call,
+looked up when it is called; a single graph is a list of one. numpy is
 imported by the functions that build arrays, so a command that never asks
 for a spectrum does not load it.
 
@@ -28,26 +29,34 @@ def spectral_tolerance(g: Graph) -> float:
     return 1e-8 * max(1.0, g.n * max(g.degrees()))
 
 
-def spectral_matrices(g: Graph) -> np.ndarray:
-    """The Laplacian D - A and the adjacency matrix A of ``g`` as one
-    (2, n, n) float64 stack, L in slot 0 and A in slot 1.
+def spectral_matrices(graphs: Sequence[Graph]) -> np.ndarray:
+    """The Laplacian D - A and the adjacency matrix A of each of k graphs of
+    one order n as one (k, 2, n, n) float64 stack, L in slot 0 and A in
+    slot 1.
 
-    A is unpacked once from the adjacency bitmasks; L is 0 - A with the
-    degrees on its diagonal, so its off-diagonal zeros are +0.0 as in
-    ``np.diag(A.sum(1)) - A``. Apart from the stack, the only n x n
-    temporary is the uint8 bit matrix.
+    All the adjacency bitmasks are unpacked by one ``np.unpackbits``; L is
+    0 - A with the degrees on its diagonal, so its off-diagonal zeros are
+    +0.0 as in ``np.diag(A.sum(1)) - A``. Apart from the stack, the only
+    n x n temporaries are the k uint8 bit matrices. Raises ValueError for an
+    empty list or graphs of more than one order.
     """
     import numpy as np
 
-    n = g.n
-    width = (n + 7) // 8
-    raw = b"".join(a.to_bytes(width, "little") for a in g.adj)
-    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(n, width), axis=1, count=n, bitorder="little")
-    stack = np.empty((2, n, n), dtype=np.float64)
-    lap, adj = stack
-    adj[...] = bits
+    if not graphs:
+        raise ValueError("no graphs to build matrices for")
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError(f"graphs of more than one order in one stack (first has n={n})")
+    k, width = len(graphs), (n + 7) // 8
+    raw = b"".join(a.to_bytes(width, "little") for g in graphs for a in g.adj)
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(k * n, width), axis=1, count=n,
+                         bitorder="little")
+    stack = np.empty((k, 2, n, n), dtype=np.float64)
+    lap, adj = stack[:, 0], stack[:, 1]
+    adj[...] = bits.reshape(k, n, n)
     np.subtract(0.0, adj, out=lap)
-    lap.flat[:: n + 1] = adj.sum(axis=1)
+    diagonal = np.arange(n)
+    lap[:, diagonal, diagonal] = adj.sum(axis=2)
     return stack
 
 
@@ -63,24 +72,37 @@ class SpectralSummary:
     mu_max: float = field(metadata={"json_key": "muN"})
 
 
-def laplacian_spectrum(g: Graph) -> SpectralSummary:
-    """Full dense symmetric eigensolve of D - A and A: one ``eigvalsh``
-    call on the :func:`spectral_matrices` stack.
+def laplacian_spectra(graphs: Sequence[Graph]) -> list[SpectralSummary]:
+    """Full dense symmetric eigensolves of D - A and A for each graph, in
+    input order: the graphs are grouped by order, and each order's
+    :func:`spectral_matrices` stack is solved by one ``eigvalsh`` call.
 
-    Raises numpy's LinAlgError if the eigensolver fails to converge; partial
-    spectra are never returned.
+    Raises numpy's LinAlgError if the eigensolver fails to converge on any
+    of them; partial spectra are never returned.
     """
     import numpy as np
 
-    lap, adj = np.linalg.eigvalsh(spectral_matrices(g))
-    lap_values = tuple(lap.tolist())
-    return SpectralSummary(
-        laplacian_eigenvalues=lap_values,
-        adjacency_eigenvalues=tuple(adj.tolist()),
-        energy=float(np.abs(adj).sum()),
-        mu2=lap_values[1] if g.n >= 2 else None,
-        mu_max=lap_values[-1],
-    )
+    by_order: dict[int, list[int]] = {}
+    for k, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(k)
+    spectra: list[SpectralSummary | None] = [None] * len(graphs)
+    for n, members in by_order.items():
+        values = np.linalg.eigvalsh(spectral_matrices([graphs[k] for k in members]))
+        energies = np.abs(values[:, 1]).sum(axis=1).tolist()
+        for k, (lap, adj), energy in zip(members, values.tolist(), energies):
+            spectra[k] = SpectralSummary(
+                laplacian_eigenvalues=tuple(lap),
+                adjacency_eigenvalues=tuple(adj),
+                energy=energy,
+                mu2=lap[1] if n >= 2 else None,
+                mu_max=lap[-1],
+            )
+    return spectra
+
+
+def laplacian_spectrum(g: Graph) -> SpectralSummary:
+    """Both spectra of one graph: :func:`laplacian_spectra` of ``[g]``."""
+    return laplacian_spectra([g])[0]
 
 
 def rayleigh_ratio(g: Graph, x: Sequence[float]) -> float:

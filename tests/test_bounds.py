@@ -428,6 +428,18 @@ class TestGraphFacts:
         check_all(g)
         once = {"degree_stats": 1, "is_connected": 1, "sigma_t": 1}
         if spectra:
-            # both matrices go to one eigensolve as a (2, n, n) stack
-            once.update({"laplacian_spectrum": 1, "eigvalsh": 1, "eigvalsh shapes": [(2, g.n, g.n)]})
+            # both matrices go to one eigensolve as a (1, 2, n, n) stack
+            once.update({"laplacian_spectrum": 1, "eigvalsh": 1, "eigvalsh shapes": [(1, 2, g.n, g.n)]})
         assert calls == once
+
+    def test_graph_facts_solve_the_connected_graphs_once_per_order(self, calls):
+        graphs = [path(5), Graph(5, [(0, 1), (2, 3)]), cycle(6), Graph(1), star(5), complete(3), Graph(4)]
+        facts = bounds.graph_facts(graphs)
+        assert [f.graph for f in facts] == graphs
+        # the connected graphs by order, in order of first appearance: P5 and S5, C6, K1, K3
+        assert calls["eigvalsh shapes"] == [(2, 2, 5, 5), (1, 2, 6, 6), (1, 2, 1, 1), (1, 2, 3, 3)]
+        assert [f.connected for f in facts] == [True, False, True, True, True, True, False]
+        assert [("spectrum" in vars(f)) for f in facts] == [f.connected for f in facts]
+        checks = [check_all(f) for f in facts]
+        assert calls["eigvalsh"] == 4 and "laplacian_spectrum" not in calls
+        assert checks == [check_all(g) for g in graphs]

@@ -1,26 +1,30 @@
 """CLI subcommands: exit codes, JSON byte stability, and table rendering."""
 
+import contextlib
 import enum
 import io
 import json
 import logging
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sigmat import cli
-from sigmat.graph import encode_graph6, parse_graph6
+from sigmat.graph import Graph, encode_graph6, pair_order, parse_graph6
 from sigmat.invariants import sigma_t
 from sigmat.cli import canonical_json
 from sigmat.oracle import ConjectureReport, IdentitySummary
-from tests.test_graph import complete, cycle, path, star
+from tests.test_graph import complete, cycle, path, seeded_graphs, star
 
 P4 = encode_graph6(path(4))       # "Ch"
 K4 = encode_graph6(complete(4))   # "C~"
@@ -154,6 +158,124 @@ class TestSpectral:
         assert body["laplacianEigenvalues"] == pytest.approx([0.0, 1.0, 1.0, 4.0], abs=1e-9)
         assert body["muN"] == pytest.approx(4.0)
         assert body["mu2"] == pytest.approx(1.0)
+
+
+@cache
+def record_output(command, fmt, record):
+    """(exit code, stdout) of ``command --graph6 record --format fmt``."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = cli.main([command, "--graph6", record, "--format", fmt])
+    return code, sink.getvalue()
+
+
+def joined_outputs(command, fmt, records):
+    return "".join(record_output(command, fmt, record)[1] for record in records)
+
+
+class TestChunkedStreams:
+    """``bounds`` and ``spectral`` read a file in chunks and print each
+    chunk's records after solving its spectra: the output must still be
+    the per-record outputs in input order, across chunk boundaries."""
+
+    # mixed orders 1..12, connected and not, past two full chunks
+    RECORDS = [encode_graph6(g) for g in
+               seeded_graphs(random.Random(2026), range(1, 13), 2 * cli.CHUNK_GRAPHS + 20)]
+    BAD = cli.CHUNK_GRAPHS + 10  # index of the malformed line, inside chunk 2
+
+    def write(self, tmp_path, lines):
+        stream = tmp_path / "graphs.g6"
+        stream.write_text("\n".join(lines) + "\n")
+        return str(stream)
+
+    def with_bad_line(self):
+        return self.RECORDS[:self.BAD] + ["not-a-graph!!"] + self.RECORDS[self.BAD:]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("command", ["bounds", "spectral"])
+    def test_output_is_the_per_record_outputs_in_order(self, capsys, tmp_path, command, fmt):
+        code, out, err = run(capsys, [command, "--file", self.write(tmp_path, self.RECORDS), "--format", fmt])
+        assert {record_output(command, fmt, r)[0] for r in self.RECORDS} == {0}
+        assert (code, err) == (0, "")
+        assert out == joined_outputs(command, fmt, self.RECORDS)
+
+    @pytest.mark.parametrize("command", ["bounds", "spectral"])
+    def test_malformed_line_in_the_second_chunk_prints_every_earlier_record(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, [command, "--file", self.write(tmp_path, self.with_bad_line())])
+        assert code == 2
+        assert err.startswith(f"error: line {self.BAD + 1}: ") and err.count("\n") == 1
+        assert out == joined_outputs(command, "json", self.RECORDS[:self.BAD])
+
+    @pytest.mark.parametrize("command", ["bounds", "spectral"])
+    def test_skip_bad_lines_prints_every_other_record(self, capsys, tmp_path, command):
+        stream = self.write(tmp_path, self.with_bad_line())
+        code, out, err = run(capsys, [command, "--file", stream, "--skip-bad-lines"])
+        assert code == 0
+        assert err.startswith(f"skipping line {self.BAD + 1}: ") and err.count("\n") == 1
+        assert out == joined_outputs(command, "json", self.RECORDS)
+
+    @pytest.mark.parametrize("command", ["bounds", "spectral"])
+    def test_failed_eigensolve_drops_its_chunk_only(self, capsys, tmp_path, monkeypatch, command):
+        # one order in the first chunk, so that its spectra are one eigensolve
+        first = [encode_graph6(g) for g in seeded_graphs(random.Random(6), [6], cli.CHUNK_GRAPHS)]
+        expected = joined_outputs(command, "json", first)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def fail_on_the_second_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_the_second_call)
+        code, out, err = run(capsys, [command, "--file", self.write(tmp_path, first + self.RECORDS)])
+        assert code == 3 and len(calls) == 2
+        assert err == "error: internal: LinAlgError: Eigenvalues did not converge\n"
+        assert out == expected
+
+    @pytest.mark.parametrize("command, solve", [("spectral", "laplacian_spectra"), ("bounds", "graph_facts")])
+    def test_a_graph_past_the_entry_budget_is_solved_alone(self, tmp_path, monkeypatch, command, solve):
+        # the bound of tests/test_spectral.py::test_spectrum_memory_stays_near_the_stack,
+        # on the chunk solve only: parsing the record is not part of it
+        n = 1500
+        rng = random.Random(1500)
+        big = encode_graph6(Graph(n, [(u, v) for u, v in pair_order(n) if rng.random() < 0.01]))
+        small = self.RECORDS[:40]
+        chunks, peaks = [], []
+        inner = getattr(cli, solve)
+
+        def traced(graphs):
+            chunks.append([g.n for g in graphs])
+            tracemalloc.start()
+            try:
+                return inner(graphs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, solve, traced)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = cli.main([command, "--file", self.write(tmp_path, small[:30] + [big] + small[30:])])
+        assert code == 0 and len(sink.getvalue().splitlines()) == 41
+        assert chunks == [[parse_graph6(r).n for r in small[:30]], [n], [parse_graph6(r).n for r in small[30:]]]
+        assert peaks[1] < 2.3 * 8 * n * n
+
+    def test_chunks_close_at_the_graph_count_or_the_entry_budget(self):
+        rng = random.Random(7)
+        graphs = [Graph(rng.choice([1, 5, 12, 60, 150, 300])) for _ in range(4 * cli.CHUNK_GRAPHS)]
+        graphs += [Graph(3)] * (3 * cli.CHUNK_GRAPHS)
+        chunks = list(cli._chunks(graphs))
+        assert [g for chunk in chunks for g in chunk] == graphs
+        sizes = [sum(g.n * g.n for g in chunk) for chunk in chunks]
+        for k, chunk in enumerate(chunks):
+            assert len(chunk) <= cli.CHUNK_GRAPHS
+            assert sizes[k] <= cli.CHUNK_ENTRIES or len(chunk) == 1
+            if k + 1 < len(chunks):
+                # a chunk closes only when the next graph would break a limit
+                assert len(chunk) == cli.CHUNK_GRAPHS or sizes[k] + chunks[k + 1][0].n ** 2 > cli.CHUNK_ENTRIES
+        assert {len(c) for c in chunks} >= {1, cli.CHUNK_GRAPHS}
+        assert any(1 < len(c) < cli.CHUNK_GRAPHS for c in chunks)
 
 
 class TestExtremal:

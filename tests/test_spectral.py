@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sigmat.graph import Graph, encode_graph6, is_connected, pair_order, parse_g
 from sigmat.invariants import sigma, sigma_t
 from sigmat.spectral import (
     SpectralSummary,
+    laplacian_spectra,
     laplacian_spectrum,
     rayleigh_ratio,
     rayleigh_ratios,
@@ -67,9 +69,9 @@ def test_single_vertex():
 
 
 def test_matrices():
-    stack = spectral_matrices(path(3))
-    assert stack.shape == (2, 3, 3) and stack.dtype == np.float64
-    lap, a = stack
+    stack = spectral_matrices([path(3)])
+    assert stack.shape == (1, 2, 3, 3) and stack.dtype == np.float64
+    lap, a = stack[0]
     assert np.array_equal(a, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert np.array_equal(lap, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
 
@@ -99,7 +101,7 @@ def reference_spectrum(lap_matrix, adj_matrix):
 def assert_matches_the_reference(g):
     """Matrices and spectra equal the reference bit for bit, and no zero
     entry, the off-diagonal Laplacian ones included, is -0.0."""
-    stack = spectral_matrices(g)
+    stack = spectral_matrices([g])
     lap_matrix, adj_matrix = reference_matrices(g)
     assert stack.tobytes() == lap_matrix.tobytes() + adj_matrix.tobytes()
     assert np.array_equal(np.signbit(stack), stack < 0)
@@ -116,15 +118,54 @@ def test_seeded_random_graphs_match_the_reference():
         assert_matches_the_reference(g)
 
 
-def test_long_form_graph_matches_the_reference():
+def long_form_graph():
     rng = random.Random(70)
     record = encode_graph6(Graph(70, [(u, v) for u, v in pair_order(70) if rng.random() < 0.3]))
     assert record.startswith("~")
-    assert_matches_the_reference(parse_graph6(record))
+    return parse_graph6(record)
+
+
+def test_long_form_graph_matches_the_reference():
+    assert_matches_the_reference(long_form_graph())
+
+
+def summary_bits(s):
+    """Every float of a summary in hex, so that -0.0 and 0.0 differ."""
+    return [x.hex() if isinstance(x, float) else x if x is None else [v.hex() for v in x]
+            for x in astuple(s)]
+
+
+def test_stacked_solves_equal_the_one_graph_solves_bit_for_bit():
+    # K1, edgeless graphs, the long-form record and the seeded n = 7..30 draws
+    graphs = [Graph(1), Graph(1), Graph(4), Graph(9), long_form_graph(), path(4), complete(7)]
+    graphs += seeded_graphs(random.Random(20240613), range(7, 31), 500)
+    random.Random(20261019).shuffle(graphs)
+    spectra = laplacian_spectra(graphs)
+    assert len(spectra) == len(graphs)
+    for g, s in zip(graphs, spectra):
+        assert summary_bits(s) == summary_bits(laplacian_spectrum(g))
+        assert s == reference_spectrum(*reference_matrices(g))
+
+
+def test_spectra_of_no_graphs():
+    assert laplacian_spectra([]) == []
+
+
+def test_matrix_stack_of_several_graphs():
+    graphs = [path(4), star(4), Graph(4)]
+    stack = spectral_matrices(graphs)
+    assert stack.shape == (3, 2, 4, 4)
+    assert stack.tobytes() == b"".join(spectral_matrices([g]).tobytes() for g in graphs)
+
+
+@pytest.mark.parametrize("graphs, message", [([], "no graphs"), ([path(3), path(4)], "more than one order")])
+def test_matrix_stack_needs_graphs_of_one_order(graphs, message):
+    with pytest.raises(ValueError, match=message):
+        spectral_matrices(graphs)
 
 
 def test_spectrum_memory_stays_near_the_stack():
-    # the (2, n, n) float64 stack is 2 x 8n^2 bytes and the uint8 bit matrix
+    # the (1, 2, n, n) float64 stack is 2 x 8n^2 bytes and the uint8 bit matrix
     # n^2 more; one more n x n float64 temporary would reach 3 x 8n^2
     n = 1500
     rng = random.Random(1500)
