@@ -25,13 +25,17 @@ own. It is numpy's ``LinAlgError``, a ValueError; it is told apart from
 input errors through ``sys.modules``, so this module never imports numpy
 and only the commands that build arrays (``bounds``, ``spectral`` and the
 mask sweeps) load it.
+
+Each command imports the sigmat modules it calls when it runs, so a process
+loads only those, besides ``graph`` (the input reader and the search
+filters); ``logging`` is loaded only when ``SIGMAT_LOG`` is set or an
+internal error is logged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from dataclasses import fields, is_dataclass
@@ -40,33 +44,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
-from .bounds import BoundCheck, check_all, graph_facts
-from .extremal import (
-    make_complete_bipartite,
-    make_path,
-    make_split,
-    make_star,
-    max_bipartite_split,
-    max_split_sigma_t,
-)
-from .graph import Graph, Graph6Error, encode_graph6, parse_graph6, require_graph6_order
-from .invariants import full_report, sigma_t
-from .oracle import (
-    FILTERS,
-    LimitError,
-    ingest_graph6,
-    random_graphs,
-    enumerate_connected_graphs,
-    search_connected,
-    search_extremal,
-    search_trees,
-    verify_conjecture1,
-    verify_conjecture2,
-    verify_identity_suite,
-)
-from .spectral import laplacian_spectra
-
-log = logging.getLogger("sigmat.cli")
+from .graph import FILTERS, Graph, encode_graph6, ingest_graph6, parse_graph6, require_graph6_order
 
 # a chunk of bounds/spectral input closes at whichever limit it reaches
 # first; the matrix stacks of a chunk of two or more graphs take at most
@@ -236,22 +214,25 @@ def _format_rows(rows: list[tuple[str, ...]]) -> str:
 def render_table(report) -> str:
     """Fixed-column text rendering; equalities are marked '=' and skipped
     checks 'skip(<reason>)'."""
-    if isinstance(report, list) and all(isinstance(c, BoundCheck) for c in report):
-        rows = [("bound", "lhs", "rhs", "status", "certificate")]
-        for c in report:
-            if c.skipped is not None:
-                status, lhs, rhs = f"skip({c.skipped})", "", ""
-            else:
-                status = "=" if c.equality else ("✓" if c.holds else "✗")
-                lhs, rhs = (format_float(x) if isinstance(x, float) else str(x) for x in (c.lhs, c.rhs))
-            rows.append((c.bound_id, lhs, rhs, status, c.certificate))
-        return _format_rows(rows)
     if is_dataclass(report):
         report = record_items(report)
     if isinstance(report, dict):
         rows = [("field", "value")]
         rows.extend((str(k), _cell(v)) for k, v in report.items())
         return _format_rows(rows)
+    if isinstance(report, list):
+        from .bounds import BoundCheck  # only the bounds command prints lists
+
+        if all(isinstance(c, BoundCheck) for c in report):
+            rows = [("bound", "lhs", "rhs", "status", "certificate")]
+            for c in report:
+                if c.skipped is not None:
+                    status, lhs, rhs = f"skip({c.skipped})", "", ""
+                else:
+                    status = "=" if c.equality else ("✓" if c.holds else "✗")
+                    lhs, rhs = (format_float(x) if isinstance(x, float) else str(x) for x in (c.lhs, c.rhs))
+                rows.append((c.bound_id, lhs, rhs, status, c.certificate))
+            return _format_rows(rows)
     raise TypeError(f"cannot render {type(report).__name__}")
 
 
@@ -373,12 +354,16 @@ def _emit(args, payload) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_compute(args) -> int:
+    from .invariants import full_report
+
     for g in _input_graphs(args):
         _emit(args, full_report(g))
     return 0
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import check_all, graph_facts
+
     violated = False
     for chunk in _chunks(_input_graphs(args)):
         for facts in graph_facts(chunk):
@@ -389,6 +374,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from .spectral import laplacian_spectra
+
     for chunk in _chunks(_input_graphs(args)):
         for spectrum in laplacian_spectra(chunk):
             _emit(args, spectrum)
@@ -396,6 +383,10 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .extremal import (make_complete_bipartite, make_path, make_split, make_star,
+                           max_bipartite_split, max_split_sigma_t)
+    from .invariants import sigma_t
+
     n = args.n
     # before any construction: split and bipartite graphs take O(n^2) memory
     require_graph6_order(n)
@@ -422,6 +413,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    from .oracle import search_connected, search_extremal, search_trees
+
     if _has_stream(args):
         result = search_extremal(
             _input_graphs(args), args.objective, FILTERS[args.filter].keeps,
@@ -439,6 +432,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
+    from .oracle import verify_conjecture1, verify_conjecture2
+
     if args.id == 1:
         graphs = _input_graphs(args) if _has_stream(args) else None
         report = verify_conjecture1(args.n, graphs)
@@ -451,6 +446,8 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
+    from .oracle import enumerate_connected_graphs, random_graphs, verify_identity_suite
+
     if args.random is not None:
         if args.n is None:
             raise UsageError("--random needs --n")
@@ -485,6 +482,8 @@ _COMMANDS = {
 def main(argv: Iterable[str] | None = None) -> int:
     level = os.environ.get("SIGMAT_LOG")
     if level:
+        import logging
+
         logging.basicConfig(level=getattr(logging, level.upper(), logging.DEBUG))
     parser = build_parser()
     args = parser.parse_args(argv if argv is None else list(argv))
@@ -495,9 +494,10 @@ def main(argv: Iterable[str] | None = None) -> int:
         # final flush stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (UsageError, Graph6Error, LimitError, ValueError, OSError) as exc:
-        # numpy's LinAlgError is a ValueError, but not the user's; it cannot
-        # have been raised unless numpy.linalg is loaded
+    except (UsageError, ValueError, OSError) as exc:
+        # input errors (Graph6Error) and order limits (LimitError) are
+        # ValueErrors; numpy's LinAlgError is one too, but not the user's,
+        # and it cannot have been raised unless numpy.linalg is loaded
         linalg = sys.modules.get("numpy.linalg")
         if linalg is None or not isinstance(exc, linalg.LinAlgError):
             print(f"error: {exc}", file=sys.stderr)
@@ -505,7 +505,9 @@ def main(argv: Iterable[str] | None = None) -> int:
         internal = exc
     except Exception as exc:
         internal = exc
-    log.debug("internal error in %s", args.command, exc_info=internal)
+    import logging
+
+    logging.getLogger("sigmat.cli").debug("internal error in %s", args.command, exc_info=internal)
     print(f"error: internal: {type(internal).__name__}: {internal}", file=sys.stderr)
     return 3
 

@@ -1,5 +1,6 @@
-"""Simple undirected graphs on dense integer vertices, graph6 codec, and
-structural predicates.
+"""Simple undirected graphs on dense integer vertices, graph6 codec and
+line-stream reader, structural predicates, and the search filters
+(``FILTERS``) built on them.
 
 Vertices are always 0..n-1 and adjacency is stored as one integer bitmask per
 vertex, which keeps set intersection (triangle tests, traversals) cheap for
@@ -11,7 +12,12 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import bulk
 
 MAX_GRAPH6_ORDER = 258047  # the 4-byte long-form header; the 8-byte form is not supported
 
@@ -209,22 +215,52 @@ def parse_graph6(text: str) -> Graph:
             offset=len(data),
         )
     masks = [0] * n
-    pairs = pair_order(n)
-    bit = 0
-    for k in range(expect):
-        byte = data[start + k]
+    # (i, j) walks the pairs in graph6 bit order; j >= n on the padding bits
+    i, j = 0, 1
+    for k in range(start, start + expect):
+        byte = data[k]
         if not 63 <= byte <= 126:
-            raise Graph6Error(f"invalid payload byte {byte}", offset=start + k)
+            raise Graph6Error(f"invalid payload byte {byte}", offset=k)
         group = byte - 63
-        for t in range(6):
-            if group >> (5 - t) & 1:
-                if bit >= nbits:
-                    raise Graph6Error("nonzero padding bits", offset=start + k)
-                i, j = pairs[bit]
+        if not group:  # six absent edges: step past their pairs
+            i += 6
+            while i >= j:
+                i -= j
+                j += 1
+            continue
+        for bit in (32, 16, 8, 4, 2, 1):
+            if group & bit:
+                if j >= n:
+                    raise Graph6Error("nonzero padding bits", offset=k)
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-            bit += 1
+            i += 1
+            if i == j:
+                i = 0
+                j += 1
     return Graph.from_masks(n, tuple(masks))
+
+
+def ingest_graph6(
+    lines: Iterable[str],
+    on_bad: Callable[[int, str, Graph6Error], None] | None = None,
+) -> Iterator[Graph]:
+    """Decode a line-oriented graph6 stream in order.
+
+    Malformed lines raise with the 1-based line number, or, when an
+    ``on_bad`` handler is given, are reported to it and dropped.
+    """
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            yield parse_graph6(line)
+        except Graph6Error as exc:
+            if on_bad is not None:
+                on_bad(lineno, line, exc)
+                continue
+            raise Graph6Error(f"line {lineno}: {exc.reason}", offset=exc.offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -338,3 +374,24 @@ def is_star_graph(g: Graph) -> bool:
         return False
     degs = sorted(g.degrees())
     return degs[-1] == g.n - 1 and (g.n == 2 or degs[-2] == 1)
+
+
+# ---------------------------------------------------------------------------
+# search filters
+# ---------------------------------------------------------------------------
+
+class GraphFilter(NamedTuple):
+    """One search filter: the graphs it keeps of a stream (None keeps all),
+    and the rows it keeps of a :class:`sigmat.bulk.MaskTable`."""
+
+    keeps: Callable[[Graph], bool] | None
+    rows: Callable[[bulk.MaskTable], np.ndarray | slice]
+
+
+# every search filter by name, in the order the command line lists them
+FILTERS = {
+    "triangle-free": GraphFilter(is_triangle_free, lambda table: table.triangle_free),
+    "tree": GraphFilter(is_tree, lambda table: table.m == table.n - 1),
+    "nonregular": GraphFilter(lambda g: not is_regular(g), lambda table: table.max_deg != table.min_deg),
+    "none": GraphFilter(None, lambda table: slice(None)),
+}

@@ -9,7 +9,8 @@ still one of labeled trees; the labeled Prüfer decode is their reference.
 Internal limits are n <= 7 for graphs and n <= 18 for trees, checked by one
 helper before a sweep does any other work; larger orders arrive through
 graph6 line streams produced by external generators. A search filter is one
-entry of FILTERS, which says what it keeps of a stream and of a mask table.
+entry of ``graph.FILTERS``, which says what it keeps of a stream and of a
+mask table.
 
 Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, so memory stays
@@ -30,11 +31,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .extremal import max_bipartite_split
-from .graph import (Graph, Graph6Error, encode_graph6, is_connected, is_regular, is_tree,
-                    is_triangle_free, pair_order, parse_graph6)
+from .graph import FILTERS, Graph, encode_graph6, is_connected, pair_order
 from .invariants import degree_variance, sigma, sigma_t, sigma_t_pairsum, zagreb_m1
 
 if TYPE_CHECKING:
@@ -136,28 +135,6 @@ def random_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
     rng = random.Random(seed)
     nbits = len(pairs)
     return (graph_from_mask(n, rng.getrandbits(nbits), pairs) for _ in range(count))
-
-
-def ingest_graph6(
-    lines: Iterable[str],
-    on_bad: Callable[[int, str, Graph6Error], None] | None = None,
-) -> Iterator[Graph]:
-    """Decode a line-oriented graph6 stream in order.
-
-    Malformed lines raise with the 1-based line number, or, when an
-    ``on_bad`` handler is given, are reported to it and dropped.
-    """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            yield parse_graph6(line)
-        except Graph6Error as exc:
-            if on_bad is not None:
-                on_bad(lineno, line, exc)
-                continue
-            raise Graph6Error(f"line {lineno}: {exc.reason}", offset=exc.offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -294,23 +271,6 @@ def search_extremal(
             raise ValueError(f"mixed graph orders in stream: {n_seen} and {g.n}")
         best.add(sigma_t(g), g)
     return best.result(n_seen, description, "graphs left after filtering")
-
-
-class GraphFilter(NamedTuple):
-    """One search filter: the graphs it keeps of a stream (None keeps all),
-    and the rows it keeps of a :class:`sigmat.bulk.MaskTable`."""
-
-    keeps: Callable[[Graph], bool] | None
-    rows: Callable[[bulk.MaskTable], np.ndarray | slice]
-
-
-# every search filter by name, in the order the command line lists them
-FILTERS = {
-    "triangle-free": GraphFilter(is_triangle_free, lambda table: table.triangle_free),
-    "tree": GraphFilter(is_tree, lambda table: table.m == table.n - 1),
-    "nonregular": GraphFilter(lambda g: not is_regular(g), lambda table: table.max_deg != table.min_deg),
-    "none": GraphFilter(None, lambda table: slice(None)),
-}
 
 
 def _tiles(total: int, width: int) -> list[tuple[int, int]]:
@@ -663,6 +623,8 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     """
     if graphs is None:
         _require_order(n, 2, "conjecture 1 without a stream")
+    from .extremal import max_bipartite_split
+
     reference = max_bipartite_split(n).value  # raises for n < 2
     triangle_free = FILTERS["triangle-free"]
     if graphs is None:

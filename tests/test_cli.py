@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sigmat import cli
+from sigmat import bounds, cli, extremal, oracle, spectral
 from sigmat.graph import Graph, encode_graph6, pair_order, parse_graph6
 from sigmat.invariants import sigma_t
 from sigmat.cli import canonical_json
@@ -62,6 +62,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 task = "/proc/self/task"
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "bulk": "sigmat.bulk" in sys.modules,
+                  "logging": "logging" in sys.modules,
+                  "sigmat": sorted(m[7:] for m in sys.modules if m.startswith("sigmat.")),
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
                   "threads": len(os.listdir(task)) if os.path.isdir(task) else 1}))
 """
@@ -242,7 +244,9 @@ class TestChunkedStreams:
         big = encode_graph6(Graph(n, [(u, v) for u, v in pair_order(n) if rng.random() < 0.01]))
         small = self.RECORDS[:40]
         chunks, peaks = [], []
-        inner = getattr(cli, solve)
+        # each command's solve is defined in the module of its name
+        module = {"spectral": spectral, "bounds": bounds}[command]
+        inner = getattr(module, solve)
 
         def traced(graphs):
             chunks.append([g.n for g in graphs])
@@ -253,7 +257,7 @@ class TestChunkedStreams:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
-        monkeypatch.setattr(cli, solve, traced)
+        monkeypatch.setattr(module, solve, traced)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink):
             code = cli.main([command, "--file", self.write(tmp_path, small[:30] + [big] + small[30:])])
@@ -318,13 +322,13 @@ class TestExtremal:
 
         for name in ("make_split", "make_complete_bipartite", "make_star", "make_path",
                      "max_split_sigma_t", "max_bipartite_split"):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(extremal, name, refuse)
         code, out, err = run(capsys, ["extremal", "--family", family, "--n", "258048"])
         assert (code, out) == (2, "")
         assert err == "error: graph6 supports n <= 258047, got n=258048 (byte offset 0)\n"
 
     def test_largest_graph6_order_is_accepted(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "make_path", lambda n: path(3))
+        monkeypatch.setattr(extremal, "make_path", lambda n: path(3))
         code, out, _ = run(capsys, ["extremal", "--family", "path", "--n", "258047"])
         assert code == 0 and json.loads(out)["n"] == 258047
 
@@ -411,7 +415,7 @@ class TestConjecture:
         report = ConjectureReport(
             conjecture_id=2, n_range=(18, 18), status="verified", counterexamples=(),
             extremal_witnesses=(), graphs_visited=18 ** 16, equality_count=math.factorial(18) // 2)
-        monkeypatch.setattr(cli, "verify_conjecture2", lambda n: report)
+        monkeypatch.setattr(oracle, "verify_conjecture2", lambda n: report)
         code, out, _ = run(capsys, ["conjecture", "--id", "2", "--n", "18", "--format", fmt])
         assert code == 0 and "121439531096594251776" in out and "3201186852864000" in out
         if fmt == "json":
@@ -444,7 +448,7 @@ class TestConjecture:
             conjecture_id=1, n_range=(5, 5), status="counterexample",
             counterexamples=("D?{",), extremal_witnesses=("D?{",),
         )
-        monkeypatch.setattr(cli, "verify_conjecture1", lambda n, graphs=None: fake)
+        monkeypatch.setattr(oracle, "verify_conjecture1", lambda n, graphs=None: fake)
         code, out, _ = run(capsys, ["conjecture", "--id", "1", "--n", "5"])
         assert code == 1
         assert json.loads(out)["status"] == "counterexample"
@@ -469,7 +473,7 @@ class TestVerifyIdentities:
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         fake = IdentitySummary(checked=3, passed=2, failed=1, first_failure="Ch")
-        monkeypatch.setattr(cli, "verify_identity_suite", lambda graphs, seed=None: fake)
+        monkeypatch.setattr(oracle, "verify_identity_suite", lambda graphs, seed=None: fake)
         code, out, _ = run(capsys, ["verify-identities", "--n", "3"])
         assert code == 1
 
@@ -599,6 +603,42 @@ class TestPlumbing:
         assert report["numpy"] and report["bulk"] == bulk
         assert report["blas"] == "1" and report["threads"] == 1
 
+    @pytest.mark.parametrize("argv, code, only, never", [
+        (["extremal", "--family", "star", "--n", "3"], 0, {"cli", "graph", "invariants", "extremal"}, set()),
+        (["extremal", "--family", "bipartite", "--n", "10"], 0,
+         {"cli", "graph", "invariants", "extremal"}, set()),
+        (["compute", "--graph6", P4], 0, None, {"oracle", "extremal", "bounds", "spectral", "bulk"}),
+        # Graph6Error exits 2 without oracle, which defines LimitError
+        (["compute", "--graph6", "C!"], 2, {"cli", "graph", "invariants"}, set()),
+        (["bounds", "--graph6", P4], 0, None, {"oracle", "extremal", "bulk"}),
+        (["spectral", "--graph6", P4], 0, None, {"oracle", "extremal", "bulk"}),
+        (["conjecture", "--id", "2", "--n", "9"], 0, None, {"extremal", "bounds", "spectral", "bulk"}),
+        (["search", "--n", "9", "--objective", "min", "--filter", "tree"], 0, None,
+         {"extremal", "bounds", "spectral", "bulk"}),
+    ])
+    def test_each_command_loads_only_the_modules_it_runs(self, argv, code, only, never):
+        report, _ = probe_imports(argv)
+        assert report["code"] == code
+        loaded = set(report["sigmat"])
+        if only is not None:
+            assert loaded == only
+        assert not loaded & never
+        if argv[0] in ("extremal", "compute"):
+            # logging is loaded only for SIGMAT_LOG or an internal error
+            assert not report["logging"]
+
+    @pytest.mark.parametrize("statement, loaded", [
+        ("import sigmat", []),
+        ("from sigmat import bulk", ["bulk", "graph"]),
+        ("from sigmat import sigma_t", ["graph", "invariants"]),
+    ])
+    def test_package_import_loads_only_what_is_named(self, statement, loaded):
+        probe = (f"{statement}; import json, sys; "
+                 "print(json.dumps(sorted(m[7:] for m in sys.modules if m.startswith('sigmat.'))))")
+        child = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=child_env(), timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == loaded
+
     @pytest.mark.parametrize("argv", [
         ["compute", "--graph6", P4],
         ["bounds", "--graph6", P4],
@@ -712,7 +752,7 @@ class TestInternalErrors:
         def fail(n):
             raise ArithmeticError("closed form disagrees with the scan")
 
-        monkeypatch.setattr(cli, "max_split_sigma_t", fail)
+        monkeypatch.setattr(extremal, "max_split_sigma_t", fail)
         caplog.set_level(logging.DEBUG, logger="sigmat.cli")
         code, out, err = run(capsys, ["extremal", "--family", "split", "--n", "8"])
         assert code == 3 and out == ""

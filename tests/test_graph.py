@@ -1,6 +1,7 @@
 """Graph type, graph6 codec, degree stats, and structural predicates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from sigmat.graph import (
     is_triangle_free,
     pair_order,
     parse_graph6,
+    _read_header,
     two_coloring,
 )
 from sigmat.oracle import graph_from_mask
@@ -63,6 +65,41 @@ def labelled_graphs(max_n):
         pairs = pair_order(n)
         for mask in range(1 << len(pairs)):
             yield graph_from_mask(n, mask, pairs)
+
+
+def seeded_record(rng, n):
+    """A graph6 record of order n with random payload bits and zero padding."""
+    nbits = n * (n - 1) // 2
+    groups = [rng.getrandbits(6) for _ in range(-(-nbits // 6))]
+    if groups:
+        pad = -nbits % 6
+        groups[-1] &= 63 >> pad << pad
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    return header + "".join(chr(b + 63) for b in groups)
+
+
+def pair_list_decode(text):
+    """The payload decoder that looked each set bit up in the whole
+    ``pair_order(n)`` list, with the same checks and byte offsets."""
+    data = text.encode("ascii")
+    n, start = _read_header(data)
+    nbits = n * (n - 1) // 2
+    pairs = pair_order(n)
+    masks = [0] * n
+    bit = 0
+    for k in range(start, len(data)):
+        byte = data[k]
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"invalid payload byte {byte}", offset=k)
+        for t in range(6):
+            if (byte - 63) >> (5 - t) & 1:
+                if bit >= nbits:
+                    raise Graph6Error("nonzero padding bits", offset=k)
+                i, j = pairs[bit]
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+            bit += 1
+    return Graph.from_masks(n, tuple(masks))
 
 
 def seeded_graphs(rng, orders, count):
@@ -225,14 +262,41 @@ class TestGraph6:
     @pytest.mark.parametrize("n", [62, 63, 64, 4096])
     def test_encoder_round_trips_seeded_records(self, n):
         # a seeded random record with zero padding, decoded by the parser
-        rng = random.Random(n)
-        nbits = n * (n - 1) // 2
-        groups = [rng.getrandbits(6) for _ in range(-(-nbits // 6))]
-        pad = -nbits % 6
-        groups[-1] &= 63 >> pad << pad
-        header = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-        text = header + "".join(chr(b + 63) for b in groups)
+        text = seeded_record(random.Random(n), n)
         assert encode_graph6(parse_graph6(text)) == text
+
+    def test_parser_matches_the_pair_list_decoder(self):
+        def outcome(decode, text):
+            try:
+                return decode(text)
+            except Graph6Error as exc:
+                return exc.reason, exc.offset
+
+        rng = random.Random(70)
+        for n in range(1, 71):
+            text = seeded_record(rng, n)
+            assert parse_graph6(text) == pair_list_decode(text)
+            # one payload byte replaced: a bad byte, set padding bits, or another
+            # graph; the last byte holds the padding
+            payload = range(1 if n <= 62 else 4, len(text))
+            for k in {*rng.sample(payload, min(8, len(payload))), *payload[-1:]}:
+                bad = text[:k] + chr(rng.randrange(33, 127)) + text[k + 1:]
+                assert outcome(parse_graph6, bad) == outcome(pair_list_decode, bad)
+
+    def test_parser_memory_stays_below_n_squared_bytes(self):
+        # the graph is n bitmasks of n bits: no per-pair list of the order
+        n = 1500
+        rng = random.Random(n)
+        g = Graph(n, [pair for pair in pair_order(n) if rng.random() < 0.01])
+        text = encode_graph6(g)
+        tracemalloc.start()
+        try:
+            parsed = parse_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
+        assert parsed == g
 
 
 class TestDegreeStats:

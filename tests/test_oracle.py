@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sigmat import bulk, oracle
+from sigmat import bulk, extremal, oracle
 from sigmat.cli import canonical_json
 from sigmat.extremal import (
     is_generalized_complete_kpartite,
@@ -28,10 +28,12 @@ from sigmat.extremal import (
     make_star,
 )
 from sigmat.graph import (
+    FILTERS,
     Graph,
     Graph6Error,
     degree_stats,
     encode_graph6,
+    ingest_graph6,
     is_connected,
     is_star_graph,
     is_path_graph,
@@ -47,7 +49,6 @@ from sigmat.oracle import (
     enumerate_connected_graphs,
     enumerate_trees,
     graph_from_mask,
-    ingest_graph6,
     prufer_edges,
     random_graphs,
     search_connected,
@@ -247,7 +248,7 @@ class TestSearchConnected:
         assert fast.witnesses == slow.witnesses
         assert fast.graphs_visited == slow.graphs_visited
         # the filter's own stream predicate, which stream searches use
-        keeps = oracle.FILTERS[graph_filter].keeps
+        keeps = FILTERS[graph_filter].keeps
         assert search_extremal(enumerate_connected_graphs(n), objective, keeps) == slow
 
     @pytest.mark.parametrize("n,width", [
@@ -311,7 +312,7 @@ class TestChunkBoundaries:
     def test_counterexamples_are_capped_across_chunks(self, monkeypatch):
         # a reference of 0 makes every irregular triangle-free graph an
         # offender; the first WITNESS_CAP of them in mask order are reported
-        monkeypatch.setattr(oracle, "max_bipartite_split", lambda n: SimpleNamespace(value=0))
+        monkeypatch.setattr(extremal, "max_bipartite_split", lambda n: SimpleNamespace(value=0))
         offenders = [
             encode_graph6(g) for g in enumerate_connected_graphs(5)
             if is_triangle_free(g) and sigma_t(g) > 0
@@ -745,7 +746,7 @@ class TestConjecture1:
         def refuse(n):
             raise AssertionError("scanned the bipartite splits before the order limit")
 
-        monkeypatch.setattr(oracle, "max_bipartite_split", refuse)
+        monkeypatch.setattr(extremal, "max_bipartite_split", refuse)
         for n in (8, 10 ** 7):
             with pytest.raises(LimitError, match="stream"):
                 verify_conjecture1(n)

@@ -1,0 +1,61 @@
+"""The package namespace: every exported name resolves on first access to
+the object its module defines, and nothing else is exported."""
+
+import importlib
+
+import pytest
+
+import sigmat
+
+# the names the package exported when it imported every module eagerly
+EXPORTS = (
+    "BipartiteMax", "BoundCheck", "ConjectureReport", "DegreeStats", "Graph", "Graph6Error",
+    "IdentitySummary", "InvariantReport", "LimitError", "MaxSplit", "PreconditionError",
+    "SearchResult", "SpectralSummary", "SplitCriticalPoint", "TreeSweep", "albertson_irr",
+    "check_all", "degree_stats", "degree_variance", "encode_graph6", "enumerate_connected_graphs",
+    "enumerate_trees", "forgotten_f", "full_report", "ingest_graph6", "is_bipartite",
+    "is_complete_bipartite", "is_connected", "is_generalized_complete_kpartite", "is_regular",
+    "is_triangle_free", "laplacian_spectra", "laplacian_spectrum", "make_complete_bipartite",
+    "make_generalized_kpartite", "make_path", "make_split", "make_star", "max_bipartite_split",
+    "max_split_sigma_t", "parse_graph6", "random_graphs", "rayleigh_ratio", "rayleigh_ratios",
+    "search_connected", "search_extremal", "search_trees", "sigma", "sigma_t",
+    "sigma_t_bipartite_formula", "sigma_t_pairsum", "sigma_t_split_formula", "split_critical_point",
+    "tree_sweep", "verify_conjecture1", "verify_conjecture2", "verify_identity_suite", "zagreb_m1",
+    "zagreb_m2",
+)
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_is_the_object_its_module_defines(name):
+    value = getattr(sigmat, name)
+    module = value.__module__
+    assert module.startswith("sigmat.")
+    assert getattr(importlib.import_module(module), name) is value
+    # bound on first access, so later lookups skip the module hook
+    assert vars(sigmat)[name] is value
+
+
+def test_star_import_yields_exactly_the_exports():
+    namespace = {}
+    exec("from sigmat import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(EXPORTS)
+    assert sorted(sigmat.__all__) == sorted(EXPORTS)
+
+
+def test_dir_lists_every_export():
+    assert set(EXPORTS) <= set(dir(sigmat))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        sigmat.no_such_name
+    assert not hasattr(sigmat, "pair_order")
+
+
+def test_submodules_are_attributes():
+    assert sigmat.oracle is importlib.import_module("sigmat.oracle")
+    assert sigmat.graph.parse_graph6 is sigmat.parse_graph6
+
+
+def test_version_is_unchanged():
+    assert sigmat.__version__ == "0.1.0"
