@@ -16,8 +16,10 @@ order-7 bases on the fly. :func:`batched_spectra` gives both spectra of
 many masks with one eigensolve pair per distinct relabelled copy over the
 whole input: each mask is mapped to an isomorphic copy with its vertices
 sorted by degree and neighbour-degree sum, the copies are grouped once, and
-the masks of one copy share one solve. The stream-based enumerators in
-:mod:`sigmat.oracle` are the reference implementations the tables are
+the masks of one copy share one solve. The matrices are built and solved
+only in :mod:`sigmat.spectral`, which this module imports when spectra are
+asked for, so the table sweeps do not load it. The stream-based enumerators
+in :mod:`sigmat.oracle` are the reference implementations the tables are
 validated against, and the scalar :func:`sigmat.spectral.laplacian_spectrum`
 is the reference for the spectra.
 """
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import pair_order
+from .graph import graph_from_mask, pair_order
 
 log = logging.getLogger("sigmat.bulk")
 
@@ -231,14 +233,18 @@ def batched_spectra(n: int, masks: np.ndarray):
     A copy is a vertex permutation of its masks, so it has their spectra.
     The copies are grouped once over the whole input: the 1,866,256
     connected masks at n = 7 have 3,218 distinct copies. The first mask of
-    each copy in input order is solved, one eigvalsh call per matrix kind,
-    and its values are copied to the other masks of that copy. Masks must be
-    integers below 2^C(n,2), for 1 <= n <= 8.
+    each copy in input order is decoded to a Graph, all of them are solved
+    by one :func:`sigmat.spectral.laplacian_spectra` call, and each copy's
+    values are copied to its other masks. Masks must be integers below
+    2^C(n,2), for 1 <= n <= 8.
 
     Returns (energy, mu2, mu_max) float64 arrays aligned with ``masks``.
     For n == 1 mu2 is reported as NaN.
     """
-    nedges = len(_mask_pairs(n))
+    from .spectral import laplacian_spectra
+
+    pairs = _mask_pairs(n)
+    nedges = len(pairs)
     masks = np.asarray(masks)
     if masks.dtype.kind not in "iu":
         raise ValueError(f"masks must have an integer dtype, got {masks.dtype}")
@@ -253,12 +259,10 @@ def batched_spectra(n: int, masks: np.ndarray):
     relabel = time.perf_counter()
     first, inverse = _classes(relabelled)  # each distinct copy's first mask, each mask's copy
     group = time.perf_counter()
-    adj, lap = _matrices(n, masks[first])
-    adj_eigs = np.linalg.eigvalsh(adj)
-    lap_eigs = np.linalg.eigvalsh(lap)
-    energy = np.abs(adj_eigs).sum(axis=1).take(inverse)
-    mu2 = lap_eigs[:, 1].take(inverse) if n >= 2 else np.full(masks.size, np.nan)
-    mu_max = lap_eigs[:, -1].take(inverse)
+    summaries = laplacian_spectra([graph_from_mask(n, mask, pairs) for mask in masks[first].tolist()])
+    energy = np.array([s.energy for s in summaries]).take(inverse)
+    mu2 = np.array([np.nan if s.mu2 is None else s.mu2 for s in summaries]).take(inverse)
+    mu_max = np.array([s.mu_max for s in summaries]).take(inverse)
     end = time.perf_counter()
     log.debug("batched spectra at n=%d: %d masks, %d forms, %d eigensolves, %.3f s "
               "(relabel %.3f s, group %.3f s, solve %.3f s)", n, masks.size, first.size,
@@ -267,39 +271,15 @@ def batched_spectra(n: int, masks: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _entry_columns(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where each entry of A and of L sits among the columns
-    [0 | edge bits | -edge bits | degrees] of a mask, and the edge-vertex
-    incidence matrix that gives the degrees."""
-    pairs = pair_order(n)
-    nedges = len(pairs)
-    adj_at = np.zeros((n, n), dtype=np.intp)
-    lap_at = 1 + 2 * nedges + np.diag(np.arange(n))
-    incidence = np.zeros((nedges, n))
-    for e, (i, j) in enumerate(pairs):
-        adj_at[i, j] = adj_at[j, i] = 1 + e
-        lap_at[i, j] = lap_at[j, i] = 1 + nedges + e
-        incidence[e, [i, j]] = 1.0
-    return adj_at, lap_at, incidence
-
-
-def _matrices(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The adjacency and Laplacian matrices of each mask, as float64."""
-    adj_at, lap_at, incidence = _entry_columns(n)
-    bits = ((masks[:, None] >> np.arange(len(incidence), dtype=np.uint32)) & 1).astype(np.float64)
-    entries = np.concatenate([np.zeros((masks.size, 1)), bits, -bits, bits @ incidence], axis=1)
-    return entries.take(adj_at, axis=1), entries.take(lap_at, axis=1)
-
-
-@lru_cache(maxsize=None)
 def _relabel_columns(n: int) -> tuple[np.ndarray, ...]:
     """The shift of each edge bit of order n; n times the vertex-edge
     incidence matrix and the edge-edge matrix of shared ends, as float32;
     the two ends of each edge; and the vertex labels."""
-    incidence = _entry_columns(n)[2].T.astype(np.float32)
     a, b = np.array(pair_order(n), dtype=np.intp).reshape(-1, 2).T
+    vertices = np.arange(n)[:, None]
+    incidence = ((vertices == a) | (vertices == b)).astype(np.float32)
     return (np.arange(a.size, dtype=np.uint32)[:, None], n * incidence, incidence.T @ incidence,
-            a, b, np.arange(n, dtype=np.float32)[:, None])
+            a, b, vertices.astype(np.float32))
 
 
 def _relabelled(n: int, masks: np.ndarray) -> np.ndarray:

@@ -186,7 +186,9 @@ def make_generalized_kpartite(parts: Sequence[tuple[int, int]]) -> Graph:
 
     Each part (s, r) needs 0 <= r <= s-1 and r*s even; vertex j of a part is
     joined to j +- 1..r//2 cyclically, plus the antipodal vertex when r is
-    odd (s is even in that case). All cross-part pairs are edges.
+    odd (s is even in that case). All cross-part pairs are edges, so each
+    vertex's adjacency bitmask is everything outside its part with its
+    circulant neighbours set.
     """
     if not parts:
         raise ValueError("need at least one part")
@@ -198,23 +200,14 @@ def make_generalized_kpartite(parts: Sequence[tuple[int, int]]) -> Graph:
         if r * s % 2:
             raise ValueError(f"no {r}-regular graph on {s} vertices (odd degree sum)")
     n = sum(s for s, _ in parts)
-    edges: list[tuple[int, int]] = []
-    offset = 0
+    everyone = (1 << n) - 1
+    masks: list[int] = []
     for s, r in parts:
-        for j in range(s):
-            for d in range(1, r // 2 + 1):
-                edges.append((offset + j, offset + (j + d) % s))
-            if r % 2:
-                edges.append((offset + j, offset + (j + s // 2) % s))
-        offset += s
-    starts = []
-    offset = 0
-    for s, _ in parts:
-        starts.append(offset)
-        offset += s
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            for u in range(starts[i], starts[i] + parts[i][0]):
-                for v in range(starts[j], starts[j] + parts[j][0]):
-                    edges.append((u, v))
-    return Graph(n, edges)
+        offset, part = len(masks), (1 << s) - 1
+        # vertex 0's neighbours in its part; vertex j's are these turned by j
+        near = (r % 2) << (s // 2)
+        for d in range(1, r // 2 + 1):
+            near |= 1 << d | 1 << (s - d)
+        outside = everyone ^ (part << offset)
+        masks.extend(outside | ((near << j | near >> (s - j)) & part) << offset for j in range(s))
+    return Graph.from_masks(n, tuple(masks))

@@ -37,6 +37,22 @@ def pair_order(n: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, n) for i in range(j)]
 
 
+def graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]] | None = None) -> Graph:
+    """Graph for one edge-subset mask (bits in graph6 column-major order);
+    ``pairs`` is ``pair_order(n)``, passed in by callers that decode many."""
+    if pairs is None:
+        pairs = pair_order(n)
+    masks = [0] * n
+    mm = int(mask)
+    while mm:
+        low = mm & -mm
+        i, j = pairs[low.bit_length() - 1]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+        mm ^= low
+    return Graph.from_masks(n, tuple(masks))
+
+
 class Graph:
     """Immutable simple graph: no loops, no multi-edges, vertices 0..n-1."""
 

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .graph import FILTERS, Graph, encode_graph6, is_connected, pair_order
+from .graph import FILTERS, Graph, encode_graph6, graph_from_mask, is_connected, pair_order
 from .invariants import degree_variance, sigma, sigma_t, sigma_t_pairsum, zagreb_m1
 
 if TYPE_CHECKING:
@@ -61,21 +61,6 @@ def _require_order(n: int, least: int, sweep: str, most: int = MAX_ENUM_ORDER) -
         stream = most == MAX_ENUM_ORDER and n > most
         hint = "; feed larger graphs as a graph6 stream (ingest_graph6)" if stream else ""
         raise LimitError(f"{sweep} covers {least} <= n <= {most}, got n={n}{hint}")
-
-
-def graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]] | None = None) -> Graph:
-    """Graph for one edge-subset mask (bits in graph6 column-major order)."""
-    if pairs is None:
-        pairs = pair_order(n)
-    masks = [0] * n
-    mm = int(mask)
-    while mm:
-        low = mm & -mm
-        i, j = pairs[low.bit_length() - 1]
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-        mm ^= low
-    return Graph.from_masks(n, tuple(masks))
 
 
 def enumerate_connected_graphs(n: int, mask_range: tuple[int, int] | None = None) -> Iterator[Graph]:

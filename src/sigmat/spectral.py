@@ -4,9 +4,12 @@ and the largest Laplacian eigenvalue, for one vector or a batch of them.
 
 The matrices of many graphs are built by order, as one (k, 2, n, n) stack
 per order, and each stack is solved by one ``np.linalg.eigvalsh`` call,
-looked up when it is called; a single graph is a list of one. numpy is
-imported by the functions that build arrays, so a command that never asks
-for a spectrum does not load it.
+looked up when it is called; a single graph is a list of one. This stack is
+the only place the package builds L and A and reads spectra from: the
+stream checks and :func:`sigmat.bulk.batched_spectra`, which hands it one
+graph per class of masks, all solve through :func:`laplacian_spectra`.
+numpy is imported by the functions that build arrays, so a command that
+never asks for a spectrum does not load it.
 
 All comparisons against eigenvalues use an absolute tolerance scaled by
 n*maxdeg; eigenvalues live in [0, 2*maxdeg], so a relative tolerance would

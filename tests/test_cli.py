@@ -615,6 +615,9 @@ class TestPlumbing:
         (["conjecture", "--id", "2", "--n", "9"], 0, None, {"extremal", "bounds", "spectral", "bulk"}),
         (["search", "--n", "9", "--objective", "min", "--filter", "tree"], 0, None,
          {"extremal", "bounds", "spectral", "bulk"}),
+        # the mask sweeps load bulk, which loads spectral only for spectra
+        (["search", "--n", "6", "--objective", "max"], 0, None, {"spectral", "bounds"}),
+        (["conjecture", "--id", "1", "--n", "6"], 0, None, {"spectral", "bounds"}),
     ])
     def test_each_command_loads_only_the_modules_it_runs(self, argv, code, only, never):
         report, _ = probe_imports(argv)

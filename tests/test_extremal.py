@@ -3,6 +3,7 @@ generalized complete multipartite predicate."""
 
 import math
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -221,6 +222,22 @@ class TestMaxBipartite:
             max_bipartite_split(1)
 
 
+def _kpartite_from_edge_list(parts):
+    """make_generalized_kpartite built from its list of edges: each part's
+    circulant, then every pair of vertices in different parts."""
+    n = sum(size for size, _ in parts)
+    part_of = [k for k, (size, _) in enumerate(parts) for _ in range(size)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part_of[u] != part_of[v]]
+    offset = 0
+    for size, inner in parts:
+        for j in range(size):
+            edges += [(offset + j, offset + (j + d) % size) for d in range(1, inner // 2 + 1)]
+            if inner % 2:
+                edges.append((offset + j, offset + (j + size // 2) % size))
+        offset += size
+    return Graph(n, edges)
+
+
 class TestGeneralizedKPartite:
     def test_predicate_examples(self):
         assert is_generalized_complete_kpartite(make_complete_bipartite(2, 3))
@@ -264,6 +281,13 @@ class TestGeneralizedKPartite:
             [(6, 3), (3, 0)],
             [(4, 3)],
         ]
+        # and the same graph as the edge list on every list of up to 3
+        # feasible parts of size up to 6: 18 + 18^2 + 18^3 lists
+        feasible = [(size, inner) for size in range(1, 7) for inner in range(size) if inner * size % 2 == 0]
+        every = [list(parts) for k in (1, 2, 3) for parts in product(feasible, repeat=k)]
+        assert len(every) == 6174
+        for parts in every:
+            assert make_generalized_kpartite(parts) == _kpartite_from_edge_list(parts)
         for parts in part_lists:
             g = make_generalized_kpartite(parts)
             assert is_generalized_complete_kpartite(g)
