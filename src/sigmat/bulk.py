@@ -3,11 +3,14 @@
 Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
-degree data, connectivity, triangle-freeness and sigma_t
+degrees, connectivity, triangle-freeness and sigma_t
 (:func:`connected_table`, one pass over the mask range it is given), and is
-the fast engine behind the order-6/7 searches; :func:`sigma_columns`
-derives sigma and the generalised-complete-k-partite flag of a table's
-rows, which no sweep reads. The pairs of order n-1 are a prefix of those of
+the fast engine behind the order-6/7 searches. A table keeps the degrees,
+sigma_t and triangle-freeness of each connected mask, 20 bytes a row at
+n = 7; the search filters read the edge count and the max and min degree
+from the degrees. :func:`sigma_columns` derives sigma and the
+generalised-complete-k-partite flag of a table's rows, which no sweep
+reads. The pairs of order n-1 are a prefix of those of
 order n, so the masks of order n are the graphs of order n-1 extended by the
 neighbourhood of vertex n-1: a table is built by one extension step from
 cached tables of all graphs of each order up to 6 (0.6 MB at order 6, built
@@ -47,17 +50,16 @@ _RELABEL_BLOCK = 1 << 10
 
 @dataclass
 class MaskTable:
-    """Columns for the connected graphs in one mask range. The multiplicity
-    of the max degree is ``(deg == max_deg).sum(0)``."""
+    """Columns for the connected graphs in one mask range. Everything else
+    the degrees give is derived from ``deg`` where it is read: twice the edge
+    count is ``deg.sum(axis=0)``, the max degree ``deg.max(axis=0)`` and its
+    multiplicity ``(deg == deg.max(axis=0)).sum(axis=0)``."""
 
     n: int
     masks: np.ndarray        # uint32, ascending
     deg: np.ndarray          # (n, k) uint8, degree of vertex v in column order
-    m: np.ndarray            # int64 edge counts
     sigma_t: np.ndarray      # int64
     triangle_free: np.ndarray  # bool
-    max_deg: np.ndarray      # int64
-    min_deg: np.ndarray      # int64
 
 
 def _mask_pairs(n: int) -> list[tuple[int, int]]:
@@ -105,11 +107,8 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         n=n,
         masks=np.empty(size, dtype=np.uint32),
         deg=np.empty((n, size), dtype=np.uint8),
-        m=np.empty(size, dtype=np.int64),
         sigma_t=np.empty(size, dtype=np.int64),
         triangle_free=np.empty(size, dtype=bool),
-        max_deg=np.empty(size, dtype=np.int64),
-        min_deg=np.empty(size, dtype=np.int64),
     )
     at = 0
     for nbhd, base, kept, first in runs:
@@ -195,16 +194,13 @@ def _graphs(k: int, lo: int, hi: int) -> np.ndarray:
 
 
 def _evaluate(n: int, graphs: np.ndarray, table: MaskTable, rows: slice) -> None:
-    """Write the columns of the connected ``graphs`` of order n into ``rows``
-    of ``table``."""
+    """Write the degrees, triangle-freeness and sigma_t = n M1 - (2m)^2 of
+    the connected ``graphs`` of order n into ``rows`` of ``table``."""
     deg = graphs[:n]
     table.deg[:, rows] = deg
     table.triangle_free[rows] = graphs[2 * n] == 0
     twice_m = deg.sum(axis=0, dtype=np.int16)
-    table.m[rows] = twice_m >> 1
     table.sigma_t[rows] = n * (deg * deg).sum(axis=0, dtype=np.int16) - twice_m * twice_m
-    table.max_deg[rows] = deg.max(axis=0)
-    table.min_deg[rows] = deg.min(axis=0)
 
 
 def sigma_columns(table: MaskTable) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,9 @@ reproduces the bytes. This module is the only one that knows the format: a
 result dataclass is written straight from its fields, in field order, each
 under its name in camelCase (or the key its ``json_key`` metadata names),
 and a field marked ``json_optional`` is left out while it is None. A
-Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table).
+Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table), and
+an instance of a subclass of a JSON type (``np.float64``, a namedtuple, an
+IntEnum) as its value in that type, never through its own ``__str__``.
 
 ``bounds`` and ``spectral`` read their input in chunks of at most
 ``CHUNK_GRAPHS`` graphs and ``CHUNK_ENTRIES`` summed n^2 matrix entries (a
@@ -58,7 +60,8 @@ CHUNK_ENTRIES = 1 << 16
 # ---------------------------------------------------------------------------
 
 def format_float(x: float) -> str:
-    return f"{x:.12g}"
+    # + 0.0 turns -0.0 into 0.0: "-0" would parse back as the integer 0
+    return f"{x + 0.0:.12g}"
 
 
 def _camel(name: str) -> str:
@@ -93,98 +96,59 @@ def canonical_json(obj) -> str:
 
 
 def _write_json(obj, parts: list[str]) -> None:
-    """Append the JSON text of ``obj`` to ``parts``, with the writer
-    ``_WRITERS`` holds for its exact type or else :func:`_writer_for` its
-    type. The container writers repeat this lookup inline for their items."""
-    (_WRITERS.get(type(obj)) or _writer_for(type(obj)))(obj, parts)
+    """Append the JSON text of ``obj`` to ``parts``: its exact type is tested
+    first, the most frequent first, then whether it is a result dataclass,
+    and then each base in ``_BASE_VALUES`` in turn."""
+    cls = type(obj)
+    if cls is str:
+        parts.append(encode_basestring_ascii(obj))
+    elif cls is int:
+        parts.append(int.__repr__(obj))
+    elif cls is float:
+        parts.append(format_float(obj))
+    elif cls is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    elif cls is list or cls is tuple:
+        parts.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                parts.append(", ")
+            _write_json(item, parts)
+        parts.append("]")
+    elif cls is Fraction:
+        parts.append(f'{{"num": {obj.numerator}, "den": {obj.denominator}}}')
+    elif cls is dict:
+        parts.append("{")
+        for k, (key, value) in enumerate(obj.items()):
+            if k:
+                parts.append(", ")
+            parts.append(encode_basestring_ascii(str(key)) + ": ")
+            _write_json(value, parts)
+        parts.append("}")
+    elif is_dataclass(cls):
+        parts.append("{")
+        separator = ""
+        for name, _, encoded_key, optional in _layout(cls):
+            value = getattr(obj, name)
+            if optional and value is None:
+                continue
+            parts.append(separator + encoded_key)
+            _write_json(value, parts)
+            separator = ", "
+        parts.append("}")
+    else:
+        for base, value in _BASE_VALUES:
+            if isinstance(obj, base):
+                _write_json(value(obj), parts)
+                return
+        raise TypeError(f"cannot serialize {cls.__name__}")
 
 
-def _write_null(obj, parts: list[str]) -> None:
-    parts.append("null")
-
-
-def _write_bool(obj, parts: list[str]) -> None:
-    parts.append("true" if obj else "false")
-
-
-def _write_int(obj, parts: list[str]) -> None:
-    parts.append(str(obj))
-
-
-def _write_float(obj, parts: list[str]) -> None:
-    parts.append(format_float(obj))
-
-
-def _write_str(obj, parts: list[str]) -> None:
-    parts.append(encode_basestring_ascii(obj))
-
-
-def _write_array(obj, parts: list[str]) -> None:
-    parts.append("[")
-    writer = _WRITERS.get
-    for k, item in enumerate(obj):
-        if k:
-            parts.append(", ")
-        (writer(type(item)) or _writer_for(type(item)))(item, parts)
-    parts.append("]")
-
-
-def _write_object(obj, parts: list[str]) -> None:
-    parts.append("{")
-    writer = _WRITERS.get
-    for k, (key, value) in enumerate(obj.items()):
-        if k:
-            parts.append(", ")
-        parts.append(encode_basestring_ascii(str(key)))
-        parts.append(": ")
-        (writer(type(value)) or _writer_for(type(value)))(value, parts)
-    parts.append("}")
-
-
-def _write_fraction(obj, parts: list[str]) -> None:
-    parts.append(f'{{"num": {obj.numerator}, "den": {obj.denominator}}}')
-
-
-def _write_record(obj, parts: list[str]) -> None:
-    parts.append("{")
-    writer = _WRITERS.get
-    first = True
-    for name, _, encoded_key, optional in _layout(type(obj)):
-        value = getattr(obj, name)
-        if optional and value is None:
-            continue
-        parts.append(encoded_key if first else ", " + encoded_key)
-        (writer(type(value)) or _writer_for(type(value)))(value, parts)
-        first = False
-    parts.append("}")
-
-
-# by exact type; _writer_for matches any other class against these in order
-_WRITERS = {
-    type(None): _write_null,
-    bool: _write_bool,
-    int: _write_int,
-    float: _write_float,
-    str: _write_str,
-    list: _write_array,
-    tuple: _write_array,
-    dict: _write_object,
-    Fraction: _write_fraction,
-}
-
-
-@lru_cache(maxsize=None)
-def _writer_for(cls):
-    """The writer for a class without an entry in ``_WRITERS``: that of the
-    first entry it subclasses (``np.float64`` is written as a float, a
-    namedtuple as a list, an IntEnum as an int), else the record writer for
-    a result dataclass; chosen once per class."""
-    for base, write in _WRITERS.items():
-        if issubclass(cls, base):
-            return write
-    if is_dataclass(cls):
-        return _write_record
-    raise TypeError(f"cannot serialize {cls.__name__}")
+# (base, the value of an instance of a subclass as that exact type), in order
+_BASE_VALUES = ((int, int.__int__), (float, float.__float__), (str, str.__str__),
+                (list, list), (tuple, tuple), (dict, dict), (Fraction, Fraction))
 
 
 # ---------------------------------------------------------------------------

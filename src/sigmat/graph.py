@@ -407,7 +407,8 @@ class GraphFilter(NamedTuple):
 # every search filter by name, in the order the command line lists them
 FILTERS = {
     "triangle-free": GraphFilter(is_triangle_free, lambda table: table.triangle_free),
-    "tree": GraphFilter(is_tree, lambda table: table.m == table.n - 1),
-    "nonregular": GraphFilter(lambda g: not is_regular(g), lambda table: table.max_deg != table.min_deg),
+    "tree": GraphFilter(is_tree, lambda table: table.deg.sum(axis=0, dtype="int16") == 2 * (table.n - 1)),
+    "nonregular": GraphFilter(lambda g: not is_regular(g),
+                              lambda table: table.deg.max(axis=0) != table.deg.min(axis=0)),
     "none": GraphFilter(None, lambda table: slice(None)),
 }

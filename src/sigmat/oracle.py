@@ -258,16 +258,13 @@ def search_extremal(
     return best.result(n_seen, description, "graphs left after filtering")
 
 
-def _tiles(total: int, width: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
-
-
 def chunk_ranges(n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) ranges of ``bulk.CHUNK_MASKS`` masks tiling the
     edge-subset space at order n; the last one may be shorter."""
     from . import bulk
 
-    return _tiles(1 << (n * (n - 1) // 2), bulk.CHUNK_MASKS)
+    total, width = 1 << (n * (n - 1) // 2), bulk.CHUNK_MASKS
+    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
 
 def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable,

@@ -187,9 +187,9 @@ def test_criterion_07_bound_soundness(mask_tables, mask_sigma_columns, spectra7)
     table = mask_tables[n]
     st = table.sigma_t
     sg, _ = mask_sigma_columns[n]
-    m = table.m
-    dmax = table.max_deg
-    dmin = table.min_deg
+    m = table.deg.sum(axis=0, dtype=np.int64) // 2
+    dmax = table.deg.max(axis=0).astype(np.int64)
+    dmin = table.deg.min(axis=0).astype(np.int64)
     kk = (table.deg == dmax).sum(axis=0)
     tol = 1e-8 * np.maximum(1.0, float(n) * dmax)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sigmat import bounds, cli, extremal, oracle, spectral
 from sigmat.graph import Graph, encode_graph6, pair_order, parse_graph6
@@ -688,10 +689,42 @@ class Label(str):
     pass
 
 
+class Loud(int):
+    def __str__(self):
+        return "loud"
+
+
+class Shout(str):
+    def __str__(self):
+        return "SHOUT"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 80), 1 << 80) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text() | st.text(st.sampled_from('"\\\x00\x1f\x7f é中😀/ab')) | st.fractions(),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=5), children, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _parsed(value):
+    """What json.loads gives for the canonical JSON of ``value``."""
+    if isinstance(value, float):
+        return float(format(value, ".12g"))
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    if isinstance(value, (list, tuple)):
+        return [_parsed(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _parsed(item) for key, item in value.items()}
+    return value
+
+
 class TestEncoder:
-    """Values whose exact type has no writer of its own are written as the
-    first of int, float, str, list/tuple, dict and Fraction they are an
-    instance of, the same on the first call and once the choice is cached."""
+    """Values whose exact type is none of the JSON types are written as their
+    value in the first of int, float, str, list/tuple, dict and Fraction they
+    are an instance of, never through their own ``__str__``."""
 
     CASES = (
         (np.float64(1.5), "1.5"),
@@ -704,19 +737,30 @@ class TestEncoder:
         ([Level.HIGH, np.float64(2.0), Pair(None, "a")], '[3, 2, [null, "a"]]'),
         ({Level.HIGH: Pair(1, 2), "k": (Fraction(1, 3), None)},
          '{"3": [1, 2], "k": [{"num": 1, "den": 3}, null]}'),
+        # an IntEnum's str() is its member name before Python 3.11
+        ({"level": Loud(7)}, '{"level": 7}'),
+        ([Shout("quiet")], '["quiet"]'),
     )
 
     @pytest.mark.parametrize("value, expected", CASES)
     def test_subclasses_write_as_their_base(self, value, expected):
         assert cli.canonical_json(value) == expected
-        assert cli.canonical_json(value) == expected
 
     @pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), object(), IdentitySummary])
     def test_unknown_types_raise(self, value):
         # a result dataclass's class is not a record; only its instances are
-        for _ in range(2):
-            with pytest.raises(TypeError, match="cannot serialize"):
-                cli.canonical_json(value)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            cli.canonical_json(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example(-0.0)
+    @example([1 << 64, 1.0, "\"\\\n\x00é😀", (None, Fraction(-7, 3)), {"k": True}])
+    def test_dispatch_order_round_trips(self, value):
+        out = cli.canonical_json(value)
+        parsed = json.loads(out)
+        assert parsed == _parsed(value)
+        assert cli.canonical_json(parsed) == out
 
 
 PINNED = json.loads((Path(__file__).parent / "cli_output.json").read_text(encoding="utf-8"))

@@ -583,13 +583,13 @@ class TestTreeSweepFastPath:
     def test_values_match_the_mask_table_trees(self, mask_tables, mask_sigma_columns, n):
         table = mask_tables[n]
         table_sigma, _ = mask_sigma_columns[n]
-        is_tree = table.m == n - 1
+        is_tree = table.deg.sum(axis=0) == 2 * (n - 1)
         weighted, deg_weighted = Counter(), Counter()
         for _, (weight, st, sg, max_deg, _) in _class_rows(n):
             weighted[st, sg] += weight
             deg_weighted[max_deg] += weight
         assert weighted == Counter(zip(table.sigma_t[is_tree].tolist(), table_sigma[is_tree].tolist()))
-        assert deg_weighted == Counter(table.max_deg[is_tree].tolist())
+        assert deg_weighted == Counter(table.deg.max(axis=0)[is_tree].tolist())
 
     @pytest.mark.parametrize("n", [8, 9, 12, 17])
     def test_rank_windows_match_the_scalar_decode(self, n):
@@ -827,30 +827,31 @@ def _scalar_rows(n, lo, hi):
             continue
         stats = degree_stats(g)
         stored.append({
-            "masks": mask, "deg": list(g.degrees()), "m": g.m, "sigma_t": sigma_t(g),
+            "masks": mask, "deg": list(g.degrees()), "sigma_t": sigma_t(g),
             "triangle_free": is_triangle_free(g),
-            "max_deg": stats.max_degree, "min_deg": stats.min_degree,
         })
         derived.append({
+            "m": g.m, "max_deg": stats.max_degree, "min_deg": stats.min_degree,
             "sigma": sigma(g), "gen_kpartite": is_generalized_complete_kpartite(g),
             "max_count": stats.max_degree_count,
         })
     return stored, derived
 
 
-MASK_TABLE_DTYPES = {
-    "masks": np.uint32, "deg": np.uint8, "m": np.int64, "sigma_t": np.int64,
-    "triangle_free": np.bool_, "max_deg": np.int64, "min_deg": np.int64,
-}
-DERIVED_DTYPES = {"sigma": np.int64, "gen_kpartite": np.bool_, "max_count": np.int64}
+MASK_TABLE_DTYPES = {"masks": np.uint32, "deg": np.uint8, "sigma_t": np.int64, "triangle_free": np.bool_}
+DERIVED_DTYPES = {"m": np.int64, "max_deg": np.uint8, "min_deg": np.uint8,
+                  "sigma": np.int64, "gen_kpartite": np.bool_, "max_count": np.int64}
 
 
 def _derived_columns(table):
-    """sigma and the generalised k-partite flag from bulk.sigma_columns, and
-    the multiplicity of the max degree from the degrees."""
+    """The edge count, the max and min degree and the multiplicity of the max
+    degree from the degrees, and sigma and the generalised k-partite flag
+    from bulk.sigma_columns."""
     sigma, gen_kpartite = bulk.sigma_columns(table)
-    return {"sigma": sigma, "gen_kpartite": gen_kpartite,
-            "max_count": (table.deg == table.max_deg).sum(axis=0)}
+    max_deg = table.deg.max(axis=0)
+    return {"m": table.deg.sum(axis=0, dtype=np.int64) // 2, "max_deg": max_deg,
+            "min_deg": table.deg.min(axis=0), "sigma": sigma, "gen_kpartite": gen_kpartite,
+            "max_count": (table.deg == max_deg).sum(axis=0)}
 
 
 def _assert_table_matches(table, n, lo, hi):
@@ -923,12 +924,12 @@ class TestBulkCrossValidation:
             assert graph_from_mask(n, int(table.masks[k])) == g
             assert int(table.sigma_t[k]) == sigma_t(g)
             assert int(derived["sigma"][k]) == sigma(g)
-            assert int(table.m[k]) == g.m
+            assert int(derived["m"][k]) == g.m
             assert bool(table.triangle_free[k]) == is_triangle_free(g)
             assert bool(derived["gen_kpartite"][k]) == is_generalized_complete_kpartite(g)
             stats = degree_stats(g)
-            assert int(table.max_deg[k]) == stats.max_degree
-            assert int(table.min_deg[k]) == stats.min_degree
+            assert int(derived["max_deg"][k]) == stats.max_degree
+            assert int(derived["min_deg"][k]) == stats.min_degree
             assert int(derived["max_count"][k]) == stats.max_degree_count
             assert tuple(int(x) for x in table.deg[:, k]) == g.degrees()
 
@@ -1025,7 +1026,7 @@ class TestBulkCrossValidation:
 
     def test_whole_table_memory_is_bounded(self):
         # the n = 7 table is built in one pass straight into its columns, so
-        # the peak is the table (44 bytes a row) plus the kept indices of its
+        # the peak is the table (20 bytes a row) plus the kept indices of its
         # 64 runs (8 bytes a row) and the temporaries of one run
         tracemalloc.start()
         try:
@@ -1035,7 +1036,7 @@ class TestBulkCrossValidation:
         finally:
             tracemalloc.stop()
         size = sum(v.nbytes for v in vars(table).values() if hasattr(v, "nbytes"))
-        assert table.masks.size == 1_866_256 and size == 82_115_264
+        assert table.masks.size == 1_866_256 and size == 37_325_120
         assert peak < 1.5 * size
 
 
