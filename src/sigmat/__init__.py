@@ -30,10 +30,10 @@ _EXPORTS = {
                      "make_star max_bipartite_split max_split_sigma_t sigma_t_bipartite_formula "
                      "sigma_t_split_formula split_critical_point"),
         ("bounds", "BoundCheck PreconditionError check_all"),
-        ("oracle", "ConjectureReport IdentitySummary LimitError SearchResult TreeSweep "
-                   "enumerate_connected_graphs enumerate_trees random_graphs search_connected "
-                   "search_extremal search_trees tree_sweep verify_conjecture1 verify_conjecture2 "
-                   "verify_identity_suite"),
+        ("oracle", "ConjectureReport IdentitySummary LimitError SearchResult "
+                   "enumerate_connected_graphs random_graphs search_connected search_extremal "
+                   "verify_conjecture1 verify_identity_suite"),
+        ("trees", "TreeSweep enumerate_trees search_trees tree_sweep verify_conjecture2"),
     )
     for name in names.split()
 }

@@ -86,8 +86,9 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
     2^21-row order-7 table is ever held. A base is kept when vertex n-1
     joins all of its components, and only the kept rows are extended and
     evaluated, straight into the table's columns. Besides the table, the
-    pass holds the kept indices and, at n = 8, the bases of the range, so
-    the sweeps hand it ranges of CHUNK_MASKS masks.
+    pass holds one kept flag a base (a bool), the kept indices of one run
+    at a time and, at n = 8, the bases of the range, so the sweeps hand it
+    ranges of CHUNK_MASKS masks.
     """
     nedges = len(_mask_pairs(n))
     if mask_hi is None:
@@ -100,9 +101,9 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
     runs = []
     for nbhd, lo, hi in _runs(n, mask_lo, mask_hi):
         base = _graphs(k, lo, hi)
-        kept = np.flatnonzero(_joined(base, k, nbhd) == (1 << n) - 1)
-        runs.append((nbhd, base, kept, (nbhd << k * (k - 1) // 2) + lo))
-    size = sum(kept.size for _, _, kept, _ in runs)
+        joined = _joined(base, k, nbhd) == (1 << n) - 1
+        runs.append((nbhd, base, joined, (nbhd << k * (k - 1) // 2) + lo))
+    size = sum(np.count_nonzero(joined) for _, _, joined, _ in runs)
     table = MaskTable(
         n=n,
         masks=np.empty(size, dtype=np.uint32),
@@ -111,7 +112,8 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         triangle_free=np.empty(size, dtype=bool),
     )
     at = 0
-    for nbhd, base, kept, first in runs:
+    for nbhd, base, joined, first in runs:
+        kept = np.flatnonzero(joined)
         rows = slice(at, at + kept.size)
         at += kept.size
         _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), table, rows)

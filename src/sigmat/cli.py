@@ -9,7 +9,8 @@ under its name in camelCase (or the key its ``json_key`` metadata names),
 and a field marked ``json_optional`` is left out while it is None. A
 Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table), and
 an instance of a subclass of a JSON type (``np.float64``, a namedtuple, an
-IntEnum) as its value in that type, never through its own ``__str__``.
+IntEnum) as its value in that type, never through its own ``__str__``, and
+so is a dict key that is an instance of a subclass of str or int.
 
 ``bounds`` and ``spectral`` read their input in chunks of at most
 ``CHUNK_GRAPHS`` graphs and ``CHUNK_ENTRIES`` summed n^2 matrix entries (a
@@ -124,7 +125,9 @@ def _write_json(obj, parts: list[str]) -> None:
         for k, (key, value) in enumerate(obj.items()):
             if k:
                 parts.append(", ")
-            parts.append(encode_basestring_ascii(str(key)) + ": ")
+            text = (str.__str__(key) if isinstance(key, str)
+                    else int.__repr__(key) if isinstance(key, int) else str(key))
+            parts.append(encode_basestring_ascii(text) + ": ")
             _write_json(value, parts)
         parts.append("}")
     elif is_dataclass(cls):
@@ -377,7 +380,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    from .oracle import search_connected, search_extremal, search_trees
+    from .oracle import search_connected, search_extremal
 
     if _has_stream(args):
         result = search_extremal(
@@ -388,6 +391,8 @@ def _cmd_search(args) -> int:
         if args.n is None:
             raise UsageError("search needs --n or an input stream")
         if args.filter == "tree":
+            from .trees import search_trees
+
             result = search_trees(args.n, args.objective)
         else:
             result = search_connected(args.n, args.objective, args.filter)
@@ -396,7 +401,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    from .oracle import verify_conjecture1, verify_conjecture2
+    from .oracle import verify_conjecture1
 
     if args.id == 1:
         graphs = _input_graphs(args) if _has_stream(args) else None
@@ -404,6 +409,8 @@ def _cmd_conjecture(args) -> int:
     else:
         if _has_stream(args):
             raise UsageError("conjecture 2 is tree-enumeration only; drop the input stream")
+        from .trees import verify_conjecture2
+
         report = verify_conjecture2(args.n)
     _emit(args, report)
     return 1 if report.status == "counterexample" else 0

@@ -22,6 +22,7 @@ from sigmat.extremal import (
     split_critical_point,
 )
 from sigmat.graph import (
+    graph_from_mask,
     is_complete_bipartite,
     is_connected,
     is_path_graph,
@@ -33,16 +34,13 @@ from sigmat.graph import (
 from sigmat.invariants import sigma_t
 from sigmat.oracle import (
     enumerate_connected_graphs,
-    graph_from_mask,
     random_graphs,
     search_connected,
-    search_trees,
-    tree_sweep,
     verify_conjecture1,
-    verify_conjecture2,
     verify_identity_suite,
 )
 from sigmat.spectral import rayleigh_ratio, rayleigh_ratios, spectral_tolerance
+from sigmat.trees import search_trees, tree_sweep, verify_conjecture2
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 RANDOM_SEED = 0x5EED1234

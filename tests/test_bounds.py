@@ -27,8 +27,7 @@ from sigmat.bounds import (
     check_variance_shift,
 )
 from sigmat.cli import canonical_json
-from sigmat.graph import Graph, pair_order
-from sigmat.oracle import graph_from_mask
+from sigmat.graph import Graph, graph_from_mask, pair_order
 from tests.test_graph import complete, complete_bipartite, cycle, path, star
 
 

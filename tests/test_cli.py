@@ -14,13 +14,14 @@ import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sigmat import bounds, cli, extremal, oracle, spectral
+from sigmat import bounds, cli, extremal, oracle, spectral, trees
 from sigmat.graph import Graph, encode_graph6, pair_order, parse_graph6
 from sigmat.invariants import sigma_t
 from sigmat.cli import canonical_json
@@ -416,7 +417,7 @@ class TestConjecture:
         report = ConjectureReport(
             conjecture_id=2, n_range=(18, 18), status="verified", counterexamples=(),
             extremal_witnesses=(), graphs_visited=18 ** 16, equality_count=math.factorial(18) // 2)
-        monkeypatch.setattr(oracle, "verify_conjecture2", lambda n: report)
+        monkeypatch.setattr(trees, "verify_conjecture2", lambda n: report)
         code, out, _ = run(capsys, ["conjecture", "--id", "2", "--n", "18", "--format", fmt])
         assert code == 0 and "121439531096594251776" in out and "3201186852864000" in out
         if fmt == "json":
@@ -543,7 +544,7 @@ class TestPlumbing:
             (["conjecture", "--id", "1", "--n", "4"],
              b"DEBUG:sigmat.oracle:conjecture 1 at n=4: max 12 vs bipartite 12 over 19 graphs\n"),
             (["conjecture", "--id", "2", "--n", "5"],
-             b"DEBUG:sigmat.oracle:tree sweep at n=5: 3 classes, 125 labelled trees, "),
+             b"DEBUG:sigmat.trees:tree sweep at n=5: 3 classes, 125 labelled trees, "),
             (["search", "--n", "5", "--objective", "max"],
              b"DEBUG:sigmat.oracle:search at n=5, filter none: 1024 masks scanned, "
              b"728 graphs kept in 1 chunks, "),
@@ -608,17 +609,24 @@ class TestPlumbing:
         (["extremal", "--family", "star", "--n", "3"], 0, {"cli", "graph", "invariants", "extremal"}, set()),
         (["extremal", "--family", "bipartite", "--n", "10"], 0,
          {"cli", "graph", "invariants", "extremal"}, set()),
-        (["compute", "--graph6", P4], 0, None, {"oracle", "extremal", "bounds", "spectral", "bulk"}),
+        (["compute", "--graph6", P4], 0, None, {"oracle", "trees", "extremal", "bounds", "spectral", "bulk"}),
         # Graph6Error exits 2 without oracle, which defines LimitError
         (["compute", "--graph6", "C!"], 2, {"cli", "graph", "invariants"}, set()),
-        (["bounds", "--graph6", P4], 0, None, {"oracle", "extremal", "bulk"}),
-        (["spectral", "--graph6", P4], 0, None, {"oracle", "extremal", "bulk"}),
+        (["bounds", "--graph6", P4], 0, None, {"oracle", "trees", "extremal", "bulk"}),
+        (["spectral", "--graph6", P4], 0, None, {"oracle", "trees", "extremal", "bulk"}),
         (["conjecture", "--id", "2", "--n", "9"], 0, None, {"extremal", "bounds", "spectral", "bulk"}),
         (["search", "--n", "9", "--objective", "min", "--filter", "tree"], 0, None,
          {"extremal", "bounds", "spectral", "bulk"}),
         # the mask sweeps load bulk, which loads spectral only for spectra
-        (["search", "--n", "6", "--objective", "max"], 0, None, {"spectral", "bounds"}),
-        (["conjecture", "--id", "1", "--n", "6"], 0, None, {"spectral", "bounds"}),
+        (["search", "--n", "6", "--objective", "max"], 0, None, {"spectral", "bounds", "trees"}),
+        (["conjecture", "--id", "1", "--n", "6"], 0, None, {"spectral", "bounds", "trees"}),
+        # the tree sweep loads trees and, for its records, oracle, and never bulk
+        (["conjecture", "--id", "2", "--n", "6"], 0, {"cli", "graph", "invariants", "oracle", "trees"}, set()),
+        (["search", "--n", "6", "--objective", "max", "--filter", "tree"], 0,
+         {"cli", "graph", "invariants", "oracle", "trees"}, set()),
+        # a tree-filtered stream and the identity suite never load trees
+        (["search", "--graph6", P4, "--objective", "max", "--filter", "tree"], 0, None, {"trees", "bulk"}),
+        (["verify-identities", "--n", "4"], 0, None, {"trees", "bulk"}),
     ])
     def test_each_command_loads_only_the_modules_it_runs(self, argv, code, only, never):
         report, _ = probe_imports(argv)
@@ -682,6 +690,13 @@ class Level(enum.IntEnum):
     HIGH = 3
 
 
+class Legacy(enum.IntEnum):
+    """An IntEnum whose str() is its member name, as before Python 3.11."""
+
+    LOW = 1
+    __str__ = enum.Enum.__str__
+
+
 Pair = namedtuple("Pair", "left right")
 
 
@@ -740,6 +755,10 @@ class TestEncoder:
         # an IntEnum's str() is its member name before Python 3.11
         ({"level": Loud(7)}, '{"level": 7}'),
         ([Shout("quiet")], '["quiet"]'),
+        # a dict key too is written from its base value
+        ({Shout("key"): 1}, '{"key": 1}'),
+        ({Loud(7): [Loud(8)]}, '{"7": [8]}'),
+        ({Legacy.LOW: 1, 2: Legacy.LOW}, '{"1": 1, "2": 1}'),
     )
 
     @pytest.mark.parametrize("value, expected", CASES)
@@ -794,6 +813,20 @@ class TestInternalErrors:
         report, err = probe_imports(argv)
         assert report["code"] == 2 and err.startswith(f"error: {message}")
         assert not report["numpy"]
+
+    def test_tree_sweep_that_misses_a_class_exits_3(self, capsys, monkeypatch):
+        # the labelled trees the classes stand for are checked against
+        # Cayley's n^(n-2); without the path's 6!/2 labellings 936 are left
+        generate = trees.free_trees
+        monkeypatch.setattr(trees, "free_trees", lambda n: islice(generate(n), 1, None))
+        trees.tree_sweep.cache_clear()
+        try:
+            code, out, err = run(capsys, ["conjecture", "--id", "2", "--n", "6"])
+        finally:
+            trees.tree_sweep.cache_clear()
+        assert code == 3 and out == ""
+        assert err == ("error: internal: ArithmeticError: tree sweep at n=6 counted 936 labelled trees, "
+                       "Cayley's formula gives 1296\n")
 
     def test_unexpected_exception_exits_3_with_debug_traceback(self, capsys, monkeypatch, caplog):
         def fail(n):

@@ -299,7 +299,7 @@ class TestGeneralizedKPartite:
                 offset += size
 
     def test_tree_gkp_iff_star_small(self):
-        from sigmat.oracle import enumerate_trees
+        from sigmat.trees import enumerate_trees
 
         for n in range(3, 7):
             for t in enumerate_trees(n):

@@ -13,6 +13,7 @@ from sigmat.graph import (
     degree_stats,
     encode_graph6,
     find_triangle,
+    graph_from_mask,
     is_bipartite,
     is_complete_bipartite,
     is_connected,
@@ -26,7 +27,6 @@ from sigmat.graph import (
     _read_header,
     two_coloring,
 )
-from sigmat.oracle import graph_from_mask
 
 
 def cycle(n):

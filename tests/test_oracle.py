@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sigmat import bulk, extremal, oracle
+from sigmat import bulk, extremal, oracle, trees
 from sigmat.cli import canonical_json
 from sigmat.extremal import (
     is_generalized_complete_kpartite,
@@ -33,6 +33,7 @@ from sigmat.graph import (
     Graph6Error,
     degree_stats,
     encode_graph6,
+    graph_from_mask,
     ingest_graph6,
     is_connected,
     is_star_graph,
@@ -47,19 +48,14 @@ from sigmat.oracle import (
     LimitError,
     chunk_ranges,
     enumerate_connected_graphs,
-    enumerate_trees,
-    graph_from_mask,
-    prufer_edges,
     random_graphs,
     search_connected,
     search_extremal,
-    search_trees,
-    tree_sweep,
     verify_conjecture1,
-    verify_conjecture2,
     verify_identity_suite,
 )
 from sigmat.spectral import laplacian_spectra, laplacian_spectrum
+from sigmat.trees import enumerate_trees, prufer_edges, search_trees, tree_sweep, verify_conjecture2
 from tests.test_graph import complete, cycle, path
 
 # labeled connected graph counts by order
@@ -110,10 +106,10 @@ def naive_prufer(seq, n):
 class TestTrees:
     @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125)])
     def test_cayley_counts(self, n, count):
-        trees = list(enumerate_trees(n))
-        assert len(trees) == count
-        assert len(set(trees)) == count
-        assert all(is_tree(t) for t in trees)
+        labelled = list(enumerate_trees(n))
+        assert len(labelled) == count
+        assert len(set(labelled)) == count
+        assert all(is_tree(t) for t in labelled)
 
     def test_n3_all_paths(self):
         assert all(is_path_graph(t) for t in enumerate_trees(3))
@@ -433,25 +429,25 @@ class TestTreeSweep:
 def _tree_reference(n):
     """The TreeSweep of n from enumerate_trees and the scalar invariants,
     independent of the rank decode and the lock-step Prüfer decode."""
-    trees = []
+    labelled = []
     for t in enumerate_trees(n):
         st, sg = sigma_t(t), sigma(t)
-        trees.append(SimpleNamespace(g6=encode_graph6(t), st=st, sigma=sg, bound=(n - 2) * sg,
-                                     star=is_star_graph(t), path=is_path_graph(t)))
-    top = max(t.st for t in trees)
-    bottom = min(t.st for t in trees)
-    maxima = [t for t in trees if t.st == top]
-    minima = [t for t in trees if t.st == bottom]
-    over = [t for t in trees if t.st > t.bound]
-    equal = [t for t in trees if t.st == t.bound]
-    sigma_eq = [t for t in trees if t.st == t.sigma]
+        labelled.append(SimpleNamespace(g6=encode_graph6(t), st=st, sigma=sg, bound=(n - 2) * sg,
+                                        star=is_star_graph(t), path=is_path_graph(t)))
+    top = max(t.st for t in labelled)
+    bottom = min(t.st for t in labelled)
+    maxima = [t for t in labelled if t.st == top]
+    minima = [t for t in labelled if t.st == bottom]
+    over = [t for t in labelled if t.st > t.bound]
+    equal = [t for t in labelled if t.st == t.bound]
+    sigma_eq = [t for t in labelled if t.st == t.sigma]
 
     def first(family):
         return tuple(t.g6 for t in family[:oracle.WITNESS_CAP])
 
-    return oracle.TreeSweep(
+    return trees.TreeSweep(
         n=n,
-        trees=len(trees),
+        trees=len(labelled),
         max_value=top,
         max_count=len(maxima),
         max_all_stars=all(t.star for t in maxima),
@@ -467,7 +463,7 @@ def _tree_reference(n):
         ratio_equality_witnesses=first(equal),
         sigma_eq_count=len(sigma_eq),
         sigma_eq_all_stars=all(t.star for t in sigma_eq),
-        star_count=sum(t.star for t in trees),
+        star_count=sum(t.star for t in labelled),
     )
 
 
@@ -489,7 +485,7 @@ def _level_tree(levels):
 def _ahu(t):
     """A canonical string of a tree, by Aho, Hopcroft and Ullman's encoding
     rooted at its centre, or at both centres joined by their edge:
-    independent of the level sequences of oracle.free_trees."""
+    independent of the level sequences of trees.free_trees."""
     adj = [set(t.neighbors(v)) for v in range(t.n)]
     rest, layer = set(range(t.n)), [v for v in range(t.n) if len(adj[v]) <= 1]
     while len(rest) > 2:
@@ -519,9 +515,9 @@ def _class_rows(n):
     """Every free tree of order n in generation order, with its level
     sequence, n!/|Aut|, sigma_t, sigma, max degree and degree profile as the
     tree sweep evaluates them."""
-    for levels in oracle.free_trees(n):
-        degrees, parent, aut = oracle._tree_class(levels)
-        st, sg = oracle._tree_sigmas(degrees, zip(range(1, n), parent[1:]))
+    for levels in trees.free_trees(n):
+        degrees, parent, aut = trees._tree_class(levels)
+        st, sg = trees._tree_sigmas(degrees, zip(range(1, n), parent[1:]))
         profile = tuple(sorted((d - 1 for d in degrees), reverse=True))
         yield levels, (math.factorial(n) // aut, st, sg, max(degrees), profile)
 
@@ -532,15 +528,15 @@ class TestFreeTrees:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_class_counts_and_cayley(self, n):
-        weights = [math.factorial(n) // oracle._tree_class(levels)[2] for levels in oracle.free_trees(n)]
+        weights = [math.factorial(n) // trees._tree_class(levels)[2] for levels in trees.free_trees(n)]
         assert len(weights) == FREE_TREE_COUNTS[n - 1]
         assert sum(weights) == round(n ** (n - 2))  # Cayley
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_weights_count_the_labelled_trees_of_each_class(self, n):
         labelled = Counter(_ahu(t) for t in (enumerate_trees(n) if n > 1 else [Graph(1, [])]))
-        weights = {_ahu(_level_tree(levels)): math.factorial(n) // oracle._tree_class(levels)[2]
-                   for levels in oracle.free_trees(n)}
+        weights = {_ahu(_level_tree(levels)): math.factorial(n) // trees._tree_class(levels)[2]
+                   for levels in trees.free_trees(n)}
         assert weights == labelled
 
     # the two facts the tree sweep's per-profile counts rest on
@@ -602,16 +598,16 @@ class TestTreeSweepFastPath:
 
         every = _profiles(n)
         ranks = list(islice(product(range(n), repeat=n - 2), 4000))
-        assert oracle._prufer_witnesses(n, every) == (decoded(ranks[:16]), 16)
+        assert trees._prufer_witnesses(n, every) == (decoded(ranks[:16]), 16)
         passing = [s for s in ranks if sigma(Graph(n, prufer_edges(s, n))) % 3 == 1][:16]
         assert len(passing) == 16
-        assert oracle._prufer_witnesses(n, every, lambda st, sg: sg % 3 == 1)[0] == decoded(passing)
+        assert trees._prufer_witnesses(n, every, lambda st, sg: sg % 3 == 1)[0] == decoded(passing)
         path = (1,) * (n - 2) + (0, 0)
-        assert oracle._prufer_witnesses(n, [path])[0] == decoded(islice(permutations(range(n), n - 2), 16))
+        assert trees._prufer_witnesses(n, [path])[0] == decoded(islice(permutations(range(n), n - 2), 16))
         star = (n - 2,) + (0,) * (n - 1)
         stars = decoded((v,) * (n - 2) for v in range(min(n, 16)))
-        assert oracle._prufer_witnesses(n, [star]) == (stars, len(stars))
-        assert oracle._prufer_witnesses(n, []) == ((), 0)
+        assert trees._prufer_witnesses(n, [star]) == (stars, len(stars))
+        assert trees._prufer_witnesses(n, []) == ((), 0)
 
     def test_witnesses_at_n8_and_n9_are_pinned(self):
         # the first labelled witnesses in Prüfer rank order, as the labelled
@@ -630,16 +626,16 @@ class TestTreeSweepFastPath:
         assert (n9.trees, n9.max_count, n9.min_count, n9.ratio_violations) == (9 ** 7, 9, 9 * 8 * 7 * 6 * 5 * 4 * 3, 0)
 
     def test_debug_line_reports_classes_and_candidates(self, monkeypatch, caplog):
-        walk = oracle._prufer_witnesses
+        walk = trees._prufer_witnesses
 
         def slow(*args):
             time.sleep(0.01)
             return walk(*args)
 
-        monkeypatch.setattr(oracle, "_prufer_witnesses", slow)
-        with caplog.at_level(logging.DEBUG, logger="sigmat.oracle"):
+        monkeypatch.setattr(trees, "_prufer_witnesses", slow)
+        with caplog.at_level(logging.DEBUG, logger="sigmat.trees"):
             assert tree_sweep.__wrapped__(5) == _tree_reference(5)
-        (record,) = [r for r in caplog.records if r.name == "sigmat.oracle"]
+        (record,) = [r for r in caplog.records if r.name == "sigmat.trees"]
         assert record.levelno == logging.DEBUG
         # 5 stars, 16 of the 60 paths for the minimum, 16 for the equality
         match = re.fullmatch(r"tree sweep at n=5: 3 classes, 125 labelled trees, "
@@ -649,9 +645,9 @@ class TestTreeSweepFastPath:
 
     def test_violation_witnesses_are_capped_in_pruefer_order(self, monkeypatch):
         # sigma read as 0 puts every tree on 6 vertices over the ratio bound
-        evaluate = oracle._tree_sigmas
-        monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (evaluate(degrees, edges)[0], 0))
-        monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
+        evaluate = trees._tree_sigmas
+        monkeypatch.setattr(trees, "_tree_sigmas", lambda degrees, edges: (evaluate(degrees, edges)[0], 0))
+        monkeypatch.setattr(trees, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
         assert tree_sweep.__wrapped__(6) == replace(
             _tree_reference(6), ratio_violations=6 ** 4, ratio_violation_witnesses=first,
@@ -662,36 +658,36 @@ class TestTreeSweepFastPath:
     def test_star_and_path_flags_fail_when_every_tree_ties(self, monkeypatch):
         # sigma_t and sigma read as 0: every tree attains both extremes, the
         # ratio equality and sigma == sigma_t, so no "all stars/paths" holds
-        monkeypatch.setattr(oracle, "_tree_sigmas", lambda degrees, edges: (0, 0))
-        monkeypatch.setattr(oracle, "tree_sweep", tree_sweep.__wrapped__)
+        monkeypatch.setattr(trees, "_tree_sigmas", lambda degrees, edges: (0, 0))
+        monkeypatch.setattr(trees, "tree_sweep", tree_sweep.__wrapped__)
         first = tuple(encode_graph6(t) for t in islice(enumerate_trees(6), oracle.WITNESS_CAP))
-        trees = 6 ** 4
+        labelled = 6 ** 4
         assert tree_sweep.__wrapped__(6) == replace(
-            _tree_reference(6), max_value=0, max_count=trees, max_all_stars=False,
-            max_witnesses=first, min_value=0, min_count=trees, min_all_paths=False,
-            min_witnesses=first, ratio_equality_count=trees, ratio_equality_all_paths=False,
-            ratio_equality_witnesses=first, sigma_eq_count=trees, sigma_eq_all_stars=False)
+            _tree_reference(6), max_value=0, max_count=labelled, max_all_stars=False,
+            max_witnesses=first, min_value=0, min_count=labelled, min_all_paths=False,
+            min_witnesses=first, ratio_equality_count=labelled, ratio_equality_all_paths=False,
+            ratio_equality_witnesses=first, sigma_eq_count=labelled, sigma_eq_all_stars=False)
         report = verify_conjecture2(6)
         assert report.status == "counterexample" and report.counterexamples == first
 
     def test_orders_outside_2_to_18_raise_limit_error(self):
-        for n in (1, oracle.MAX_TREE_ORDER + 1):
+        for n in (1, trees.MAX_TREE_ORDER + 1):
             with pytest.raises(LimitError, match=f"tree sweep covers 2 <= n <= 18, got n={n}"):
                 tree_sweep(n)
 
     def test_sweep_builds_once_per_order(self, monkeypatch):
-        monkeypatch.setattr(oracle, "tree_sweep", lru_cache(maxsize=None)(tree_sweep.__wrapped__))
+        monkeypatch.setattr(trees, "tree_sweep", lru_cache(maxsize=None)(tree_sweep.__wrapped__))
         calls = []
-        generate = oracle.free_trees
+        generate = trees.free_trees
 
         def recording(n):
             calls.append(n)
             return generate(n)
 
-        monkeypatch.setattr(oracle, "free_trees", recording)
+        monkeypatch.setattr(trees, "free_trees", recording)
         for _ in range(2):
             for n in (4, 5):
-                assert oracle.tree_sweep(n) is oracle.tree_sweep(n)
+                assert trees.tree_sweep(n) is trees.tree_sweep(n)
                 assert search_trees(n, "max").graphs_visited == n ** (n - 2)
                 assert verify_conjecture2(n).graphs_visited == n ** (n - 2)
         assert calls == [4, 5]
@@ -704,7 +700,7 @@ class TestTreeSweepFastPath:
         def no_trees(n):
             raise AssertionError(f"free trees generated again for n={n}")
 
-        monkeypatch.setattr(oracle, "free_trees", no_trees)
+        monkeypatch.setattr(trees, "free_trees", no_trees)
         assert search_trees(6, "max").graphs_visited == 6 ** 4
         assert verify_conjecture2(6).status == "verified"
 
@@ -1026,8 +1022,9 @@ class TestBulkCrossValidation:
 
     def test_whole_table_memory_is_bounded(self):
         # the n = 7 table is built in one pass straight into its columns, so
-        # the peak is the table (20 bytes a row) plus the kept indices of its
-        # 64 runs (8 bytes a row) and the temporaries of one run
+        # the peak is the table (20 bytes a row) plus a bool kept flag for
+        # each of the 2^21 masks and the temporaries of one run, its kept
+        # indices among them
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()

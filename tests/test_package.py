@@ -57,5 +57,13 @@ def test_submodules_are_attributes():
     assert sigmat.graph.parse_graph6 is sigmat.parse_graph6
 
 
+def test_tree_names_are_defined_only_in_trees():
+    # oracle keeps no alias of what moved to trees
+    oracle, trees = sigmat.oracle, sigmat.trees
+    for name in ("TreeSweep", "enumerate_trees", "free_trees", "prufer_edges", "search_trees",
+                 "tree_sweep", "verify_conjecture2", "MAX_TREE_ORDER", "MAX_PRUFER_ORDER"):
+        assert hasattr(trees, name) and not hasattr(oracle, name)
+
+
 def test_version_is_unchanged():
     assert sigmat.__version__ == "0.1.0"
