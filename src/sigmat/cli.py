@@ -12,11 +12,19 @@ an instance of a subclass of a JSON type (``np.float64``, a namedtuple, an
 IntEnum) as its value in that type, never through its own ``__str__``, and
 so is a dict key that is an instance of a subclass of str or int.
 
-``bounds`` and ``spectral`` read their input in chunks of at most
-``CHUNK_GRAPHS`` graphs and ``CHUNK_ENTRIES`` summed n^2 matrix entries (a
-larger graph is a chunk of its own), solve each chunk's spectra by order in
-stacked eigensolves, and then print its records in input order. An input
-error prints the records read before it first.
+``compute``, ``bounds`` and ``spectral`` read their input in chunks of at
+most ``CHUNK_GRAPHS`` graphs and ``CHUNK_ENTRIES`` summed n^2 matrix entries
+(a larger graph is a chunk of its own). One function of a chunk solves its
+spectra by order in stacked eigensolves and renders its records, and each
+chunk's records are printed together, in input order. Once a second chunk
+has been read, the chunks run on a ``fork`` pool of one worker per CPU the
+process may use, forked before numpy is loaded; this process reads and
+parses the input, keeps at most two chunks per worker in flight, and
+writes the results in input order. A one-chunk input, one CPU or a
+platform without ``fork`` runs the chunks in this process, and never loads
+``multiprocessing``. The output and the exit codes are the same either
+way, and every exit terminates and joins the workers. An input error
+prints the records read before it first.
 
 Exit codes: 0 success, 1 verification failure (violated bound or
 conjecture counterexample), 2 usage or input error, 3 internal error (a
@@ -24,10 +32,11 @@ failed eigensolve or any other unexpected exception; the traceback is
 logged at debug level, see ``SIGMAT_LOG``), 141 stdout closed by its reader
 (128 + SIGPIPE, with nothing printed). A failed eigensolve drops every
 record of its chunk: the records of earlier chunks are printed, none of its
-own. It is numpy's ``LinAlgError``, a ValueError; it is told apart from
-input errors through ``sys.modules``, so this module never imports numpy
-and only the commands that build arrays (``bounds``, ``spectral`` and the
-mask sweeps) load it.
+own or of later ones. It is numpy's ``LinAlgError``, a ValueError; it is
+told apart from input errors through ``sys.modules``, so this module never
+imports numpy and only the commands that build arrays (``bounds``,
+``spectral`` and the mask sweeps) load it (a worker's error loads
+``numpy.linalg`` here when it is unpickled).
 
 Each command imports the sigmat modules it calls when it runs, so a process
 loads only those, besides ``graph`` (the input reader and the search
@@ -41,11 +50,13 @@ import argparse
 import json
 import os
 import sys
+import time
+from collections import deque
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import FILTERS, Graph, encode_graph6, ingest_graph6, parse_graph6, require_graph6_order
 
@@ -317,37 +328,147 @@ def _emit(args, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stream commands
 # ---------------------------------------------------------------------------
 
-def _cmd_compute(args) -> int:
-    from .invariants import full_report
+class ChunkOutput(NamedTuple):
+    """What one chunk of a stream command gives the writer: its records'
+    text, their number, whether a bound is violated, and the seconds spent."""
 
-    for g in _input_graphs(args):
-        _emit(args, full_report(g))
-    return 0
+    text: str
+    records: int
+    violated: bool
+    seconds: float
 
 
-def _cmd_bounds(args) -> int:
-    from .bounds import check_all, graph_facts
-
+def _chunk_output(command: str, fmt: str, graphs: list[Graph]) -> ChunkOutput:
+    """The output of ``compute``, ``bounds`` or ``spectral`` for one chunk:
+    the spectra are solved by order, in stacked eigensolves, and the records
+    are rendered in input order."""
+    start = time.perf_counter()
     violated = False
-    for chunk in _chunks(_input_graphs(args)):
-        for facts in graph_facts(chunk):
-            checks = check_all(facts)
-            violated = violated or any(not c.holds for c in checks)
-            _emit(args, checks)
+    if command == "bounds":
+        from .bounds import check_all, graph_facts
+
+        records = [check_all(facts) for facts in graph_facts(graphs)]
+        violated = any(not c.holds for checks in records for c in checks)
+    elif command == "spectral":
+        from .spectral import laplacian_spectra
+
+        records = laplacian_spectra(graphs)
+    else:
+        from .invariants import full_report
+
+        records = [full_report(g) for g in graphs]
+    render = render_table if fmt == "table" else canonical_json
+    text = "".join(render(record) + "\n" for record in records)
+    return ChunkOutput(text, len(records), violated, time.perf_counter() - start)
+
+
+def _worker_count() -> int:
+    """Worker processes for a stream: one per CPU this process may run on,
+    or 1 (no pool) where there is no ``fork``."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _evaluate_chunks(work, chunks: Iterator[list[Graph]], write) -> int:
+    """``write(work(chunk))`` for every chunk, in input order; returns the
+    number of worker processes, 0 when the chunks ran in this process.
+
+    With one worker, each chunk runs here as it is read. Otherwise the first
+    chunk waits for the next read: at the end of the input it runs here, and
+    a second chunk starts a ``fork`` pool of ``_worker_count()`` workers.
+    Before each read, the results due next are written as soon as they are
+    ready, and at the latest when two chunks per worker are in flight, so
+    the reader is never further ahead of the writer. An error reading the
+    input ends the reading: the chunks read before it are still written,
+    and then it is raised. An error in a chunk is raised when that chunk is
+    due, so no later chunk is written. Every exit terminates and joins the
+    workers."""
+    workers = _worker_count()
+    if workers == 1:
+        for chunk in chunks:
+            write(work(chunk))
+        return 0
+    pending: deque = deque()  # the first chunk, or the results in flight
+    pool = error = None
+    try:
+        while True:
+            while pool is not None and pending and (len(pending) == 2 * workers or pending[0].ready()):
+                write(pending.popleft().get())
+            try:
+                chunk = next(chunks, None)
+            except Exception as exc:
+                chunk, error = None, exc
+            if chunk is None:
+                break
+            if pool is None and pending:
+                pool = _fork_pool(workers)
+                pending = deque(pool.apply_async(work, (c,)) for c in pending)
+            pending.append(chunk if pool is None else pool.apply_async(work, (chunk,)))
+        for item in pending:
+            write(work(item) if pool is None else item.get())
+        if error is not None:
+            raise error
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+    return 0 if pool is None else workers
+
+
+def _fork_pool(workers: int):
+    """A ``fork`` pool of ``workers`` processes that ignore SIGINT, so that
+    Ctrl-C interrupts only this process, which then terminates them. The
+    stream commands fork with no other thread running: numpy, and with it
+    the BLAS threads, is not loaded yet, and a pool starts its own threads
+    after its workers."""
+    import multiprocessing
+    import signal
+
+    # a worker that exits flushes the stream buffers it inherited
+    sys.stdout.flush()
+    return multiprocessing.get_context("fork").Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+
+
+def _cmd_stream(args) -> int:
+    """``compute``, ``bounds`` and ``spectral``: each chunk of the input is
+    one :func:`_chunk_output`, written in input order; exit 1 if a bound is
+    violated."""
+    start = time.perf_counter()
+    records = chunks = 0
+    busy, violated = 0.0, False
+
+    def write(output: ChunkOutput) -> None:
+        nonlocal records, chunks, busy, violated
+        sys.stdout.write(output.text)
+        records += output.records
+        chunks += 1
+        busy += output.seconds
+        violated = violated or output.violated
+
+    work = partial(_chunk_output, args.command, args.format)
+    workers = _evaluate_chunks(work, _chunks(_input_graphs(args)), write)
+    if os.environ.get("SIGMAT_LOG"):
+        import logging
+
+        wall = time.perf_counter() - start
+        logging.getLogger("sigmat.cli").debug(
+            "%s: %d records in %d chunks, %s, %.3f s worker busy, %.3f s wall, %.0f graphs/s",
+            args.command, records, chunks, f"{workers} workers" if workers else "in-process",
+            busy, wall, records / wall)
     return 1 if violated else 0
 
 
-def _cmd_spectral(args) -> int:
-    from .spectral import laplacian_spectra
-
-    for chunk in _chunks(_input_graphs(args)):
-        for spectrum in laplacian_spectra(chunk):
-            _emit(args, spectrum)
-    return 0
-
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
 
 def _cmd_extremal(args) -> int:
     from .extremal import (make_complete_bipartite, make_path, make_split, make_star,
@@ -440,9 +561,9 @@ class UsageError(Exception):
 
 
 _COMMANDS = {
-    "compute": _cmd_compute,
-    "bounds": _cmd_bounds,
-    "spectral": _cmd_spectral,
+    "compute": _cmd_stream,
+    "bounds": _cmd_stream,
+    "spectral": _cmd_stream,
     "extremal": _cmd_extremal,
     "search": _cmd_search,
     "conjecture": _cmd_conjecture,

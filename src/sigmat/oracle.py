@@ -14,16 +14,21 @@ which says what it keeps of a stream and of a mask table.
 Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, so memory stays
 bounded whatever the order. One sweep engine makes and scans the chunks in
-order on the calling thread and merges their partials in that order. Only
-these sweeps import :mod:`sigmat.bulk`, and numpy with it.
+order on the calling thread and merges their partials in that order. Each
+sweep counts the connected rows of every chunk, kept or not, and checks the
+total against A001187's count (:func:`connected_graph_count`) before it
+reports: a mismatch raises ArithmeticError naming both counts. Only these
+sweeps import :mod:`sigmat.bulk`, and numpy with it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .graph import FILTERS, Graph, encode_graph6, graph_from_mask, is_connected, pair_order
@@ -217,6 +222,26 @@ def search_extremal(
     return best.result(n_seen, description, "graphs left after filtering")
 
 
+@lru_cache(maxsize=None)
+def connected_graph_count(n: int) -> int:
+    """The number of labeled connected graphs on n >= 1 vertices (OEIS
+    A001187), by c_n = 2^C(n,2) - sum_{k<n} C(n-1, k-1) c_k 2^C(n-k,2): the
+    graphs whose vertex 0 lies in a component of k vertices, subtracted for
+    every k < n. Independent of the sweeps, which check their rows against it."""
+    return (1 << n * (n - 1) // 2) - sum(
+        math.comb(n - 1, k - 1) * connected_graph_count(k) << (n - k) * (n - k - 1) // 2
+        for k in range(1, n))
+
+
+def _require_coverage(n: int, rows: int, sweep: str) -> None:
+    """Raise ArithmeticError, naming both counts, unless a sweep at order n
+    visited every connected graph: its connected rows, kept or not, are
+    A001187's c_n."""
+    if rows != connected_graph_count(n):
+        raise ArithmeticError(f"{sweep} at n={n} visited {rows} connected graphs, "
+                              f"A001187 gives {connected_graph_count(n)}")
+
+
 def chunk_ranges(n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) ranges of ``bulk.CHUNK_MASKS`` masks tiling the
     edge-subset space at order n; the last one may be shorter."""
@@ -255,12 +280,14 @@ def search_connected(n: int, objective: str, graph_filter: str = "none") -> Sear
     rows = FILTERS[graph_filter].rows
     start = time.perf_counter()
 
-    def scan(table: bulk.MaskTable) -> tuple[Extreme]:
+    def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally]:
         keep = rows(table)
-        return (Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep]),)
+        return (Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep]),
+                Tally(int(table.masks.size)))
 
     ranges = chunk_ranges(n)
-    (best,) = _sweep(bulk.connected_table, n, ranges, scan, (Extreme(objective),))
+    best, visited = _sweep(bulk.connected_table, n, ranges, scan, (Extreme(objective), Tally()))
+    _require_coverage(n, visited.count, "graph search")
     seconds = time.perf_counter() - start
     log.debug("search at n=%d, filter %s: %d masks scanned, %d graphs kept in %d chunks, "
               "%.3f s, %.0f graphs/s", n, graph_filter, 1 << n * (n - 1) // 2, best.visited,
@@ -316,13 +343,15 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     if graphs is None:
         from . import bulk
 
-        def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally]:
+        def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally, Tally]:
             keep = triangle_free.rows(table)
             values, masks = table.sigma_t[keep], table.masks[keep]
-            return Extreme.of_chunk("max", values, masks), Tally.of(masks[values > reference])
+            return (Extreme.of_chunk("max", values, masks), Tally.of(masks[values > reference]),
+                    Tally(int(table.masks.size)))
 
-        best, offenders = _sweep(bulk.connected_table, n, chunk_ranges(n), scan,
-                                 (Extreme("max"), Tally()))
+        best, offenders, visited = _sweep(bulk.connected_table, n, chunk_ranges(n), scan,
+                                          (Extreme("max"), Tally(), Tally()))
+        _require_coverage(n, visited.count, "conjecture 1")
         missing, covered = f"connected triangle-free graphs at n={n}", "verified"
     else:
         best, offenders = Extreme("max"), Tally()

@@ -3,7 +3,8 @@ labeled trees, and conjecture 2: sigma_t(T) <= (n-2) * sigma(T), with
 equality exactly on paths.
 
 Each free tree counts as its n!/|Aut| labeled trees, and their sum is
-checked against Cayley's n^(n-2). The pass keeps a few counts per degree
+checked against Cayley's n^(n-2), and the number of free trees against
+Otter's count. The pass keeps a few counts per degree
 profile, of which there are p(n-2): 231 at n = 18. The labeled Prüfer
 decode (n <= 9) is its reference. The verdict records and the order-limit
 check come from :mod:`sigmat.oracle`, which never imports this module.
@@ -95,6 +96,27 @@ def free_trees(n: int) -> Iterator[tuple[int, ...]]:
             if jump:
                 height = _halves(levels)[0][0] + 1
                 levels[n - height:] = range(1, height + 1)
+
+
+@lru_cache(maxsize=None)
+def rooted_tree_counts(n: int) -> tuple[int, ...]:
+    """r_0..r_n, the rooted trees on k vertices up to isomorphism (OEIS
+    A000081), by r_{k+1} = (1/k) sum_{j=1..k} (sum_{d | j} d r_d) r_{k-j+1}."""
+    r = [0, 1]
+    for k in range(1, n):
+        r.append(sum(sum(d * r[d] for d in range(1, j + 1) if j % d == 0) * r[k - j + 1]
+                     for j in range(1, k + 1)) // k)
+    return tuple(r[:n + 1])
+
+
+def free_tree_count(n: int) -> int:
+    """The trees on n >= 1 vertices up to isomorphism (OEIS A000055), by
+    Otter's formula t_n = r_n - (1/2) sum_{i+j=n} r_i r_j + (1/2) r_{n/2}
+    (the last term for even n) over the rooted counts. Independent of
+    :func:`free_trees`, whose classes the tree sweep checks against it."""
+    r = rooted_tree_counts(n)
+    pairs = sum(r[i] * r[n - i] for i in range(1, n))
+    return r[n] - (pairs - (r[n // 2] if n % 2 == 0 else 0)) // 2
 
 
 def _halves(levels: Sequence[int]) -> tuple[tuple, tuple]:
@@ -223,8 +245,9 @@ def tree_sweep(n: int) -> TreeSweep:
     per profile met, its sigma_t and its labeled trees, and the labeled trees
     over the ratio bound, at it, and with sigma == sigma_t. Every count is a
     Python int, since n^(n-2) passes 2^63 at n = 18, and their sum is
-    checked against Cayley's n^(n-2) before any of them is read: a mismatch
-    raises ArithmeticError naming both counts. The star is the one tree
+    checked against Cayley's n^(n-2), and the classes against
+    :func:`free_tree_count`, before any of them is read: a mismatch raises
+    ArithmeticError naming both counts. The star is the one tree
     with the profile (n-2, 0, ..., 0), and the path with (1, ..., 1, 0, 0).
     Witnesses are the first WITNESS_CAP labeled trees in Prüfer rank order,
     found by :func:`_prufer_witnesses` among the profiles that hold. The
@@ -253,6 +276,9 @@ def tree_sweep(n: int) -> TreeSweep:
     if trees != n ** (n - 2):
         raise ArithmeticError(f"tree sweep at n={n} counted {trees} labelled trees, "
                               f"Cayley's formula gives {n ** (n - 2)}")
+    if classes != free_tree_count(n):
+        raise ArithmeticError(f"tree sweep at n={n} visited {classes} free trees, "
+                              f"Otter's formula gives {free_tree_count(n)}")
 
     def at(value: int) -> tuple[list[tuple[int, ...]], int]:
         # the profiles with this sigma_t and their labeled trees

@@ -6,8 +6,10 @@ import io
 import json
 import logging
 import math
+import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -21,8 +23,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sigmat import bounds, cli, extremal, oracle, spectral, trees
-from sigmat.graph import Graph, encode_graph6, pair_order, parse_graph6
+from sigmat import bounds, bulk, cli, extremal, oracle, spectral, trees
+from sigmat.graph import Graph, encode_graph6, is_connected, pair_order, parse_graph6
 from sigmat.invariants import sigma_t
 from sigmat.cli import canonical_json
 from sigmat.oracle import ConjectureReport, IdentitySummary
@@ -65,6 +67,7 @@ task = "/proc/self/task"
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "bulk": "sigmat.bulk" in sys.modules,
                   "logging": "logging" in sys.modules,
+                  "multiprocessing": "multiprocessing" in sys.modules,
                   "sigmat": sorted(m[7:] for m in sys.modules if m.startswith("sigmat.")),
                   "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
                   "threads": len(os.listdir(task)) if os.path.isdir(task) else 1}))
@@ -80,6 +83,63 @@ def probe_imports(argv):
                            env=env, timeout=120)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout), child.stderr.decode()
+
+
+# cli.main(argv[2:]) with the stream commands on a pool of two workers; with
+# argv[1] nonzero, every eigensolve of a stack of that order fails, so the
+# fault follows the input into whichever worker solves it. A worker still
+# running when cli.main returns is reported on stderr.
+POOL_DRIVER = """
+import sys
+from sigmat import cli
+cli._worker_count = lambda: 2
+fail_order = int(sys.argv[1])
+if fail_order:
+    import numpy as np
+    eigvalsh = np.linalg.eigvalsh
+    def eigvalsh_failing_at_one_order(a, *args, **kwargs):
+        if a.shape[-1] == fail_order:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+    np.linalg.eigvalsh = eigvalsh_failing_at_one_order
+code = cli.main(sys.argv[2:])
+import multiprocessing
+if multiprocessing.active_children():
+    print("workers left running", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def assert_group_is_empty(pgid):
+    """No process is left in the process group ``pgid``: the benchmark
+    refuses a run that leaves one. Any that is left is killed."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return
+    os.killpg(pgid, signal.SIGKILL)
+    pytest.fail(f"a process is left in the CLI's process group {pgid}")
+
+
+def run_pool_child(tmp_path, argv, fail_order=0):
+    """(exit code, stdout, stderr) of POOL_DRIVER in a process group of its
+    own, after checking that no process of the group outlived it. Its output
+    goes to files, so a worker left holding them cannot stall the test."""
+    out, err = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out, "wb") as stdout, open(err, "wb") as stderr, \
+            subprocess.Popen([sys.executable, "-c", POOL_DRIVER, str(fail_order), *argv],
+                             stdout=stdout, stderr=stderr, env=child_env(),
+                             start_new_session=True) as child:
+        child.wait(timeout=120)
+    assert_group_is_empty(child.pid)
+    return child.returncode, out.read_text(), err.read_text()
+
+
+@cache
+def sparse_record(n, seed, density=0.01):
+    """graph6 of a seeded random graph of order n and the given edge density."""
+    rng = random.Random(seed)
+    return encode_graph6(Graph(n, [(u, v) for u, v in pair_order(n) if rng.random() < density]))
 
 
 class TestCompute:
@@ -192,8 +252,13 @@ class TestChunkedStreams:
         stream.write_text("\n".join(lines) + "\n")
         return str(stream)
 
-    def with_bad_line(self):
-        return self.RECORDS[:self.BAD] + ["not-a-graph!!"] + self.RECORDS[self.BAD:]
+    def with_bad_line(self, at=BAD):
+        return self.RECORDS[:at] + ["not-a-graph!!"] + self.RECORDS[at:]
+
+    @staticmethod
+    def first_chunk():
+        """A full chunk of order-6 graphs."""
+        return [encode_graph6(g) for g in seeded_graphs(random.Random(6), [6], cli.CHUNK_GRAPHS)]
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("command", ["bounds", "spectral"])
@@ -220,8 +285,12 @@ class TestChunkedStreams:
 
     @pytest.mark.parametrize("command", ["bounds", "spectral"])
     def test_failed_eigensolve_drops_its_chunk_only(self, capsys, tmp_path, monkeypatch, command):
+        # the eigensolves are counted in this process, so the chunks run here;
+        # TestWorkerPool::test_failed_eigensolve_in_a_worker_drops_its_chunk_only
+        # is the pool's twin
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
         # one order in the first chunk, so that its spectra are one eigensolve
-        first = [encode_graph6(g) for g in seeded_graphs(random.Random(6), [6], cli.CHUNK_GRAPHS)]
+        first = self.first_chunk()
         expected = joined_outputs(command, "json", first)
         eigvalsh, calls = np.linalg.eigvalsh, []
 
@@ -240,7 +309,11 @@ class TestChunkedStreams:
     @pytest.mark.parametrize("command, solve", [("spectral", "laplacian_spectra"), ("bounds", "graph_facts")])
     def test_a_graph_past_the_entry_budget_is_solved_alone(self, tmp_path, monkeypatch, command, solve):
         # the bound of tests/test_spectral.py::test_spectrum_memory_stays_near_the_stack,
-        # on the chunk solve only: parsing the record is not part of it
+        # on the chunk solve only: parsing the record is not part of it. The
+        # solves are traced in this process, so the chunks run here;
+        # TestWorkerPool::test_a_graph_past_the_entry_budget_is_solved_alone_in_a_worker
+        # is the pool's twin
+        monkeypatch.setattr(cli, "_worker_count", lambda: 1)
         n = 1500
         rng = random.Random(1500)
         big = encode_graph6(Graph(n, [(u, v) for u, v in pair_order(n) if rng.random() < 0.01]))
@@ -282,6 +355,154 @@ class TestChunkedStreams:
                 assert len(chunk) == cli.CHUNK_GRAPHS or sizes[k] + chunks[k + 1][0].n ** 2 > cli.CHUNK_ENTRIES
         assert {len(c) for c in chunks} >= {1, cli.CHUNK_GRAPHS}
         assert any(1 < len(c) < cli.CHUNK_GRAPHS for c in chunks)
+
+
+class TestWorkerPool:
+    """The chunks of ``compute``, ``bounds`` and ``spectral`` on a fork pool:
+    the same output and exit codes as in one process, and no worker left."""
+
+    RECORDS = TestChunkedStreams.RECORDS
+    # a graph past the entry budget, a chunk of its own, between two chunks
+    STREAM = RECORDS[:300] + [sparse_record(300, 300, 0.05)] + RECORDS[300:]
+
+    write = TestChunkedStreams.write
+
+    @staticmethod
+    def on_workers(monkeypatch, workers):
+        """Run the stream commands on ``workers`` processes (1: in this one);
+        returns the list of pools started."""
+        monkeypatch.setattr(cli, "_worker_count", lambda: workers)
+        pools, fork_pool = [], cli._fork_pool
+        monkeypatch.setattr(cli, "_fork_pool", lambda k: pools.append(k) or fork_pool(k))
+        return pools
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("command", ["bounds", "spectral", "compute"])
+    def test_output_matches_the_in_process_path(self, capsys, tmp_path, monkeypatch, command, fmt):
+        argv = [command, "--file", self.write(tmp_path, self.STREAM), "--format", fmt]
+        assert [len(c) for c in cli._chunks(map(parse_graph6, self.STREAM))] == [256, 44, 1, 232]
+        self.on_workers(monkeypatch, 1)
+        alone = run(capsys, argv)
+        pools = self.on_workers(monkeypatch, 2)
+        pooled = run(capsys, argv)
+        assert pools == [2] and not multiprocessing.active_children()
+        assert pooled == alone and alone[0] == 0 and alone[1].count("\n") >= len(self.STREAM)
+
+    def test_one_chunk_never_starts_a_pool(self, capsys, tmp_path, monkeypatch):
+        pools = self.on_workers(monkeypatch, 2)
+        code, out, _ = run(capsys, ["bounds", "--file", self.write(tmp_path, self.RECORDS[:10])])
+        assert code == 0 and out == joined_outputs("bounds", "json", self.RECORDS[:10])
+        assert pools == []
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("command", ["bounds", "compute"])
+    def test_malformed_line_in_the_third_chunk(self, tmp_path, command, skip):
+        bad = 2 * cli.CHUNK_GRAPHS + 5
+        argv = [command, "--file", self.write(tmp_path, TestChunkedStreams().with_bad_line(bad))]
+        code, out, err = run_pool_child(tmp_path, argv + ["--skip-bad-lines"] * skip)
+        if skip:
+            assert code == 0 and err.startswith(f"skipping line {bad + 1}: ") and err.count("\n") == 1
+            assert out == joined_outputs(command, "json", self.RECORDS)
+        else:
+            assert code == 2 and err.startswith(f"error: line {bad + 1}: ") and err.count("\n") == 1
+            assert out == joined_outputs(command, "json", self.RECORDS[:bad])
+
+    @pytest.mark.parametrize("command", ["bounds", "spectral"])
+    def test_failed_eigensolve_in_a_worker_drops_its_chunk_only(self, tmp_path, command):
+        first = TestChunkedStreams.first_chunk()
+        # an order of a connected graph in the second chunk, and in no graph of
+        # the first, whose graphs all have order 6
+        order = max(g.n for g in map(parse_graph6, self.RECORDS[:cli.CHUNK_GRAPHS]) if is_connected(g))
+        assert order != 6
+        argv = [command, "--file", self.write(tmp_path, first + self.RECORDS)]
+        code, out, err = run_pool_child(tmp_path, argv, fail_order=order)
+        assert code == 3
+        assert err == "error: internal: LinAlgError: Eigenvalues did not converge\n"
+        assert out == joined_outputs(command, "json", first)
+
+    @pytest.mark.parametrize("command, solve", [("spectral", "laplacian_spectra"), ("bounds", "graph_facts")])
+    def test_a_graph_past_the_entry_budget_is_solved_alone_in_a_worker(self, tmp_path, monkeypatch,
+                                                                       command, solve):
+        # the twin of TestChunkedStreams::test_a_graph_past_the_entry_budget_is_solved_alone:
+        # each worker appends what it solved to a file
+        n = 1500
+        big, small = sparse_record(n, n), self.RECORDS[:40]
+        module = {"spectral": spectral, "bounds": bounds}[command]
+        inner, solved = getattr(module, solve), tmp_path / "solved.jsonl"
+
+        def traced(graphs):
+            tracemalloc.start()
+            try:
+                return inner(graphs)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                with open(solved, "a") as handle:
+                    handle.write(json.dumps([[g.n for g in graphs], peak]) + "\n")
+
+        monkeypatch.setattr(module, solve, traced)
+        pools = self.on_workers(monkeypatch, 2)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = cli.main([command, "--file", self.write(tmp_path, small[:30] + [big] + small[30:])])
+        assert pools == [2] and not multiprocessing.active_children()
+        assert code == 0 and len(sink.getvalue().splitlines()) == 41
+        chunks, peaks = zip(*map(json.loads, solved.read_text().splitlines()))
+        expected = [[parse_graph6(r).n for r in small[:30]], [n], [parse_graph6(r).n for r in small[30:]]]
+        assert sorted(chunks) == sorted(expected)
+        assert peaks[chunks.index([n])] < 2.3 * 8 * n * n
+
+    def test_closed_stdout_exits_141(self, tmp_path):
+        stream = tmp_path / "big.g6"
+        stream.write_text(f"{P4}\n" * 2000)
+        argv = [sys.executable, "-c", POOL_DRIVER, "0", "bounds", "--file", str(stream)]
+        with open(tmp_path / "stderr", "wb") as stderr, \
+                subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=child_env(),
+                                 start_new_session=True) as child:
+            first = child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=120)
+        assert_group_is_empty(child.pid)
+        assert len(first) * 2000 > 1 << 16
+        assert json.loads(first)[0]["holds"] is True
+        assert code == 141 and (tmp_path / "stderr").read_bytes() == b""
+
+    def test_the_reader_stays_within_two_chunks_per_worker(self, tmp_path, monkeypatch):
+        written, ahead = [], []
+
+        class Sink(io.StringIO):
+            def write(self, text):
+                written.append(len(text))
+                return super().write(text)
+
+        chunks = cli._chunks
+
+        def counted(graphs):
+            for read, chunk in enumerate(chunks(graphs), start=1):
+                ahead.append(read - len(written))
+                yield chunk
+
+        monkeypatch.setattr(cli, "_chunks", counted)
+        pools = self.on_workers(monkeypatch, 2)
+        records = self.RECORDS * 4
+        sink = Sink()
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(["bounds", "--file", self.write(tmp_path, records)])
+        assert code == 0 and pools == [2] and not multiprocessing.active_children()
+        assert sink.getvalue() == joined_outputs("bounds", "json", records)
+        assert len(written) == len(ahead) == 9
+        assert 2 <= max(ahead) <= 2 * 2
+
+    def test_the_pool_forks_before_numpy_is_loaded(self, tmp_path):
+        # the parent reads and writes; only the workers solve spectra
+        probe = ("import json, sys; from sigmat import cli; cli._worker_count = lambda: 2; "
+                 "code = cli.main(sys.argv[1:]); "
+                 "print(json.dumps([code, 'multiprocessing' in sys.modules, 'numpy' in sys.modules]), "
+                 "file=sys.stderr)")
+        stream = self.write(tmp_path, self.RECORDS)
+        child = subprocess.run([sys.executable, "-c", probe, "bounds", "--file", stream],
+                               capture_output=True, env=child_env(), timeout=120)
+        assert json.loads(child.stderr) == [0, True, False]
 
 
 class TestExtremal:
@@ -610,8 +831,9 @@ class TestPlumbing:
         (["extremal", "--family", "bipartite", "--n", "10"], 0,
          {"cli", "graph", "invariants", "extremal"}, set()),
         (["compute", "--graph6", P4], 0, None, {"oracle", "trees", "extremal", "bounds", "spectral", "bulk"}),
-        # Graph6Error exits 2 without oracle, which defines LimitError
-        (["compute", "--graph6", "C!"], 2, {"cli", "graph", "invariants"}, set()),
+        # Graph6Error exits 2 without oracle, which defines LimitError, and
+        # without invariants, since no chunk was read
+        (["compute", "--graph6", "C!"], 2, {"cli", "graph"}, set()),
         (["bounds", "--graph6", P4], 0, None, {"oracle", "trees", "extremal", "bulk"}),
         (["spectral", "--graph6", P4], 0, None, {"oracle", "trees", "extremal", "bulk"}),
         (["conjecture", "--id", "2", "--n", "9"], 0, None, {"extremal", "bounds", "spectral", "bulk"}),
@@ -627,10 +849,13 @@ class TestPlumbing:
         # a tree-filtered stream and the identity suite never load trees
         (["search", "--graph6", P4, "--objective", "max", "--filter", "tree"], 0, None, {"trees", "bulk"}),
         (["verify-identities", "--n", "4"], 0, None, {"trees", "bulk"}),
+        (["verify-identities", "--random", "20", "--n", "6"], 0, None, {"trees", "bulk"}),
     ])
     def test_each_command_loads_only_the_modules_it_runs(self, argv, code, only, never):
         report, _ = probe_imports(argv)
         assert report["code"] == code
+        # only a stream of two or more chunks starts a worker pool
+        assert not report["multiprocessing"]
         loaded = set(report["sigmat"])
         if only is not None:
             assert loaded == only
@@ -656,12 +881,23 @@ class TestPlumbing:
         ["bounds", "--graph6", P4],
         ["search", "--n", "5", "--objective", "max"],
         ["conjecture", "--id", "2", "--n", "6"],
+        ["bounds", "--file", "{stream}"],
     ])
-    def test_debug_logging_leaves_stdout_unchanged(self, argv):
+    def test_debug_logging_leaves_stdout_unchanged(self, tmp_path, argv):
+        # {stream}: a stream of several chunks
+        records = TestChunkedStreams.RECORDS
+        argv = [TestChunkedStreams.write(None, tmp_path, records) if a == "{stream}" else a for a in argv]
         plain = run_child(argv)
         logged = run_child(argv, "debug")
         assert plain.returncode == logged.returncode == 0
         assert plain.stdout and logged.stdout == plain.stdout
+        if argv[0] in ("compute", "bounds", "spectral"):
+            # the parent's one line for the stream
+            chunks = len(list(cli._chunks(map(parse_graph6, records)))) if "--file" in argv else 1
+            (line,) = [l for l in logged.stderr.decode().splitlines() if l.startswith("DEBUG:sigmat.cli:")]
+            records = len(records) if "--file" in argv else 1
+            assert line.startswith(f"DEBUG:sigmat.cli:{argv[0]}: {records} records in {chunks} chunks, ")
+            assert line.endswith(" graphs/s") and " s worker busy, " in line and " s wall, " in line
 
     def test_closed_stdout_exits_141_silently(self, tmp_path):
         # `sigmat compute --file big.g6 | head -1`: the output is past the
@@ -827,6 +1063,41 @@ class TestInternalErrors:
         assert code == 3 and out == ""
         assert err == ("error: internal: ArithmeticError: tree sweep at n=6 counted 936 labelled trees, "
                        "Cayley's formula gives 1296\n")
+
+    def test_tree_sweep_that_repeats_a_class_exits_3(self, capsys, monkeypatch):
+        # twelve more stars (5 labellings each) in place of the path (60) keep
+        # Cayley's 125 labelled trees at n = 5, but not Otter's 3 classes
+        classes = list(trees.free_trees(5))
+        star, path_ = (0, 1, 1, 1, 1), (0, 1, 2, 1, 2)
+        assert set(classes) == {star, path_, (0, 1, 2, 1, 1)}
+        wrong = [c for c in classes if c != path_] + [star] * 12
+        assert sum(math.factorial(5) // trees._tree_class(c)[2] for c in wrong) == 5 ** 3
+        monkeypatch.setattr(trees, "free_trees", lambda n: iter(wrong))
+        trees.tree_sweep.cache_clear()
+        try:
+            code, out, err = run(capsys, ["conjecture", "--id", "2", "--n", "5"])
+        finally:
+            trees.tree_sweep.cache_clear()
+        assert code == 3 and out == ""
+        assert err == ("error: internal: ArithmeticError: tree sweep at n=5 visited 14 free trees, "
+                       "Otter's formula gives 3\n")
+
+    @pytest.mark.parametrize("argv, sweep", [
+        (["search", "--n", "5", "--objective", "max"], "graph search"),
+        # a filtered sweep checks every connected row it read, kept or not
+        (["search", "--n", "5", "--objective", "min", "--filter", "triangle-free"], "graph search"),
+        (["conjecture", "--id", "1", "--n", "5"], "conjecture 1"),
+    ])
+    def test_mask_sweep_that_misses_a_chunk_exits_3(self, capsys, monkeypatch, argv, sweep):
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 1 << 8)
+        ranges = oracle.chunk_ranges(5)
+        dropped = bulk.connected_table(5, *ranges[1]).masks.size
+        monkeypatch.setattr(oracle, "chunk_ranges", lambda n: ranges[:1] + ranges[2:])
+        code, out, err = run(capsys, argv)
+        assert len(ranges) == 4 and dropped > 0
+        assert code == 3 and out == ""
+        assert err == (f"error: internal: ArithmeticError: {sweep} at n=5 visited {728 - dropped} "
+                       "connected graphs, A001187 gives 728\n")
 
     def test_unexpected_exception_exits_3_with_debug_traceback(self, capsys, monkeypatch, caplog):
         def fail(n):

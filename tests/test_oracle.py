@@ -47,6 +47,7 @@ from sigmat.invariants import sigma, sigma_t
 from sigmat.oracle import (
     LimitError,
     chunk_ranges,
+    connected_graph_count,
     enumerate_connected_graphs,
     random_graphs,
     search_connected,
@@ -69,6 +70,17 @@ class TestEnumeration:
         assert len(graphs) == count
         assert len(set(graphs)) == count
         assert all(g.n == n and is_connected(g) for g in graphs)
+
+    def test_recurrence_gives_the_connected_counts(self):
+        # A001187, which every mask sweep checks its rows against
+        assert [connected_graph_count(n) for n in sorted(CONNECTED_COUNTS)] == \
+            [CONNECTED_COUNTS[n] for n in sorted(CONNECTED_COUNTS)]
+        assert connected_graph_count(7) == 1_866_256
+        assert connected_graph_count(8) == 251_548_592
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_connected_table_rows_are_the_connected_count(self, n):
+        assert bulk.connected_table(n).masks.size == connected_graph_count(n)
 
     def test_limits(self):
         with pytest.raises(LimitError, match="ingest_graph6"):
@@ -531,6 +543,13 @@ class TestFreeTrees:
         weights = [math.factorial(n) // trees._tree_class(levels)[2] for levels in trees.free_trees(n)]
         assert len(weights) == FREE_TREE_COUNTS[n - 1]
         assert sum(weights) == round(n ** (n - 2))  # Cayley
+
+    def test_otters_formula_gives_the_class_counts(self):
+        # A000055 from A000081, which the tree sweep checks its classes against
+        assert tuple(trees.free_tree_count(n) for n in range(1, len(FREE_TREE_COUNTS) + 1)) == FREE_TREE_COUNTS
+        assert trees.rooted_tree_counts(10) == (0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
+        assert trees.free_tree_count(9) == 47
+        assert trees.free_tree_count(18) == 123_867
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_weights_count_the_labelled_trees_of_each_class(self, n):
