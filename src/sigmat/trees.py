@@ -98,7 +98,6 @@ def free_trees(n: int) -> Iterator[tuple[int, ...]]:
                 levels[n - height:] = range(1, height + 1)
 
 
-@lru_cache(maxsize=None)
 def rooted_tree_counts(n: int) -> tuple[int, ...]:
     """r_0..r_n, the rooted trees on k vertices up to isomorphism (OEIS
     A000081), by r_{k+1} = (1/k) sum_{j=1..k} (sum_{d | j} d r_d) r_{k-j+1}."""

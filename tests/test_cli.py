@@ -247,13 +247,15 @@ class TestChunkedStreams:
                seeded_graphs(random.Random(2026), range(1, 13), 2 * cli.CHUNK_GRAPHS + 20)]
     BAD = cli.CHUNK_GRAPHS + 10  # index of the malformed line, inside chunk 2
 
-    def write(self, tmp_path, lines):
+    @staticmethod
+    def write(tmp_path, lines):
         stream = tmp_path / "graphs.g6"
         stream.write_text("\n".join(lines) + "\n")
         return str(stream)
 
-    def with_bad_line(self, at=BAD):
-        return self.RECORDS[:at] + ["not-a-graph!!"] + self.RECORDS[at:]
+    @classmethod
+    def with_bad_line(cls, at=BAD):
+        return cls.RECORDS[:at] + ["not-a-graph!!"] + cls.RECORDS[at:]
 
     @staticmethod
     def first_chunk():
@@ -365,7 +367,7 @@ class TestWorkerPool:
     # a graph past the entry budget, a chunk of its own, between two chunks
     STREAM = RECORDS[:300] + [sparse_record(300, 300, 0.05)] + RECORDS[300:]
 
-    write = TestChunkedStreams.write
+    write = staticmethod(TestChunkedStreams.write)
 
     @staticmethod
     def on_workers(monkeypatch, workers):
@@ -398,7 +400,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("command", ["bounds", "compute"])
     def test_malformed_line_in_the_third_chunk(self, tmp_path, command, skip):
         bad = 2 * cli.CHUNK_GRAPHS + 5
-        argv = [command, "--file", self.write(tmp_path, TestChunkedStreams().with_bad_line(bad))]
+        argv = [command, "--file", self.write(tmp_path, TestChunkedStreams.with_bad_line(bad))]
         code, out, err = run_pool_child(tmp_path, argv + ["--skip-bad-lines"] * skip)
         if skip:
             assert code == 0 and err.startswith(f"skipping line {bad + 1}: ") and err.count("\n") == 1
@@ -886,7 +888,7 @@ class TestPlumbing:
     def test_debug_logging_leaves_stdout_unchanged(self, tmp_path, argv):
         # {stream}: a stream of several chunks
         records = TestChunkedStreams.RECORDS
-        argv = [TestChunkedStreams.write(None, tmp_path, records) if a == "{stream}" else a for a in argv]
+        argv = [TestChunkedStreams.write(tmp_path, records) if a == "{stream}" else a for a in argv]
         plain = run_child(argv)
         logged = run_child(argv, "debug")
         assert plain.returncode == logged.returncode == 0
