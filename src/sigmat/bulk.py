@@ -6,7 +6,7 @@ bits in graph6 column-major order, so a full labeled enumeration is just
 degrees, connectivity, triangle-freeness and sigma_t
 (:func:`connected_table`, one pass over the mask range it is given), and is
 the fast engine behind the order-6/7 searches. A table keeps the degrees,
-sigma_t and triangle-freeness of each connected mask, 20 bytes a row at
+sigma_t and triangle-freeness of each connected mask, 14 bytes a row at
 n = 7; the search filters read the edge count and the max and min degree
 from the degrees. :func:`sigma_columns` derives sigma and the
 generalised-complete-k-partite flag of a table's rows, which no sweep
@@ -53,12 +53,13 @@ class MaskTable:
     """Columns for the connected graphs in one mask range. Everything else
     the degrees give is derived from ``deg`` where it is read: twice the edge
     count is ``deg.sum(axis=0)``, the max degree ``deg.max(axis=0)`` and its
-    multiplicity ``(deg == deg.max(axis=0)).sum(axis=0)``."""
+    multiplicity ``(deg == deg.max(axis=0)).sum(axis=0)``. ``sigma_t`` is
+    int16, so a reader widens it before multiplying."""
 
     n: int
     masks: np.ndarray        # uint32, ascending
     deg: np.ndarray          # (n, k) uint8, degree of vertex v in column order
-    sigma_t: np.ndarray      # int64
+    sigma_t: np.ndarray      # int16, at most n^2 (n-1)^2 = 3,136 at n = 8
     triangle_free: np.ndarray  # bool
 
 
@@ -108,7 +109,7 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         n=n,
         masks=np.empty(size, dtype=np.uint32),
         deg=np.empty((n, size), dtype=np.uint8),
-        sigma_t=np.empty(size, dtype=np.int64),
+        sigma_t=np.empty(size, dtype=np.int16),
         triangle_free=np.empty(size, dtype=bool),
     )
     at = 0

@@ -13,12 +13,12 @@ which says what it keeps of a stream and of a mask table.
 
 Searches over the edge-subset space walk it in fixed chunks of
 ``bulk.CHUNK_MASKS`` masks, read when the sweep starts, so memory stays
-bounded whatever the order. One sweep engine makes and scans the chunks in
-order on the calling thread and merges their partials in that order. Each
-sweep counts the connected rows of every chunk, kept or not, and checks the
-total against A001187's count (:func:`connected_graph_count`) before it
-reports: a mismatch raises ArithmeticError naming both counts. Only these
-sweeps import :mod:`sigmat.bulk`, and numpy with it.
+bounded whatever the order. One sweep engine makes, scans and counts every
+chunk in order on the calling thread; a statement passes it only its scan.
+The engine, like the exhaustive enumerator, checks the connected graphs it
+visited against A001187's count (:func:`connected_graph_count`): a
+mismatch raises ArithmeticError naming both counts. Only these sweeps
+import :mod:`sigmat.bulk`, and numpy with it.
 """
 
 from __future__ import annotations
@@ -62,14 +62,20 @@ def _require_order(n: int, least: int, sweep: str, most: int = MAX_ENUM_ORDER) -
 def enumerate_connected_graphs(n: int, mask_range: tuple[int, int] | None = None) -> Iterator[Graph]:
     """Every labeled simple connected graph on n vertices, exactly once, in
     ascending edge-mask order. Independent of :mod:`sigmat.bulk`, whose tables
-    are checked against it."""
+    are checked against it. Without ``mask_range``, one that yields other
+    than A001187's c_n graphs raises ArithmeticError when exhausted."""
     _require_order(n, 1, "graph enumeration")
     pairs = pair_order(n)
     lo, hi = mask_range if mask_range is not None else (0, 1 << len(pairs))
+    visited = 0
     for mask in range(lo, hi):
         g = graph_from_mask(n, mask, pairs)
         if is_connected(g):
+            visited += 1
             yield g
+    if mask_range is None and visited != connected_graph_count(n):
+        raise ArithmeticError(f"graph enumeration at n={n} visited {visited} connected graphs, "
+                              f"A001187 gives {connected_graph_count(n)}")
 
 
 def random_graphs(n: int, count: int, seed: int) -> Iterator[Graph]:
@@ -233,15 +239,6 @@ def connected_graph_count(n: int) -> int:
         for k in range(1, n))
 
 
-def _require_coverage(n: int, rows: int, sweep: str) -> None:
-    """Raise ArithmeticError, naming both counts, unless a sweep at order n
-    visited every connected graph: its connected rows, kept or not, are
-    A001187's c_n."""
-    if rows != connected_graph_count(n):
-        raise ArithmeticError(f"{sweep} at n={n} visited {rows} connected graphs, "
-                              f"A001187 gives {connected_graph_count(n)}")
-
-
 def chunk_ranges(n: int) -> list[tuple[int, int]]:
     """Consecutive [lo, hi) ranges of ``bulk.CHUNK_MASKS`` masks tiling the
     edge-subset space at order n; the last one may be shorter."""
@@ -251,20 +248,29 @@ def chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
 
-def _sweep(build: Callable, n: int, ranges: list[tuple[int, int]], scan: Callable,
-           totals: tuple) -> tuple:
-    """Merge ``scan(build(n, lo, hi))``, one partial per total, into
-    ``totals`` for every chunk range in order, on the calling thread, and
-    return the totals. Each table is made only after the previous table's
-    partials are merged, so memory does not grow with the number of chunks,
-    and no reference to a table outlives its scan. This is the only place
-    where chunk partials merge. ``build`` is a :mod:`sigmat.bulk` table
-    builder that the caller read from the module when it was called, or a
-    function that reads one from the module on every call, so a wrapper
-    installed on ``bulk`` sees every chunk."""
-    for lo, hi in ranges:
-        for total, part in zip(totals, scan(build(n, lo, hi)), strict=True):
+def _sweep(n: int, sweep: str, scan: Callable, totals: tuple) -> tuple:
+    """Merge ``scan(table)``, one partial per total, into ``totals`` for
+    the table of every range of :func:`chunk_ranges`, in order on the calling
+    thread, and return the totals. Each table is built by
+    ``bulk.connected_table``, read from the module for every chunk so that a
+    wrapper installed on ``bulk`` sees each call, only after the previous
+    table's partials are merged; no reference to a table outlives its scan,
+    so memory does not grow with the number of chunks. This is the only place
+    where chunk partials merge. Unless the connected rows of all the tables,
+    kept by the scan or not, are A001187's c_n, it raises ArithmeticError
+    naming the ``sweep`` and both counts."""
+    from . import bulk
+
+    rows = 0
+    for lo, hi in chunk_ranges(n):
+        table = bulk.connected_table(n, lo, hi)
+        rows += table.masks.size
+        parts, table = scan(table), None
+        for total, part in zip(totals, parts, strict=True):
             total.merge(part)
+    if rows != connected_graph_count(n):
+        raise ArithmeticError(f"{sweep} at n={n} visited {rows} connected graphs, "
+                              f"A001187 gives {connected_graph_count(n)}")
     return totals
 
 
@@ -275,23 +281,20 @@ def search_connected(n: int, objective: str, graph_filter: str = "none") -> Sear
     _require_order(n, 1, "graph search")
     if graph_filter not in FILTERS:
         raise ValueError(f"unknown filter {graph_filter!r}; expected one of {tuple(FILTERS)}")
-    from . import bulk
+    from . import bulk  # numpy loads before the clock starts
 
     rows = FILTERS[graph_filter].rows
     start = time.perf_counter()
 
-    def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally]:
+    def scan(table: bulk.MaskTable) -> tuple[Extreme]:
         keep = rows(table)
-        return (Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep]),
-                Tally(int(table.masks.size)))
+        return (Extreme.of_chunk(objective, table.sigma_t[keep], table.masks[keep]),)
 
-    ranges = chunk_ranges(n)
-    best, visited = _sweep(bulk.connected_table, n, ranges, scan, (Extreme(objective), Tally()))
-    _require_coverage(n, visited.count, "graph search")
+    best, = _sweep(n, "graph search", scan, (Extreme(objective),))
     seconds = time.perf_counter() - start
     log.debug("search at n=%d, filter %s: %d masks scanned, %d graphs kept in %d chunks, "
               "%.3f s, %.0f graphs/s", n, graph_filter, 1 << n * (n - 1) // 2, best.visited,
-              len(ranges), seconds, best.visited / seconds)
+              len(chunk_ranges(n)), seconds, best.visited / seconds)
     label = "connected" if graph_filter == "none" else f"connected {graph_filter}"
     return best.result(n, f"{label} graphs on {n} vertices", f"{graph_filter} connected graphs at n={n}")
 
@@ -341,17 +344,12 @@ def verify_conjecture1(n: int, graphs: Iterable[Graph] | None = None) -> Conject
     reference = max_bipartite_split(n).value  # raises for n < 2
     triangle_free = FILTERS["triangle-free"]
     if graphs is None:
-        from . import bulk
-
-        def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally, Tally]:
+        def scan(table: bulk.MaskTable) -> tuple[Extreme, Tally]:
             keep = triangle_free.rows(table)
             values, masks = table.sigma_t[keep], table.masks[keep]
-            return (Extreme.of_chunk("max", values, masks), Tally.of(masks[values > reference]),
-                    Tally(int(table.masks.size)))
+            return Extreme.of_chunk("max", values, masks), Tally.of(masks[values > reference])
 
-        best, offenders, visited = _sweep(bulk.connected_table, n, chunk_ranges(n), scan,
-                                          (Extreme("max"), Tally(), Tally()))
-        _require_coverage(n, visited.count, "conjecture 1")
+        best, offenders = _sweep(n, "conjecture 1", scan, (Extreme("max"), Tally()))
         missing, covered = f"connected triangle-free graphs at n={n}", "verified"
     else:
         best, offenders = Extreme("max"), Tally()

@@ -183,7 +183,7 @@ def test_criterion_07_bound_soundness(mask_tables, mask_sigma_columns, spectra7)
     # order 7: the same inequalities over the full table
     n = 7
     table = mask_tables[n]
-    st = table.sigma_t
+    st = table.sigma_t.astype(np.int64)  # stored as int16
     sg, _ = mask_sigma_columns[n]
     m = table.deg.sum(axis=0, dtype=np.int64) // 2
     dmax = table.deg.max(axis=0).astype(np.int64)

@@ -12,6 +12,7 @@ import random
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
@@ -470,6 +471,10 @@ class TestWorkerPool:
         assert code == 141 and (tmp_path / "stderr").read_bytes() == b""
 
     def test_the_reader_stays_within_two_chunks_per_worker(self, tmp_path, monkeypatch):
+        records = self.RECORDS * 4
+        # the expected output runs cli.main per record, so it is made before
+        # _chunks is counted
+        expected = joined_outputs("bounds", "json", records)
         written, ahead = [], []
 
         class Sink(io.StringIO):
@@ -486,14 +491,30 @@ class TestWorkerPool:
 
         monkeypatch.setattr(cli, "_chunks", counted)
         pools = self.on_workers(monkeypatch, 2)
-        records = self.RECORDS * 4
         sink = Sink()
         with contextlib.redirect_stdout(sink):
             code = cli.main(["bounds", "--file", self.write(tmp_path, records)])
         assert code == 0 and pools == [2] and not multiprocessing.active_children()
-        assert sink.getvalue() == joined_outputs("bounds", "json", records)
+        assert sink.getvalue() == expected
         assert len(written) == len(ahead) == 9
         assert 2 <= max(ahead) <= 2 * 2
+
+    def test_ready_results_are_written_before_the_next_read(self, monkeypatch):
+        # three chunks never fill two per worker in flight, so only the
+        # ready results are written while the input is read
+        monkeypatch.setattr(cli, "_worker_count", lambda: 2)
+        written, seen = [], []
+
+        def chunks():
+            yield [0]
+            yield [0, 1]
+            time.sleep(1)
+            yield [0, 1, 2]
+            seen.append(written[:2])
+
+        assert cli._evaluate_chunks(len, chunks(), written.append) == 2
+        assert seen == [[1, 2]] and written == [1, 2, 3]
+        assert not multiprocessing.active_children()
 
     def test_the_pool_forks_before_numpy_is_loaded(self, tmp_path):
         # the parent reads and writes; only the workers solve spectra
@@ -1100,6 +1121,16 @@ class TestInternalErrors:
         assert code == 3 and out == ""
         assert err == (f"error: internal: ArithmeticError: {sweep} at n=5 visited {728 - dropped} "
                        "connected graphs, A001187 gives 728\n")
+
+    def test_enumeration_that_misses_a_graph_exits_3(self, capsys, monkeypatch):
+        connected = oracle.is_connected
+        monkeypatch.setattr(oracle, "is_connected", lambda g: connected(g) and encode_graph6(g) != P4)
+        code, out, err = run(capsys, ["verify-identities", "--n", "4"])
+        assert code == 3 and out == ""
+        assert err == ("error: internal: ArithmeticError: graph enumeration at n=4 visited 37 "
+                       "connected graphs, A001187 gives 38\n")
+        # a mask range covers only itself, so it is not checked
+        assert len(list(oracle.enumerate_connected_graphs(4, (0, 1 << 6)))) == 37
 
     def test_unexpected_exception_exits_3_with_debug_traceback(self, capsys, monkeypatch, caplog):
         def fail(n):

@@ -332,8 +332,16 @@ class TestChunkBoundaries:
         assert report.counterexamples == tuple(offenders[:oracle.WITNESS_CAP])
         assert report == stream
 
+    @staticmethod
+    def fake_sweep(monkeypatch, build, chunks, rows):
+        """``_sweep`` over ``chunks`` unit ranges whose tables ``build`` makes,
+        with A001187's count replaced by ``rows``."""
+        monkeypatch.setattr(oracle, "chunk_ranges", lambda n: [(i, i + 1) for i in range(chunks)])
+        monkeypatch.setattr(bulk, "connected_table", build)
+        monkeypatch.setattr(oracle, "connected_graph_count", lambda n: rows)
+
     @pytest.mark.parametrize("chunks", [0, 1, 2, 8, 200])
-    def test_sweep_keeps_few_chunks_in_flight(self, chunks):
+    def test_sweep_keeps_few_chunks_in_flight(self, monkeypatch, chunks):
         events = []
 
         class Total:
@@ -342,20 +350,20 @@ class TestChunkBoundaries:
 
         def build(n, lo, hi):
             events.append(("build", lo))
-            return lo
+            return SimpleNamespace(lo=lo, masks=np.array([lo], dtype=np.uint32))
 
+        self.fake_sweep(monkeypatch, build, chunks, rows=chunks)
         totals = (Total(), Total())
-        ranges = [(i, i + 1) for i in range(chunks)]
-        assert oracle._sweep(build, 0, ranges, lambda lo: (lo, -lo), totals) is totals
+        assert oracle._sweep(0, "sweep", lambda table: (table.lo, -table.lo), totals) is totals
         # no chunk is built before the previous chunk's partials are merged
         assert events == [event for lo in range(chunks)
                           for event in (("build", lo), ("merge", lo), ("merge", -lo))]
 
-    def test_sweep_drops_each_table_before_building_the_next(self):
+    def test_sweep_drops_each_table_before_building_the_next(self, monkeypatch):
         # a table still referenced while the next one is built doubles the
         # peak memory of a sweep
         class Table:
-            pass
+            masks = np.zeros(0, dtype=np.uint32)
 
         built = []
 
@@ -365,8 +373,17 @@ class TestChunkBoundaries:
             built.append(weakref.ref(table))
             return table
 
-        assert oracle._sweep(build, 0, [(i, i + 1) for i in range(3)], lambda table: (), ()) == ()
+        self.fake_sweep(monkeypatch, build, 3, rows=0)
+        assert oracle._sweep(0, "sweep", lambda table: (), ()) == ()
         assert len(built) == 3
+
+    def test_sweep_with_a_short_row_count_raises(self, monkeypatch):
+        # every table but the last holds one connected row
+        build = lambda n, lo, hi: SimpleNamespace(masks=np.arange(lo, min(hi, 2), dtype=np.uint32))
+        self.fake_sweep(monkeypatch, build, 3, rows=3)
+        with pytest.raises(ArithmeticError) as raised:
+            oracle._sweep(5, "labelled pass", lambda table: (), ())
+        assert str(raised.value) == "labelled pass at n=5 visited 2 connected graphs, A001187 gives 3"
 
     def test_sweep_memory_is_bounded(self):
         tracemalloc.start()
@@ -853,7 +870,7 @@ def _scalar_rows(n, lo, hi):
     return stored, derived
 
 
-MASK_TABLE_DTYPES = {"masks": np.uint32, "deg": np.uint8, "sigma_t": np.int64, "triangle_free": np.bool_}
+MASK_TABLE_DTYPES = {"masks": np.uint32, "deg": np.uint8, "sigma_t": np.int16, "triangle_free": np.bool_}
 DERIVED_DTYPES = {"m": np.int64, "max_deg": np.uint8, "min_deg": np.uint8,
                   "sigma": np.int64, "gen_kpartite": np.bool_, "max_count": np.int64}
 
@@ -1041,7 +1058,7 @@ class TestBulkCrossValidation:
 
     def test_whole_table_memory_is_bounded(self):
         # the n = 7 table is built in one pass straight into its columns, so
-        # the peak is the table (20 bytes a row) plus a bool kept flag for
+        # the peak is the table (14 bytes a row) plus a bool kept flag for
         # each of the 2^21 masks and the temporaries of one run, its kept
         # indices among them
         tracemalloc.start()
@@ -1052,7 +1069,7 @@ class TestBulkCrossValidation:
         finally:
             tracemalloc.stop()
         size = sum(v.nbytes for v in vars(table).values() if hasattr(v, "nbytes"))
-        assert table.masks.size == 1_866_256 and size == 37_325_120
+        assert table.masks.size == 1_866_256 and size == 26_127_584
         assert peak < 1.5 * size
 
 
