@@ -4,18 +4,22 @@ Every simple graph on n vertices is one integer mask over the C(n,2) edge
 bits in graph6 column-major order, so a full labeled enumeration is just
 ``arange(2**E)`` plus bitwise arithmetic. This module computes per-mask
 degrees, connectivity, triangle-freeness and sigma_t
-(:func:`connected_table`, one pass over the mask range it is given), and is
+(:func:`connected_table`, over the mask range it is given), and is
 the fast engine behind the order-6/7 searches. A table keeps the degrees,
 sigma_t and triangle-freeness of each connected mask, 14 bytes a row at
 n = 7; the search filters read the edge count and the max and min degree
 from the degrees. :func:`sigma_columns` derives sigma and the
 generalised-complete-k-partite flag of a table's rows, which no sweep
 reads. The pairs of order n-1 are a prefix of those of
-order n, so the masks of order n are the graphs of order n-1 extended by the
-neighbourhood of vertex n-1: a table is built by one extension step from
-cached tables of all graphs of each order up to 6 (0.6 MB at order 6, built
-on first use), and nothing larger is cached, so an order-8 range extends its
-order-7 bases on the fly. :func:`batched_spectra` gives both spectra of
+order n, so the masks of order n are the graphs of order n-1 joined by
+vertex n-1 with a fixed neighbourhood, and at n = 8 the graphs of order 6
+joined by vertices 6 and 7. Every graph of each order up to 6 is cached on
+first use, read-only: its degrees, adjacency, triangle flag and components
+(0.6 MB at order 6), and its degrees packed into one uint64 with its
+triangle-free flag (0.3 MB at order 6). A table is built run by run from
+slices of the order-6 cache or below: one uint64 gather of the kept bases'
+packed degrees per run, plus one packed constant for the joined vertices;
+no order-7 graph is ever built. :func:`batched_spectra` gives both spectra of
 many masks with one eigensolve pair per distinct relabelled copy over the
 whole input: each mask is mapped to an isomorphic copy with its vertices
 sorted by degree and neighbour-degree sum, the copies are grouped once, and
@@ -79,17 +83,25 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
 
     The pairs of order n-1 are a prefix of those of order n, so a mask is
     ``b | N << C(n-1,2)``: a graph b on vertices 0..n-2 and the neighbourhood
-    N of vertex n-1. The range is built in one pass, in which every N covers
-    one run of consecutive base masks b. A run takes its bases as a slice of
-    the cached table of all graphs of order n-1 (built once per order <= 6,
-    by the same extension, and 0.6 MB at order 6); at n = 8 the order-7
-    bases of a run are extended from the order-6 table on the fly, so no
-    2^21-row order-7 table is ever held. A base is kept when vertex n-1
-    joins all of its components, and only the kept rows are extended and
-    evaluated, straight into the table's columns. Besides the table, the
-    pass holds one kept flag a base (a bool), the kept indices of one run
-    at a time and, at n = 8, the bases of the range, so the sweeps hand it
-    ranges of CHUNK_MASKS masks.
+    N of vertex n-1. At n = 8, b splits once more, so every mask is a graph
+    of order k = min(n-1, 6) joined by one vertex, or by two at n = 8, and
+    the range falls into runs of consecutive bases under one choice of
+    neighbourhoods. A run reads a slice of the read-only caches of all
+    graphs of order k: their components (:func:`_all_graphs`, 0.6 MB at
+    order 6) and their packed degrees and triangle-free flags
+    (:func:`_base_columns`, 0.3 MB). No order-7 graph is built.
+
+    A first pass over the runs flags the bases that the joined vertices
+    connect (:func:`_connected`) and counts them, so the columns are
+    allocated once. A second pass fills each run's rows: one uint64 gather
+    of the kept bases' packed degrees, one packed constant adding the
+    joined vertices' degrees (no byte carries, since no degree passes 7)
+    and one transposing copy into ``deg``; one bool gather of the bases'
+    triangle-free flags, cleared where the mask has an edge inside a joined
+    vertex's neighbourhood; and sigma_t = n M1 - (2m)^2 from the degrees.
+    Besides the table, the build holds one kept flag a mask and the
+    gathered rows of one run, so the sweeps hand it ranges of CHUNK_MASKS
+    masks.
     """
     nedges = len(_mask_pairs(n))
     if mask_hi is None:
@@ -98,13 +110,12 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         raise ValueError(
             f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << nedges}) at n={n}"
         )
-    k = n - 1  # the base order
-    runs = []
-    for nbhd, lo, hi in _runs(n, mask_lo, mask_hi):
-        base = _graphs(k, lo, hi)
-        joined = _joined(base, k, nbhd) == (1 << n) - 1
-        runs.append((nbhd, base, joined, (nbhd << k * (k - 1) // 2) + lo))
-    size = sum(np.count_nonzero(joined) for _, _, joined, _ in runs)
+    k = min(n - 1, _MAX_BASE_ORDER)
+    graphs = _all_graphs(k)
+    degrees, free = _base_columns(k)
+    runs = _base_runs(n, mask_lo, mask_hi)
+    kept = [_connected(graphs[:, lo:hi], k, nbhds) for nbhds, lo, hi, _ in runs]
+    size = sum(np.count_nonzero(flags) for flags in kept)
     table = MaskTable(
         n=n,
         masks=np.empty(size, dtype=np.uint32),
@@ -112,42 +123,47 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
         sigma_t=np.empty(size, dtype=np.int16),
         triangle_free=np.empty(size, dtype=bool),
     )
+    packed = np.empty(max((flags.size for flags in kept), default=0), dtype=degrees.dtype)
     at = 0
-    for nbhd, base, joined, first in runs:
-        kept = np.flatnonzero(joined)
-        rows = slice(at, at + kept.size)
-        at += kept.size
-        _evaluate(n, _extend(base[:2 * k + 1].take(kept, axis=1), k, nbhd), table, rows)
-        table.masks[rows] = kept + first
+    for (nbhds, lo, hi, first), flags in zip(runs, kept):
+        index = np.flatnonzero(flags)
+        rows = slice(at, at + index.size)
+        at += index.size
+        increment, inner = _joins(k, nbhds)
+        masks = table.masks[rows]
+        np.add(index, first, out=masks, casting="unsafe")
+        # an out= take buffers its output unless told how to treat bad
+        # indices; these are all in range
+        run = np.take(degrees[lo:hi], index, out=packed[:index.size], mode="clip")
+        run += increment
+        deg = table.deg[:, rows]
+        deg[...] = run.view(np.uint8).reshape(-1, 8)[:, :n].T
+        triangle_free = table.triangle_free[rows]
+        np.take(free[lo:hi], index, out=triangle_free, mode="clip")
+        if inner:
+            triangle_free &= (masks & inner) == 0
+        twice_m = deg.sum(axis=0, dtype=np.int16)
+        table.sigma_t[rows] = n * (deg * deg).sum(axis=0, dtype=np.int16) - twice_m * twice_m
     return table
 
 
 # Graphs of order k in one mask range are a (3k + 1, graphs) uint8 array.
 # Rows 0..k-1 hold the degrees and rows k..2k-1 the adjacency bitmasks; row
 # 2k is nonzero where the graph has a triangle; rows 2k+1..3k hold the
-# bitmask of each vertex's component. The rows of a table need no
-# components, so they are built from the first 2k + 1 rows alone. uint8
-# bitmasks hold every order up to 8.
+# bitmask of each vertex's component. uint8 bitmasks hold every order up to
+# 8. Tables read only the components of these rows, and the packed degrees
+# and triangle-free flags of :func:`_base_columns`.
 
-# orders whose table of all graphs is cached; order 6 is 2^15 graphs, 0.6 MB
+# orders whose graphs are cached; order 6 is 2^15 graphs, 0.6 MB of rows and
+# 0.3 MB of base columns
 _MAX_BASE_ORDER = 6
-
-
-def _joined(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
-    """The component of a vertex k joined to the vertices of ``nbhd``."""
-    joined = np.full(graphs.shape[1], 1 << k, dtype=np.uint8)
-    for v in range(k):
-        if nbhd >> v & 1:
-            joined |= graphs[2 * k + 1 + v]
-    return joined
 
 
 def _extend(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
     """``graphs`` of order k with a vertex k joined to the vertices of the
-    bitmask ``nbhd``, in the same order, with components if ``graphs`` has
-    them: the one step that builds the cached tables and a table's rows."""
-    components = graphs.shape[0] == 3 * k + 1
-    out = np.empty((graphs.shape[0] + 2 + components, graphs.shape[1]), dtype=np.uint8)
+    bitmask ``nbhd``, in the same order: the one step that builds the
+    cached graphs of each order from those of the order below."""
+    out = np.empty((3 * k + 4, graphs.shape[1]), dtype=np.uint8)
     out[:k] = graphs[:k]
     out[k] = nbhd.bit_count()
     out[k + 1:2 * k + 1] = graphs[k:2 * k]
@@ -159,51 +175,99 @@ def _extend(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
             out[v] += 1
             out[k + 1 + v] |= 1 << k
             triangle |= graphs[k + v] & nbhd  # an edge inside N closes a triangle
-    if components:
-        comp = graphs[2 * k + 1:]
-        joined = _joined(graphs, k, nbhd)
-        out[2 * k + 3:3 * k + 3] = np.where((comp & nbhd) != 0, joined, comp)
-        out[3 * k + 3] = joined
+    comp = graphs[2 * k + 1:]
+    joined = _reached(graphs, k, nbhd) | 1 << k
+    out[2 * k + 3:3 * k + 3] = np.where((comp & nbhd) != 0, joined, comp)
+    out[3 * k + 3] = joined
     return out
 
 
 @lru_cache(maxsize=None)
 def _all_graphs(k: int) -> np.ndarray:
     """Every graph of order k <= _MAX_BASE_ORDER with its components,
-    indexed by mask, built on first use from the order below it."""
+    indexed by mask, built on first use from the order below it. Read-only:
+    every table of the process reads it."""
     if k == 0:
-        return np.zeros((1, 1), dtype=np.uint8)
-    base = _all_graphs(k - 1)
-    return np.concatenate([_extend(base, k - 1, nbhd) for nbhd in range(1 << (k - 1))], axis=1)
+        graphs = np.zeros((1, 1), dtype=np.uint8)
+    else:
+        base = _all_graphs(k - 1)
+        graphs = np.concatenate([_extend(base, k - 1, nbhd) for nbhd in range(1 << (k - 1))], axis=1)
+    graphs.flags.writeable = False
+    return graphs
 
 
-def _runs(n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(N, base_lo, base_hi) for each neighbourhood N of vertex n-1 that
-    the masks [lo, hi) of order n reach, with the range of base masks of
-    order n-1 that it covers there, in mask order; none for an empty range."""
-    width = 1 << (n - 1) * (n - 2) // 2
-    return [(nbhd, max(lo - nbhd * width, 0), min(hi - nbhd * width, width))
-            for nbhd in range(lo // width, -(-hi // width) if lo < hi else 0)]
+@lru_cache(maxsize=None)
+def _base_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degrees of every graph of order k <= _MAX_BASE_ORDER packed into
+    one little-endian uint64 a graph, byte v the degree of vertex v, and its
+    triangle-free flag, indexed by mask: 0.3 MB at order 6. Read-only."""
+    graphs = _all_graphs(k)
+    packed = np.zeros((graphs.shape[1], 8), dtype=np.uint8)
+    packed[:, :k] = graphs[:k].T
+    columns = packed.view("<u8").reshape(-1), graphs[2 * k] == 0
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
-def _graphs(k: int, lo: int, hi: int) -> np.ndarray:
-    """The graphs of order k with masks in [lo, hi), with components: a
-    slice of the cached table up to _MAX_BASE_ORDER, extended run by run
-    above it."""
-    if k <= _MAX_BASE_ORDER:
-        return _all_graphs(k)[:, lo:hi]
-    return np.concatenate([_extend(_graphs(k - 1, blo, bhi), k - 1, nbhd)
-                           for nbhd, blo, bhi in _runs(k, lo, hi)], axis=1)
+def _base_runs(n: int, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """The runs of the masks [lo, hi) of order n, in mask order, none for
+    an empty range: for each, the neighbourhoods of the vertices joined to
+    the cached graphs of order min(n-1, _MAX_BASE_ORDER), in vertex order,
+    the range of base masks it covers and its first mask of order n."""
+    k = n - 1
+    width = 1 << k * (k - 1) // 2
+    runs = []
+    for nbhd in range(lo // width, -(-hi // width) if lo < hi else 0):
+        offset = nbhd * width
+        blo, bhi = max(lo - offset, 0), min(hi - offset, width)
+        if k <= _MAX_BASE_ORDER:
+            runs.append(((nbhd,), blo, bhi, offset + blo))
+        else:
+            runs += [(inner + (nbhd,), ilo, ihi, offset + first)
+                     for inner, ilo, ihi, first in _base_runs(k, blo, bhi)]
+    return runs
 
 
-def _evaluate(n: int, graphs: np.ndarray, table: MaskTable, rows: slice) -> None:
-    """Write the degrees, triangle-freeness and sigma_t = n M1 - (2m)^2 of
-    the connected ``graphs`` of order n into ``rows`` of ``table``."""
-    deg = graphs[:n]
-    table.deg[:, rows] = deg
-    table.triangle_free[rows] = graphs[2 * n] == 0
-    twice_m = deg.sum(axis=0, dtype=np.int16)
-    table.sigma_t[rows] = n * (deg * deg).sum(axis=0, dtype=np.int16) - twice_m * twice_m
+def _reached(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
+    """The union of the components of ``graphs`` of order k that the
+    bitmask ``nbhd`` meets, as a bitmask of their vertices."""
+    reached = np.zeros(graphs.shape[1], dtype=np.uint8)
+    for v in range(k):
+        if nbhd >> v & 1:
+            reached |= graphs[2 * k + 1 + v]
+    return reached
+
+
+def _connected(graphs: np.ndarray, k: int, nbhds: tuple[int, ...]) -> np.ndarray:
+    """Where ``graphs`` of order k, joined by a vertex k with neighbourhood
+    ``nbhds[0]`` and, if there is a second one, a vertex k+1 with
+    ``nbhds[1]``, are connected. One vertex connects a graph when it meets
+    all of its components. Two do when together they meet all of them and
+    are joined to each other: by an edge, or through a component both meet."""
+    full = (1 << k) - 1
+    if len(nbhds) == 1:
+        return _reached(graphs, k, nbhds[0]) == full
+    inner, outer = (_reached(graphs, k, nbhd) for nbhd in nbhds)
+    connected = (inner | outer) == full
+    if not nbhds[1] >> k & 1:
+        connected &= (inner & outer) != 0
+    return connected
+
+
+@lru_cache(maxsize=None)
+def _joins(k: int, nbhds: tuple[int, ...]) -> tuple[int, int]:
+    """The packed degree increment of joining vertices k, k+1, ... with
+    the neighbourhoods ``nbhds`` to a graph of order k, and the mask of the
+    pairs inside those neighbourhoods: a vertex w closes a triangle exactly
+    when an edge of the graph on vertices 0..w-1, whose mask is the low
+    C(w,2) bits of the whole mask, lies inside its neighbourhood."""
+    increment = inner = 0
+    for w, nbhd in enumerate(nbhds, start=k):
+        increment += nbhd.bit_count() << 8 * w
+        increment += sum(1 << 8 * v for v in range(w) if nbhd >> v & 1)
+        inner |= sum(1 << e for e, (u, v) in enumerate(pair_order(w)) if nbhd >> u & nbhd >> v & 1)
+    return increment, inner
 
 
 def sigma_columns(table: MaskTable) -> tuple[np.ndarray, np.ndarray]:

@@ -256,18 +256,25 @@ def _sweep(n: int, sweep: str, scan: Callable, totals: tuple) -> tuple:
     wrapper installed on ``bulk`` sees each call, only after the previous
     table's partials are merged; no reference to a table outlives its scan,
     so memory does not grow with the number of chunks. This is the only place
-    where chunk partials merge. Unless the connected rows of all the tables,
-    kept by the scan or not, are A001187's c_n, it raises ArithmeticError
-    naming the ``sweep`` and both counts."""
+    where chunk partials merge. It logs one debug line: the chunk count and
+    the seconds spent building the tables and scanning them. Unless the
+    connected rows of all the tables, kept by the scan or not, are A001187's
+    c_n, it raises ArithmeticError naming the ``sweep`` and both counts."""
     from . import bulk
 
-    rows = 0
-    for lo, hi in chunk_ranges(n):
+    rows, chunks, build_s, scan_s = 0, chunk_ranges(n), 0.0, 0.0
+    for lo, hi in chunks:
+        start = time.perf_counter()
         table = bulk.connected_table(n, lo, hi)
+        built = time.perf_counter()
+        build_s += built - start
         rows += table.masks.size
         parts, table = scan(table), None
         for total, part in zip(totals, parts, strict=True):
             total.merge(part)
+        scan_s += time.perf_counter() - built
+    log.debug("%s at n=%d: %d chunks, %.3f s building tables, %.3f s scanning",
+              sweep, n, len(chunks), build_s, scan_s)
     if rows != connected_graph_count(n):
         raise ArithmeticError(f"{sweep} at n={n} visited {rows} connected graphs, "
                               f"A001187 gives {connected_graph_count(n)}")

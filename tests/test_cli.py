@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -802,6 +803,19 @@ class TestPlumbing:
             assert plain.stderr == b""
             assert line in logged.stderr
             assert plain.stdout and logged.stdout == plain.stdout
+
+    @pytest.mark.parametrize("argv,sweep", [
+        (["search", "--n", "6", "--objective", "min", "--filter", "nonregular"], "graph search at n=6"),
+        (["conjecture", "--id", "1", "--n", "5"], "conjecture 1 at n=5"),
+    ])
+    def test_sweeps_log_their_table_and_scan_seconds(self, argv, sweep):
+        plain = run_child(argv)
+        logged = run_child(argv, "debug")
+        assert plain.returncode == logged.returncode == 0
+        assert plain.stdout and logged.stdout == plain.stdout
+        (line,) = [l for l in logged.stderr.decode().splitlines() if "building tables" in l]
+        assert re.fullmatch(rf"DEBUG:sigmat.oracle:{sweep}: 1 chunks, \d+\.\d{{3}} s building tables, "
+                            r"\d+\.\d{3} s scanning", line), line
 
     @pytest.mark.parametrize("preset", [None, "3"])
     def test_blas_threads(self, preset):

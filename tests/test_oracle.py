@@ -377,6 +377,29 @@ class TestChunkBoundaries:
         assert oracle._sweep(0, "sweep", lambda table: (), ()) == ()
         assert len(built) == 3
 
+    def test_sweep_logs_its_chunks_and_the_seconds_of_each_layer(self, monkeypatch, caplog):
+        build = bulk.connected_table
+
+        def slow_build(n, lo, hi):
+            time.sleep(0.01)
+            return build(n, lo, hi)
+
+        def slow_scan(table):
+            time.sleep(0.02)
+            return ()
+
+        monkeypatch.setattr(bulk, "CHUNK_MASKS", 1 << 8)
+        monkeypatch.setattr(bulk, "connected_table", slow_build)
+        with caplog.at_level(logging.DEBUG, logger="sigmat.oracle"):
+            assert oracle._sweep(5, "labelled pass", slow_scan, ()) == ()
+        (record,) = [r for r in caplog.records if r.name == "sigmat.oracle"]
+        assert record.levelno == logging.DEBUG
+        match = re.fullmatch(r"labelled pass at n=5: 4 chunks, (\d+\.\d{3}) s building tables, "
+                             r"(\d+\.\d{3}) s scanning", record.getMessage())
+        assert match, record.getMessage()
+        build_s, scan_s = map(float, match.groups())
+        assert build_s >= 0.04 and scan_s >= 0.08
+
     def test_sweep_with_a_short_row_count_raises(self, monkeypatch):
         # every table but the last holds one connected row
         build = lambda n, lo, hi: SimpleNamespace(masks=np.arange(lo, min(hi, 2), dtype=np.uint32))
@@ -988,14 +1011,47 @@ class TestBulkCrossValidation:
 
     def test_only_orders_up_to_six_are_cached(self):
         bulk._all_graphs.cache_clear()
+        bulk._base_columns.cache_clear()
         bulk.connected_table(8, 9 * RUN8, 9 * RUN8 + (1 << 16))
         bulk.connected_table(7, 0, 1 << 16)
-        info = bulk._all_graphs.cache_info()
-        assert info.currsize == 7  # orders 0..6
+        assert bulk._all_graphs.cache_info().currsize == 7  # orders 0..6
+        assert bulk._base_columns.cache_info().currsize == 1  # order 6 alone
         shapes = [bulk._all_graphs(k).shape for k in range(7)]
         assert shapes == [(3 * k + 1, 1 << k * (k - 1) // 2) for k in range(7)]
+        degrees, free = bulk._base_columns(6)
+        assert (degrees.dtype, free.dtype) == (np.dtype("<u8"), np.bool_)
+        assert degrees.shape == free.shape == (1 << 15,)
         assert bulk._all_graphs.cache_info().currsize == 7
-        assert bulk._all_graphs(6).nbytes < 1 << 20
+        cached = sum(bulk._all_graphs(k).nbytes for k in range(7)) + degrees.nbytes + free.nbytes
+        assert cached < 1 << 20
+
+    def test_cached_bases_are_read_only(self):
+        cached = [bulk._all_graphs(k) for k in range(7)] + [a for k in range(7) for a in bulk._base_columns(k)]
+        before = [a.tobytes() for a in cached]
+        with pytest.raises(ValueError, match="read-only"):
+            row = bulk._all_graphs(6)[2]
+            row |= 1
+        for array in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        for lo, hi in chunk_ranges(7):
+            bulk.connected_table(7, lo, hi)
+        for n, lo, hi in _seeded_ranges():
+            bulk.connected_table(n, lo, hi)
+        assert [a.tobytes() for a in cached] == before
+
+    def test_a_whole_order_8_chunk_matches_the_scalar_pass(self):
+        # a seeded sweep chunk: 2^16 masks under one neighbourhood of vertex
+        # 7, across two neighbourhoods of vertex 6
+        lo, hi = chunk_ranges(8)[int(np.random.default_rng(30).integers(2048, 4096))]
+        assert lo // RUN8 == (hi - 1) // RUN8 and (lo % RUN7, hi - lo) == (0, 2 * RUN7)
+        table = bulk.connected_table(8, lo, hi)
+        pairs = pair_order(8)
+        graphs = [(mask, g) for mask in range(lo, hi) if is_connected(g := graph_from_mask(8, mask, pairs))]
+        assert 0 < len(graphs) < hi - lo
+        assert table.masks.tolist() == [mask for mask, _ in graphs]
+        assert table.deg.T.tolist() == [list(g.degrees()) for _, g in graphs]
+        assert table.triangle_free.tolist() == [is_triangle_free(g) for _, g in graphs]
 
     def test_order_8_chunk_memory_is_bounded(self):
         # an order-7 table of all 2^21 graphs would take about 46 MB
