@@ -14,12 +14,13 @@ reads. The pairs of order n-1 are a prefix of those of
 order n, so the masks of order n are the graphs of order n-1 joined by
 vertex n-1 with a fixed neighbourhood, and at n = 8 the graphs of order 6
 joined by vertices 6 and 7. Every graph of each order up to 6 is cached on
-first use, read-only: its degrees, adjacency, triangle flag and components
-(0.6 MB at order 6), and its degrees packed into one uint64 with its
-triangle-free flag (0.3 MB at order 6). A table is built run by run from
-slices of the order-6 cache or below: one uint64 gather of the kept bases'
-packed degrees per run, plus one packed constant for the joined vertices;
-no order-7 graph is ever built. :func:`batched_spectra` gives both spectra of
+first use, read-only: its degrees packed into one uint64, its triangle-free
+flag and the components of its vertices (0.48 MB at order 6, 0.51 MB for
+orders 0 to 6). Each order is built from the one below by the same join of
+a vertex that fills the tables. A table is built run by run from slices of
+the order-6 cache or below: one uint64 gather of the kept bases' packed
+degrees per run, plus one packed constant for the joined vertices; no
+order-7 graph is ever built. :func:`batched_spectra` gives both spectra of
 many masks with one eigensolve pair per distinct relabelled copy over the
 whole input: each mask is mapped to an isomorphic copy with its vertices
 sorted by degree and neighbour-degree sum, the copies are grouped once, and
@@ -86,10 +87,10 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
     N of vertex n-1. At n = 8, b splits once more, so every mask is a graph
     of order k = min(n-1, 6) joined by one vertex, or by two at n = 8, and
     the range falls into runs of consecutive bases under one choice of
-    neighbourhoods. A run reads a slice of the read-only caches of all
-    graphs of order k: their components (:func:`_all_graphs`, 0.6 MB at
-    order 6) and their packed degrees and triangle-free flags
-    (:func:`_base_columns`, 0.3 MB). No order-7 graph is built.
+    neighbourhoods. A run reads a slice of the read-only cache of all
+    graphs of order k (:func:`_all_graphs`): their packed degrees,
+    triangle-free flags and components, 0.48 MB at order 6. No order-7
+    graph is built.
 
     A first pass over the runs flags the bases that the joined vertices
     connect (:func:`_connected`) and counts them, so the columns are
@@ -111,10 +112,9 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
             f"mask range [{mask_lo}, {mask_hi}) is not within [0, {1 << nedges}) at n={n}"
         )
     k = min(n - 1, _MAX_BASE_ORDER)
-    graphs = _all_graphs(k)
-    degrees, free = _base_columns(k)
+    degrees, free, comps = _all_graphs(k)
     runs = _base_runs(n, mask_lo, mask_hi)
-    kept = [_connected(graphs[:, lo:hi], k, nbhds) for nbhds, lo, hi, _ in runs]
+    kept = [_connected(comps[:, lo:hi], k, nbhds) for nbhds, lo, hi, _ in runs]
     size = sum(np.count_nonzero(flags) for flags in kept)
     table = MaskTable(
         n=n,
@@ -147,67 +147,40 @@ def connected_table(n: int, mask_lo: int = 0, mask_hi: int | None = None) -> Mas
     return table
 
 
-# Graphs of order k in one mask range are a (3k + 1, graphs) uint8 array.
-# Rows 0..k-1 hold the degrees and rows k..2k-1 the adjacency bitmasks; row
-# 2k is nonzero where the graph has a triangle; rows 2k+1..3k hold the
-# bitmask of each vertex's component. uint8 bitmasks hold every order up to
-# 8. Tables read only the components of these rows, and the packed degrees
-# and triangle-free flags of :func:`_base_columns`.
-
-# orders whose graphs are cached; order 6 is 2^15 graphs, 0.6 MB of rows and
-# 0.3 MB of base columns
+# orders whose graphs are cached; order 6 is 2^15 graphs, 0.48 MB
 _MAX_BASE_ORDER = 6
 
 
-def _extend(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
-    """``graphs`` of order k with a vertex k joined to the vertices of the
-    bitmask ``nbhd``, in the same order: the one step that builds the
-    cached graphs of each order from those of the order below."""
-    out = np.empty((3 * k + 4, graphs.shape[1]), dtype=np.uint8)
-    out[:k] = graphs[:k]
-    out[k] = nbhd.bit_count()
-    out[k + 1:2 * k + 1] = graphs[k:2 * k]
-    out[2 * k + 1] = nbhd
-    triangle = out[2 * k + 2]
-    triangle[:] = graphs[2 * k]
-    for v in range(k):
-        if nbhd >> v & 1:
-            out[v] += 1
-            out[k + 1 + v] |= 1 << k
-            triangle |= graphs[k + v] & nbhd  # an edge inside N closes a triangle
-    comp = graphs[2 * k + 1:]
-    joined = _reached(graphs, k, nbhd) | 1 << k
-    out[2 * k + 3:3 * k + 3] = np.where((comp & nbhd) != 0, joined, comp)
-    out[3 * k + 3] = joined
-    return out
-
-
 @lru_cache(maxsize=None)
-def _all_graphs(k: int) -> np.ndarray:
-    """Every graph of order k <= _MAX_BASE_ORDER with its components,
-    indexed by mask, built on first use from the order below it. Read-only:
-    every table of the process reads it."""
+def _all_graphs(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every graph of order k <= _MAX_BASE_ORDER, indexed by mask: its
+    degrees packed into one little-endian uint64, byte v the degree of
+    vertex v; its triangle-free flag; and a (k, graphs) uint8 array of the
+    bitmask of each vertex's component. Built on first use from the order
+    below, by the join that fills the tables; read-only, since every table
+    of the process reads it."""
     if k == 0:
-        graphs = np.zeros((1, 1), dtype=np.uint8)
+        degrees, free = np.zeros(1, dtype="<u8"), np.ones(1, dtype=bool)
+        comps = np.zeros((0, 1), dtype=np.uint8)
     else:
-        base = _all_graphs(k - 1)
-        graphs = np.concatenate([_extend(base, k - 1, nbhd) for nbhd in range(1 << (k - 1))], axis=1)
-    graphs.flags.writeable = False
-    return graphs
-
-
-@lru_cache(maxsize=None)
-def _base_columns(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degrees of every graph of order k <= _MAX_BASE_ORDER packed into
-    one little-endian uint64 a graph, byte v the degree of vertex v, and its
-    triangle-free flag, indexed by mask: 0.3 MB at order 6. Read-only."""
-    graphs = _all_graphs(k)
-    packed = np.zeros((graphs.shape[1], 8), dtype=np.uint8)
-    packed[:, :k] = graphs[:k].T
-    columns = packed.view("<u8").reshape(-1), graphs[2 * k] == 0
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+        base_degrees, base_free, base_comps = _all_graphs(k - 1)
+        width = base_free.size
+        masks = np.arange(width)
+        degrees = np.empty(width << k - 1, dtype=base_degrees.dtype)
+        free = np.empty(degrees.size, dtype=bool)
+        comps = np.empty((k, degrees.size), dtype=np.uint8)
+        for nbhd in range(1 << k - 1):
+            at = slice(nbhd * width, (nbhd + 1) * width)
+            increment, inner = _joins(k - 1, (nbhd,))
+            np.add(base_degrees, increment, out=degrees[at])
+            np.logical_and(base_free, (masks & inner) == 0, out=free[at])
+            # the components that nbhd meets merge with the new vertex
+            joined = _reached(base_comps, nbhd) | 1 << k - 1
+            comps[:k - 1, at] = np.where((base_comps & nbhd) != 0, joined, base_comps)
+            comps[k - 1, at] = joined
+    for array in (degrees, free, comps):
+        array.flags.writeable = False
+    return degrees, free, comps
 
 
 def _base_runs(n: int, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int, int]]:
@@ -229,26 +202,26 @@ def _base_runs(n: int, lo: int, hi: int) -> list[tuple[tuple[int, ...], int, int
     return runs
 
 
-def _reached(graphs: np.ndarray, k: int, nbhd: int) -> np.ndarray:
-    """The union of the components of ``graphs`` of order k that the
+def _reached(comps: np.ndarray, nbhd: int) -> np.ndarray:
+    """The union of the components ``comps`` (one row a vertex) that the
     bitmask ``nbhd`` meets, as a bitmask of their vertices."""
-    reached = np.zeros(graphs.shape[1], dtype=np.uint8)
-    for v in range(k):
+    reached = np.zeros(comps.shape[1], dtype=np.uint8)
+    for v, comp in enumerate(comps):
         if nbhd >> v & 1:
-            reached |= graphs[2 * k + 1 + v]
+            reached |= comp
     return reached
 
 
-def _connected(graphs: np.ndarray, k: int, nbhds: tuple[int, ...]) -> np.ndarray:
-    """Where ``graphs`` of order k, joined by a vertex k with neighbourhood
-    ``nbhds[0]`` and, if there is a second one, a vertex k+1 with
-    ``nbhds[1]``, are connected. One vertex connects a graph when it meets
+def _connected(comps: np.ndarray, k: int, nbhds: tuple[int, ...]) -> np.ndarray:
+    """Where the graphs of order k with the components ``comps``, joined by
+    a vertex k with neighbourhood ``nbhds[0]`` and, if there is a second
+    one, a vertex k+1 with ``nbhds[1]``, are connected. One vertex connects a graph when it meets
     all of its components. Two do when together they meet all of them and
     are joined to each other: by an edge, or through a component both meet."""
     full = (1 << k) - 1
     if len(nbhds) == 1:
-        return _reached(graphs, k, nbhds[0]) == full
-    inner, outer = (_reached(graphs, k, nbhd) for nbhd in nbhds)
+        return _reached(comps, nbhds[0]) == full
+    inner, outer = (_reached(comps, nbhd) for nbhd in nbhds)
     connected = (inner | outer) == full
     if not nbhds[1] >> k & 1:
         connected &= (inner & outer) != 0

@@ -267,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-identities", help="check the index identities on a stream")
     _add_input_flags(p, required=False)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help="order of the enumerated or random graphs; with an "
+                   "input stream, every stream graph must have this order")
     p.add_argument("--random", type=int, metavar="COUNT",
-                   help="use COUNT seeded random graphs of order --n")
+                   help="use COUNT seeded random graphs of order --n, instead of an input stream")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
@@ -538,16 +539,19 @@ def _cmd_conjecture(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    from .oracle import enumerate_connected_graphs, random_graphs, verify_identity_suite
+    from .oracle import _of_order, enumerate_connected_graphs, random_graphs, verify_identity_suite
 
     if args.random is not None:
         if args.n is None:
             raise UsageError("--random needs --n")
+        if _has_stream(args):
+            raise UsageError("--random takes no input stream")
         summary = verify_identity_suite(
             random_graphs(args.n, args.random, args.seed), seed=args.seed
         )
     elif _has_stream(args):
-        summary = verify_identity_suite(_input_graphs(args))
+        graphs = _input_graphs(args)
+        summary = verify_identity_suite(graphs if args.n is None else _of_order(graphs, args.n))
     elif args.n is not None:
         summary = verify_identity_suite(enumerate_connected_graphs(args.n))
     else:

@@ -728,6 +728,25 @@ class TestVerifyIdentities:
         code, _, err = run(capsys, ["verify-identities"])
         assert code == 2
 
+    @pytest.mark.parametrize("source", [["--graph6", "C~"], ["--file", "in.g6"], ["--stdin"]],
+                             ids=["graph6", "file", "stdin"])
+    def test_random_rejects_an_input_stream(self, capsys, monkeypatch, tmp_path, source):
+        (tmp_path / "in.g6").write_text("C~\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("C~\n"))
+        code, out, err = run(capsys, ["verify-identities", "--random", "3", "--n", "4", *source])
+        assert (code, out) == (2, "")
+        assert err == "error: --random takes no input stream\n"
+
+    def test_stream_graphs_must_have_the_given_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("C~\nD~{\n"))
+        code, out, err = run(capsys, ["verify-identities", "--n", "4", "--stdin"])
+        assert (code, out) == (2, "")
+        assert err == "error: stream graph has order 5, expected 4\n"
+        code, out, _ = run(capsys, ["verify-identities", "--n", "5", "--graph6", "D~{"])
+        assert code == 0 and json.loads(out)["checked"] == 1
+        assert run(capsys, ["verify-identities", "--graph6", "D~{"]) == (0, out, "")
+
     @pytest.mark.parametrize("count,n,message", [
         ("5", "0", "error: random graphs need n >= 1, got n=0\n"),
         ("5", "-3", "error: random graphs need n >= 1, got n=-3\n"),

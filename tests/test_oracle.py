@@ -923,6 +923,17 @@ def _assert_table_matches(table, n, lo, hi):
             assert got == [row[name] for row in want], (name, n, lo, hi)
 
 
+def _component(g, v):
+    """The bitmask of the vertices that a breadth-first search from v reaches."""
+    seen, frontier = 1 << v, [v]
+    for u in frontier:
+        for w in g.neighbors(u):
+            if not seen >> w & 1:
+                seen |= 1 << w
+                frontier.append(w)
+    return seen
+
+
 # runs of one neighbourhood of the last vertex are 2^15 masks wide at n = 7
 # and 2^21 at n = 8; inside an n = 8 run the order-7 bases turn over every
 # 2^15 masks
@@ -1011,25 +1022,23 @@ class TestBulkCrossValidation:
 
     def test_only_orders_up_to_six_are_cached(self):
         bulk._all_graphs.cache_clear()
-        bulk._base_columns.cache_clear()
         bulk.connected_table(8, 9 * RUN8, 9 * RUN8 + (1 << 16))
         bulk.connected_table(7, 0, 1 << 16)
         assert bulk._all_graphs.cache_info().currsize == 7  # orders 0..6
-        assert bulk._base_columns.cache_info().currsize == 1  # order 6 alone
-        shapes = [bulk._all_graphs(k).shape for k in range(7)]
-        assert shapes == [(3 * k + 1, 1 << k * (k - 1) // 2) for k in range(7)]
-        degrees, free = bulk._base_columns(6)
-        assert (degrees.dtype, free.dtype) == (np.dtype("<u8"), np.bool_)
-        assert degrees.shape == free.shape == (1 << 15,)
+        for k in range(7):
+            degrees, free, comps = bulk._all_graphs(k)
+            assert (degrees.dtype, free.dtype, comps.dtype) == (np.dtype("<u8"), np.bool_, np.uint8)
+            assert degrees.shape == free.shape == (1 << k * (k - 1) // 2,)
+            assert comps.shape == (k, degrees.size)
         assert bulk._all_graphs.cache_info().currsize == 7
-        cached = sum(bulk._all_graphs(k).nbytes for k in range(7)) + degrees.nbytes + free.nbytes
+        cached = sum(array.nbytes for k in range(7) for array in bulk._all_graphs(k))
         assert cached < 1 << 20
 
     def test_cached_bases_are_read_only(self):
-        cached = [bulk._all_graphs(k) for k in range(7)] + [a for k in range(7) for a in bulk._base_columns(k)]
+        cached = [array for k in range(7) for array in bulk._all_graphs(k)]
         before = [a.tobytes() for a in cached]
         with pytest.raises(ValueError, match="read-only"):
-            row = bulk._all_graphs(6)[2]
+            row = bulk._all_graphs(6)[2][2]
             row |= 1
         for array in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -1039,6 +1048,19 @@ class TestBulkCrossValidation:
         for n, lo, hi in _seeded_ranges():
             bulk.connected_table(n, lo, hi)
         assert [a.tobytes() for a in cached] == before
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_cached_bases_match_the_scalar_graphs(self, k):
+        # every base mask, disconnected graphs included; the tables check
+        # the components only through the connectivity of joined graphs
+        degrees, free, comps = bulk._all_graphs(k)
+        pairs = pair_order(k)
+        packed = degrees.view(np.uint8).reshape(-1, 8)
+        for mask in range(degrees.size):
+            g = graph_from_mask(k, mask, pairs)
+            assert packed[mask].tolist() == [*g.degrees(), *[0] * (8 - k)]
+            assert free[mask] == is_triangle_free(g)
+            assert comps[:, mask].tolist() == [_component(g, v) for v in range(k)]
 
     def test_a_whole_order_8_chunk_matches_the_scalar_pass(self):
         # a seeded sweep chunk: 2^16 masks under one neighbourhood of vertex

@@ -1,7 +1,10 @@
 """The package namespace: every exported name resolves on first access to
 the object its module defines, and nothing else is exported."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +70,33 @@ def test_tree_names_are_defined_only_in_trees():
 
 def test_version_is_unchanged():
     assert sigmat.__version__ == "0.1.0"
+
+
+SOURCES = {path.stem: path.read_text().splitlines() for path in Path(sigmat.__file__).parent.glob("*.py")}
+
+
+def _private_definitions():
+    """(module, name, first line, last line) of every module-level private
+    function, class or constant of the package."""
+    for module, lines in sorted(SOURCES.items()):
+        for node in ast.parse("\n".join(lines)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield module, name, node.lineno, node.end_lineno
+
+
+@pytest.mark.parametrize("module,name,first,last", [
+    pytest.param(*definition, id=".".join(definition[:2])) for definition in _private_definitions()])
+def test_private_definitions_are_used(module, name, first, last):
+    # a helper whose only mention is its own definition is dead code
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    used = any(word.search(line) for other, lines in SOURCES.items()
+               for i, line in enumerate(lines, start=1) if not (other == module and first <= i <= last))
+    assert used, f"{module}.{name} is referenced only in its own definition"
