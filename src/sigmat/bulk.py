@@ -21,10 +21,12 @@ a vertex that fills the tables. A table is built run by run from slices of
 the order-6 cache or below: one uint64 gather of the kept bases' packed
 degrees per run, plus one packed constant for the joined vertices; no
 order-7 graph is ever built. :func:`batched_spectra` gives both spectra of
-many masks with one eigensolve pair per distinct relabelled copy over the
-whole input: each mask is mapped to an isomorphic copy with its vertices
-sorted by degree and neighbour-degree sum, the copies are grouped once, and
-the masks of one copy share one solve. The matrices are built and solved
+many masks with one eigensolve pair per class over the whole input. A
+mask's class key is an isomorphic copy: its order-6 prefix relabelled by a
+stable sort of the vertices on degree and neighbour-degree sum, through
+cached tables of every order-6 graph's copy and renaming, then the whole
+distinct copy relabelled once more. The masks of one class share one
+solve. The matrices are built and solved
 only in :mod:`sigmat.spectral`, which this module imports when spectra are
 asked for, so the table sweeps do not load it. The stream-based enumerators
 in :mod:`sigmat.oracle` are the reference implementations the tables are
@@ -48,9 +50,6 @@ log = logging.getLogger("sigmat.bulk")
 # masks per chunk of the oracle's sweeps over the edge-subset space, each
 # chunk one table build
 CHUNK_MASKS = 1 << 16
-# masks per block of relabelling in batched_spectra: the arrays of one
-# block stay in cache
-_RELABEL_BLOCK = 1 << 10
 
 
 @dataclass
@@ -262,17 +261,23 @@ def sigma_columns(table: MaskTable) -> tuple[np.ndarray, np.ndarray]:
 
 def batched_spectra(n: int, masks: np.ndarray):
     """Energy, second-smallest and largest Laplacian eigenvalues for every
-    mask, with one pair of dense symmetric eigensolves per distinct
-    relabelled copy over the whole input.
+    mask, with one pair of dense symmetric eigensolves per class over the
+    whole input.
 
-    Every mask is first mapped to an isomorphic copy (:func:`_relabelled`).
-    A copy is a vertex permutation of its masks, so it has their spectra.
-    The copies are grouped once over the whole input: the 1,866,256
-    connected masks at n = 7 have 3,218 distinct copies. The first mask of
-    each copy in input order is decoded to a Graph, all of them are solved
-    by one :func:`sigmat.spectral.laplacian_spectra` call, and each copy's
-    values are copied to its other masks. Masks must be integers below
-    2^C(n,2), for 1 <= n <= 8.
+    The class key of a mask is an isomorphic copy of it, built in two
+    steps. First :func:`_prefix_copies` renames vertices 0..5 as
+    :func:`_relabelled` renames the mask's order-6 prefix and keeps any
+    vertex past 5: a table gather per mask. The prefix copies are grouped,
+    and only the distinct ones are relabelled by :func:`_relabelled` and
+    grouped again, so a key is a vertex permutation of its masks and has
+    their spectra. The 1,866,256 connected masks at n = 7 have 27,738
+    prefix copies in 2,166 classes. The first mask of each class in input
+    order is decoded to a Graph, all of them are solved by one
+    :func:`sigmat.spectral.laplacian_spectra` call, and each class's values
+    are copied to its other masks through one inverse index. The sort that
+    groups the prefix copies of all masks is the largest phase, about
+    0.06-0.11 s at n = 7. Masks must be integers below 2^C(n,2), for
+    1 <= n <= 8.
 
     Returns (energy, mu2, mu_max) float64 arrays aligned with ``masks``.
     For n == 1 mu2 is reported as NaN.
@@ -289,21 +294,70 @@ def batched_spectra(n: int, masks: np.ndarray):
             f"masks [{masks.min()}, {masks.max()}] are not within [0, {1 << nedges}) at n={n}"
         )
     start = time.perf_counter()
-    relabelled = np.empty(masks.size, dtype=np.uint32)
-    for b in range(0, masks.size, _RELABEL_BLOCK):
-        relabelled[b:b + _RELABEL_BLOCK] = _relabelled(n, masks[b:b + _RELABEL_BLOCK])
-    relabel = time.perf_counter()
-    first, inverse = _classes(relabelled)  # each distinct copy's first mask, each mask's copy
-    group = time.perf_counter()
+    prefix = _prefix_copies(n, masks)
+    relabel = time.perf_counter() - start
+    firsts, inverse = _classes(prefix)  # each distinct prefix copy's first mask, each mask's copy
+    tick = time.perf_counter()
+    keys = _relabelled(n, prefix[firsts])
+    del prefix
+    relabel += time.perf_counter() - tick
+    classes, merged = _classes(keys)  # each prefix copy's class
+    first = firsts[classes]
+    np.minimum.at(first, merged, firsts)  # each class's first mask in input order
+    solving = time.perf_counter()
     summaries = laplacian_spectra([graph_from_mask(n, mask, pairs) for mask in masks[first].tolist()])
-    energy = np.array([s.energy for s in summaries]).take(inverse)
-    mu2 = np.array([np.nan if s.mu2 is None else s.mu2 for s in summaries]).take(inverse)
-    mu_max = np.array([s.mu_max for s in summaries]).take(inverse)
+    energy = np.array([s.energy for s in summaries])[merged].take(inverse)
+    mu2 = np.array([np.nan if s.mu2 is None else s.mu2 for s in summaries])[merged].take(inverse)
+    mu_max = np.array([s.mu_max for s in summaries])[merged].take(inverse)
     end = time.perf_counter()
     log.debug("batched spectra at n=%d: %d masks, %d forms, %d eigensolves, %.3f s "
               "(relabel %.3f s, group %.3f s, solve %.3f s)", n, masks.size, first.size,
-              2 * first.size, end - start, relabel - start, group - relabel, end - group)
+              2 * first.size, end - start, relabel, solving - start - relabel, end - solving)
     return energy, mu2, mu_max
+
+
+def _prefix_copies(n: int, masks: np.ndarray) -> np.ndarray:
+    """An isomorphic copy of each mask, as uint32: vertices 0..5 renamed as
+    :func:`_relabelled` renames the graph b they induce, the low C(6,2) bits
+    of the mask, and vertices 6 and 7 kept. Below n = 7 this is
+    ``_relabelled(n, masks)``. At n = 7 and 8 the neighbourhood of a kept
+    vertex among 0..5 is one column's low 6 bits, carried through b's
+    renaming by one gather, and the 6-7 edge stays where it is."""
+    k = min(n, _MAX_BASE_ORDER)
+    copies, moved = _relabelled_bases(k)
+    masks = masks.astype(np.uint32, copy=False)
+    if n == k:
+        return copies.take(masks)
+    base = masks & np.uint32(copies.size - 1)
+    prefix = copies.take(base)
+    base <<= np.uint32(k)
+    for w in range(k, n):  # the neighbourhood of vertex w among 0..k-1
+        shift = np.uint32(w * (w - 1) // 2)
+        nbhd = masks >> shift
+        nbhd &= np.uint32((1 << k) - 1)
+        nbhd |= base
+        prefix |= moved.take(nbhd).astype(np.uint32) << shift
+    if n == 8:  # the 6-7 edge
+        prefix |= masks & np.uint32(1 << 27)
+    return prefix
+
+
+@lru_cache(maxsize=None)
+def _relabelled_bases(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The relabelled copy (:func:`_relabelled`) of every graph b of order
+    k <= _MAX_BASE_ORDER, indexed by mask, and a flat table whose entry
+    ``b << k | N`` is the vertex set N carried through b's renaming, uint8.
+    Each N is filled from N without its lowest vertex: 2 MB at order 6,
+    read-only, since every call of the process reads them."""
+    copies, rank = _relabelled(k, np.arange(1 << k * (k - 1) // 2, dtype=np.uint32), ranks=True)
+    moved = np.zeros((1 << k, copies.size), dtype=np.uint8)
+    for nbhd in range(1, 1 << k):
+        low = nbhd & -nbhd
+        np.bitwise_or(moved[nbhd ^ low], np.uint8(1) << rank[low.bit_length() - 1], out=moved[nbhd])
+    moved = moved.T.ravel()
+    for array in (copies, moved):
+        array.flags.writeable = False
+    return copies, moved
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +372,10 @@ def _relabel_columns(n: int) -> tuple[np.ndarray, ...]:
             a, b, vertices.astype(np.float32))
 
 
-def _relabelled(n: int, masks: np.ndarray) -> np.ndarray:
+def _relabelled(n: int, masks: np.ndarray, ranks: bool = False):
     """An isomorphic copy of each mask, as uint32: the vertices renumbered in
-    a stable sort on (degree, sum of neighbour degrees).
+    a stable sort on (degree, sum of neighbour degrees). With ``ranks``, also
+    the (n, masks) uint8 array of each vertex's new label.
 
     The copy depends on the labels only through the ties, so the masks of
     one graph mostly share a few copies. Every step is a fixed number of
@@ -340,7 +395,8 @@ def _relabelled(n: int, masks: np.ndarray) -> np.ndarray:
     ra, rb = rank[a], rank[b]
     hi = np.maximum(ra, rb)
     # the pair lo < hi is bit hi(hi - 1)/2 + lo in graph6 column order
-    return (bits << (hi * (hi - 1) // 2 + np.minimum(ra, rb))).sum(axis=0, dtype=np.uint32)
+    copies = (bits << (hi * (hi - 1) // 2 + np.minimum(ra, rb))).sum(axis=0, dtype=np.uint32)
+    return (copies, rank) if ranks else copies
 
 
 def _classes(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "input stream, every stream graph must have this order")
     p.add_argument("--random", type=int, metavar="COUNT",
                    help="use COUNT seeded random graphs of order --n, instead of an input stream")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the --random graphs (default 0)")
     p.add_argument("--skip-bad-lines", action="store_true")
     _add_format_flag(p)
 
@@ -541,14 +541,17 @@ def _cmd_conjecture(args) -> int:
 def _cmd_verify_identities(args) -> int:
     from .oracle import _of_order, enumerate_connected_graphs, random_graphs, verify_identity_suite
 
+    if args.seed is not None and args.random is None:
+        raise UsageError("--seed needs --random")
+    if args.skip_bad_lines and not _has_stream(args):
+        raise UsageError("--skip-bad-lines needs an input stream")
     if args.random is not None:
         if args.n is None:
             raise UsageError("--random needs --n")
         if _has_stream(args):
             raise UsageError("--random takes no input stream")
-        summary = verify_identity_suite(
-            random_graphs(args.n, args.random, args.seed), seed=args.seed
-        )
+        seed = 0 if args.seed is None else args.seed
+        summary = verify_identity_suite(random_graphs(args.n, args.random, seed), seed=seed)
     elif _has_stream(args):
         graphs = _input_graphs(args)
         summary = verify_identity_suite(graphs if args.n is None else _of_order(graphs, args.n))

@@ -718,6 +718,27 @@ class TestVerifyIdentities:
         body = json.loads(out)
         assert body["checked"] == 50 and body["seed"] == 7
 
+    def test_random_seed_defaults_to_0(self, capsys):
+        code, out, _ = run(capsys, ["verify-identities", "--random", "5", "--n", "6"])
+        assert code == 0 and json.loads(out)["seed"] == 0
+        assert run(capsys, ["verify-identities", "--random", "5", "--n", "6", "--seed", "0"]) == (0, out, "")
+
+    @pytest.mark.parametrize("argv", [["--n", "4"], ["--graph6", "C~"], []], ids=["n", "graph6", "none"])
+    def test_seed_needs_random(self, capsys, argv):
+        code, out, err = run(capsys, ["verify-identities", *argv, "--seed", "5"])
+        assert (code, out, err) == (2, "", "error: --seed needs --random\n")
+
+    @pytest.mark.parametrize("argv", [["--n", "4"], ["--random", "2", "--n", "4"]], ids=["n", "random"])
+    def test_skip_bad_lines_needs_an_input_stream(self, capsys, argv):
+        code, out, err = run(capsys, ["verify-identities", *argv, "--skip-bad-lines"])
+        assert (code, out, err) == (2, "", "error: --skip-bad-lines needs an input stream\n")
+
+    def test_skip_bad_lines_with_a_stream(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("C~\nbad!\nD~{\n"))
+        code, out, err = run(capsys, ["verify-identities", "--stdin", "--skip-bad-lines"])
+        assert code == 0 and json.loads(out)["checked"] == 2
+        assert err.startswith("skipping line 2: ")
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         fake = IdentitySummary(checked=3, passed=2, failed=1, first_failure="Ch")
         monkeypatch.setattr(oracle, "verify_identity_suite", lambda graphs, seed=None: fake)

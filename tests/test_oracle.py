@@ -1174,19 +1174,28 @@ def _spectra_reference(n):
 
 @lru_cache(maxsize=None)
 def _copy_count(n):
-    """Distinct sorted copies among the connected masks of order n, each
-    built by :func:`_sorted_copy`."""
-    return len({_sorted_copy(n, int(mask)) for mask in bulk.connected_table(n).masks})
+    """Distinct class keys among the connected masks of order n <= 6, in
+    Python: below order 7 a mask's prefix copy is its sorted copy, and its
+    class key is the sorted copy of that (:func:`_sorted_copy`)."""
+    return len({_sorted_copy(n, _sorted_copy(n, int(mask))) for mask in bulk.connected_table(n).masks})
+
+
+def _sorted_labels(n, mask):
+    """The new label of each vertex in the Python stable sort on (degree,
+    neighbour-degree sum): ties stay in vertex order."""
+    g = graph_from_mask(n, mask)
+    key = [(g.degree(v), sum(map(g.degree, g.neighbors(v)))) for v in range(n)]
+    label = [0] * n
+    for k, v in enumerate(sorted(range(n), key=key.__getitem__)):
+        label[v] = k
+    return label
 
 
 def _sorted_copy(n, mask):
-    """The mask with its vertices renumbered in the Python stable sort on
-    (degree, neighbour-degree sum): ties stay in vertex order."""
-    g = graph_from_mask(n, mask)
-    key = [(g.degree(v), sum(map(g.degree, g.neighbors(v)))) for v in range(n)]
-    label = {v: k for k, v in enumerate(sorted(range(n), key=key.__getitem__))}
+    """The mask with its vertices renumbered by :func:`_sorted_labels`."""
+    label = _sorted_labels(n, mask)
     at = {frozenset(pair): e for e, pair in enumerate(pair_order(n))}
-    return sum(1 << at[frozenset((label[u], label[v]))] for u, v in g.edges())
+    return sum(1 << at[frozenset((label[u], label[v]))] for u, v in graph_from_mask(n, mask).edges())
 
 
 def _exact_power_sums(n, mask):
@@ -1214,16 +1223,25 @@ def _permuted(n, masks, perm):
     return out
 
 
+def _class_keys(n, masks):
+    """The class key of every mask, as a list: its prefix copy relabelled,
+    each distinct prefix copy once."""
+    prefix = bulk._prefix_copies(n, masks)
+    distinct = np.unique(prefix)
+    relabelled = dict(zip(distinct.tolist(), bulk._relabelled(n, distinct).tolist()))
+    return [relabelled[copy] for copy in prefix.tolist()]
+
+
 def _keyed_reference(n, masks):
     """batched_spectra with the grouping in a dict: every mask keyed by its
-    relabelled copy, and the first mask of each copy in input order solved
-    by laplacian_spectra."""
-    copies = bulk._relabelled(n, masks).tolist()
+    class key, and the first mask of each class in input order solved by
+    laplacian_spectra."""
+    keys = _class_keys(n, masks)
     first = {}
-    for at, copy in enumerate(copies):
-        first.setdefault(copy, at)
-    cls = {copy: c for c, copy in enumerate(first)}
-    inverse = [cls[copy] for copy in copies]
+    for at, key in enumerate(keys):
+        first.setdefault(key, at)
+    cls = {key: c for c, key in enumerate(first)}
+    inverse = [cls[key] for key in keys]
     spectra = laplacian_spectra([graph_from_mask(n, int(masks[at])) for at in first.values()])
     return tuple(np.array([getattr(s, name) for s in spectra])[inverse]
                  for name in ("energy", "mu2", "mu_max"))
@@ -1241,8 +1259,8 @@ def _spectra_log_counts(message):
 
 
 class TestBatchedSpectra:
-    """One eigensolve pair per distinct relabelled copy, against the scalar
-    spectra."""
+    """One eigensolve pair per class of relabelled prefix copies, against
+    the scalar spectra."""
 
     def test_the_last_power_sum_tells_spectra_apart(self):
         # two graphs on 8 vertices with one Laplacian spectrum and equal
@@ -1296,19 +1314,23 @@ class TestBatchedSpectra:
         assert solved == [2 * _copy_count(6)] == [2 * 391]
 
     def test_one_eigensolve_pair_per_class_at_n7(self, monkeypatch, caplog, mask_tables, spectra7):
-        # the 1,866,256 connected masks at n = 7 have 3,218 distinct copies
+        # the 1,866,256 connected masks at n = 7 have 27,738 prefix copies
+        # in 2,166 classes
+        masks = mask_tables[7].masks
+        assert np.unique(bulk._prefix_copies(7, masks)).size == 27738
+        assert len(set(_class_keys(7, masks))) == 2166
         solved = self._count_eigensolves(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
-            got = bulk.batched_spectra(7, mask_tables[7].masks)
-        assert solved == [2 * 3218]
+            got = bulk.batched_spectra(7, masks)
+        assert solved == [2 * 2166]
         [record] = [r for r in caplog.records if r.name == "sigmat.bulk"]
-        assert _spectra_log_counts(record.getMessage()) == (7, 1866256, 3218, 6436)
+        assert _spectra_log_counts(record.getMessage()) == (7, 1866256, 2166, 4332)
         for values, name in zip(got, ("energy", "mu2", "mu_max")):
             assert np.array_equal(values, spectra7[name])
 
     def test_whole_input_memory_is_bounded(self, mask_tables):
-        # no chunk loop caps the transients: the sort of the relabelled
-        # copies and the inverse index must stay near the results' size
+        # no chunk loop caps the transients: the prefix copies, their sort
+        # and the inverse index must stay near the results' size
         masks = mask_tables[7].masks
         tracemalloc.start()
         try:
@@ -1348,10 +1370,11 @@ class TestBatchedSpectra:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_relabelled_copies_are_vertex_permutations(self, n):
+        # and so are the prefix copies, table lookups below n = 7
         masks = np.arange(1 << n * (n - 1) // 2, dtype=np.uint32)
-        copies = bulk._relabelled(n, masks)
-        assert copies.dtype == np.uint32 and copies.shape == masks.shape
-        found = np.zeros(masks.size, dtype=bool)
+        copies = np.stack([bulk._relabelled(n, masks), bulk._prefix_copies(n, masks)])
+        assert copies.dtype == np.uint32 and copies.shape == (2, masks.size)
+        found = np.zeros(copies.shape, dtype=bool)
         for perm in permutations(range(n)):
             found |= _permuted(n, masks, perm) == copies
         assert found.all()
@@ -1375,6 +1398,30 @@ class TestBatchedSpectra:
         for mask, copy in zip(masks[::97], copies[::97]):
             assert copy == _sorted_copy(6, int(mask))
 
+    def test_prefix_copies_at_order_6_are_the_relabelled_copies(self):
+        masks = np.arange(1 << 15, dtype=np.uint32)
+        assert np.array_equal(bulk._prefix_copies(6, masks), bulk._relabelled(6, masks))
+        assert bulk._prefix_copies(6, masks[::-1].astype(np.int64)).tolist() == \
+            bulk._relabelled(6, masks[::-1]).tolist()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_prefix_copies_rename_the_order_6_prefix(self, n):
+        # vertices 0..5 renamed by the sort of the graph they induce,
+        # vertices 6 and 7 kept
+        nedges = n * (n - 1) // 2
+        masks = np.random.default_rng(n).integers(0, 1 << nedges, 3000, dtype=np.uint32)
+        masks[:2] = 0, (1 << nedges) - 1
+        if n == 8:
+            edge67 = masks >> 27 & 1
+            assert 0 < edge67.sum() < masks.size
+        copies = bulk._prefix_copies(n, masks)
+        assert copies.dtype == np.uint32 and copies.shape == masks.shape
+        for mask, copy in zip(masks.tolist(), copies.tolist()):
+            perm = _sorted_labels(6, mask & 0x7FFF) + [6, 7][:n - 6]
+            assert _permuted(n, np.array([mask], dtype=np.uint32), perm)[0] == copy
+        for mask, copy in zip(masks[:200].tolist(), copies[:200].tolist()):
+            assert _exact_power_sums(n, copy) == _exact_power_sums(n, mask)
+
     @pytest.mark.parametrize("dtype,high", [(np.uint32, 1 << 32), (np.uint32, 40),
                                             (np.uint16, 1 << 16), (np.uint8, 3)])
     def test_one_row_keys_group_as_the_stable_lexsort(self, dtype, high):
@@ -1384,11 +1431,8 @@ class TestBatchedSpectra:
             self._assert_grouped_as_lexsort(key)
 
     def test_relabelled_copies_group_as_the_stable_lexsort(self, mask_tables):
-        # batched_spectra groups the whole relabelled input at once
-        masks = mask_tables[7].masks
-        copies = np.concatenate([bulk._relabelled(7, masks[lo:lo + bulk.CHUNK_MASKS])
-                                 for lo in range(0, masks.size, bulk.CHUNK_MASKS)])
-        self._assert_grouped_as_lexsort(copies)
+        # batched_spectra groups the prefix copies of the whole input at once
+        self._assert_grouped_as_lexsort(bulk._prefix_copies(7, mask_tables[7].masks))
 
     @staticmethod
     def _assert_grouped_as_lexsort(key):
@@ -1420,6 +1464,13 @@ class TestBatchedSpectra:
             masks = table[order]
             for got, want in zip(bulk.batched_spectra(6, masks), _keyed_reference(6, masks)):
                 assert np.array_equal(got, want)
+
+    def test_bitwise_identical_to_keying_every_mask_at_n7(self, mask_tables):
+        # at n = 7 a class holds several prefix copies, and the first mask of
+        # the class in input order is solved, not that of its first copy
+        masks = np.random.default_rng(7).permutation(mask_tables[7].masks)[:200_000]
+        for got, want in zip(bulk.batched_spectra(7, masks), _keyed_reference(7, masks)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n,match", [(0, "n >= 1"), (-2, "n >= 1"), (9, "uint32")])
     def test_order_outside_the_mask_width_is_rejected(self, n, match):
