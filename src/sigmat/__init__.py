@@ -33,7 +33,7 @@ _EXPORTS = {
         ("oracle", "ConjectureReport IdentitySummary LimitError SearchResult "
                    "enumerate_connected_graphs random_graphs search_connected search_extremal "
                    "verify_conjecture1 verify_identity_suite"),
-        ("trees", "TreeSweep enumerate_trees search_trees tree_sweep verify_conjecture2"),
+        ("trees", "TreeSweep search_trees tree_sweep verify_conjecture2"),
     )
     for name in names.split()
 }

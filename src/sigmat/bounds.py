@@ -1,5 +1,7 @@
-"""Every stated inequality as an executable check with an equality-case
-certificate.
+"""Every graph bound that ``check_all`` runs, as an executable check with
+an equality-case certificate. The sequence lemmas these bounds rest on
+(the variance shift, Bhatia-Davis and the AM-GM refinement) are checked in
+the test suite, not here.
 
 Checks that are algebraic in the degrees compare exact integers or
 Fractions; checks involving radicals or eigenvalues compare floats within
@@ -237,80 +239,6 @@ def check_laplacian_sandwich(g: Graph | GraphFacts) -> tuple[BoundCheck, BoundCh
     upper = _toleranced("laplacian-sigma-upper", float(sg), spectrum.mu_max / n * st, f.tol)
     lower = _toleranced("laplacian-sigma-t-upper", float(st), n / spectrum.mu2 * sg, f.tol)
     return (upper, lower)
-
-
-def check_variance_shift(seq, i: int, j: int) -> BoundCheck:
-    """Variance strictly grows when entry i of a non-increasing sequence is
-    raised by one and entry j > i lowered by one (0-based indices).
-
-    The exact gap n*(Var(B) - Var(A)) = 2(a_i - a_j) + 2 is recomputed from
-    both variances and cross-checked.
-    """
-    vals = [Fraction(a) for a in seq]
-    n = len(vals)
-    if any(vals[t] < vals[t + 1] for t in range(n - 1)):
-        raise PreconditionError("variance-shift: sequence is not non-increasing")
-    if not 0 <= i < j < n:
-        raise PreconditionError(f"variance-shift: need 0 <= i < j < {n}, got ({i}, {j})")
-    shifted = vals[:]
-    shifted[i] += 1
-    shifted[j] -= 1
-    var_a = _variance(vals)
-    var_b = _variance(shifted)
-    gap = 2 * (vals[i] - vals[j]) + 2
-    if n * (var_b - var_a) != gap:
-        raise ArithmeticError("variance gap disagrees with 2(a_i - a_j) + 2")
-    return BoundCheck(
-        "variance-shift",
-        var_a,
-        var_b,
-        var_a < var_b,
-        False,
-        f"n*(Var(B) - Var(A)) = {gap} > 0",
-        exact=True,
-    )
-
-
-def _variance(vals: list[Fraction]) -> Fraction:
-    mean = sum(vals, Fraction(0)) / len(vals)
-    return sum(((v - mean) ** 2 for v in vals), Fraction(0)) / len(vals)
-
-
-def check_amgm_refinement(x: float, y: float) -> BoundCheck:
-    """sqrt(x/y) + sqrt(y/x) >= 2 + (x-y)^2 / (2(x^2+y^2)) for positive x, y;
-    equality exactly at x = y."""
-    if x <= 0 or y <= 0:
-        raise PreconditionError(f"amgm-refinement: need x, y > 0, got ({x}, {y})")
-    rhs = math.sqrt(x / y) + math.sqrt(y / x)
-    lhs = 2 + (x - y) ** 2 / (2 * (x * x + y * y))
-    tol = 1e-12 * max(1.0, rhs)
-    return BoundCheck(
-        "amgm-refinement",
-        lhs,
-        rhs,
-        lhs <= rhs + tol,
-        x == y,
-        "x = y" if x == y else "",
-        exact=False,
-    )
-
-
-def check_bhatia_davis(seq, upper, lower) -> BoundCheck:
-    """Var(seq) <= (upper - mean)(mean - lower) for a sequence bounded in
-    [lower, upper]; equality exactly when every entry sits at a bound."""
-    vals = [Fraction(a) for a in seq]
-    if not vals:
-        raise PreconditionError("bhatia-davis: empty sequence")
-    hi, lo = Fraction(upper), Fraction(lower)
-    for t, v in enumerate(vals):
-        if not lo <= v <= hi:
-            raise PreconditionError(f"bhatia-davis: entry {t} = {v} outside [{lo}, {hi}]")
-    mean = sum(vals, Fraction(0)) / len(vals)
-    lhs = _variance(vals)
-    rhs = (hi - mean) * (mean - lo)
-    return _exact("bhatia-davis", lhs, rhs, lambda: (
-        "all entries at the bounds" if all(v == hi or v == lo for v in vals)
-        else "equality with interior entries"))
 
 
 _GRAPH_CHECKS = (

@@ -543,8 +543,6 @@ def _cmd_verify_identities(args) -> int:
 
     if args.seed is not None and args.random is None:
         raise UsageError("--seed needs --random")
-    if args.skip_bad_lines and not _has_stream(args):
-        raise UsageError("--skip-bad-lines needs an input stream")
     if args.random is not None:
         if args.n is None:
             raise UsageError("--random needs --n")
@@ -587,6 +585,8 @@ def main(argv: Iterable[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv if argv is None else list(argv))
     try:
+        if getattr(args, "skip_bad_lines", False) and not _has_stream(args):
+            raise UsageError("--skip-bad-lines needs an input stream")
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # an OSError, but not a usage or input error
         # the reader closed stdout: point it at devnull so the interpreter's

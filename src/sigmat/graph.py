@@ -384,14 +384,6 @@ def is_path_graph(g: Graph) -> bool:
     return degs[0] == degs[1] == 1 and degs[2] == degs[-1] == 2
 
 
-def is_star_graph(g: Graph) -> bool:
-    """Connected with one center adjacent to all n-1 leaves (K_2 included)."""
-    if not is_tree(g) or g.n < 2:
-        return False
-    degs = sorted(g.degrees())
-    return degs[-1] == g.n - 1 and (g.n == 2 or degs[-2] == 1)
-
-
 # ---------------------------------------------------------------------------
 # search filters
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ equality exactly on paths.
 Each free tree counts as its n!/|Aut| labeled trees, and their sum is
 checked against Cayley's n^(n-2), and the number of free trees against
 Otter's count. The pass keeps a few counts per degree
-profile, of which there are p(n-2): 231 at n = 18. The labeled Prüfer
-decode (n <= 9) is its reference. The verdict records and the order-limit
-check come from :mod:`sigmat.oracle`, which never imports this module.
+profile, of which there are p(n-2): 231 at n = 18. The verdict records
+and the order-limit check come from :mod:`sigmat.oracle`, which never
+imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import Graph, encode_graph6
@@ -27,7 +26,6 @@ from .oracle import WITNESS_CAP, ConjectureReport, SearchResult, _require_order
 log = logging.getLogger("sigmat.trees")
 
 MAX_TREE_ORDER = 18
-MAX_PRUFER_ORDER = 9
 
 
 def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -52,14 +50,6 @@ def prufer_edges(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:
             leaf = ptr
     edges.append((leaf, n - 1))
     return edges
-
-
-def enumerate_trees(n: int) -> Iterator[Graph]:
-    """All n^(n-2) labeled trees via Prüfer decoding, in sequence order: the
-    reference for the tree sweep."""
-    _require_order(n, 2, "tree enumeration", MAX_PRUFER_ORDER)
-    for seq in product(range(n), repeat=n - 2):
-        yield Graph(n, prufer_edges(seq, n))
 
 
 def free_trees(n: int) -> Iterator[tuple[int, ...]]:

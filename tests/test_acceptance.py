@@ -27,7 +27,6 @@ from sigmat.graph import (
     is_connected,
     is_path_graph,
     is_regular,
-    is_star_graph,
     pair_order,
     parse_graph6,
 )
@@ -41,6 +40,7 @@ from sigmat.oracle import (
 )
 from sigmat.spectral import rayleigh_ratio, rayleigh_ratios, spectral_tolerance
 from sigmat.trees import search_trees, tree_sweep, verify_conjecture2
+from tests.reference import is_star_graph
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 RANDOM_SEED = 0x5EED1234

@@ -1,5 +1,6 @@
-"""Each bound check against hand-computed instances, the scalar inequality
-validators with large randomized fuzz runs, and the check_all composition."""
+"""Each bound check against hand-computed instances, the paper's sequence
+lemmas as scalar validators with large randomized fuzz runs, and the
+check_all composition."""
 
 import json
 import math
@@ -13,9 +14,8 @@ from sigmat import bounds
 from sigmat.bounds import (
     BoundCheck,
     PreconditionError,
+    _exact,
     check_all,
-    check_amgm_refinement,
-    check_bhatia_davis,
     check_energy_upper,
     check_laplacian_sandwich,
     check_max_count_lower,
@@ -24,7 +24,6 @@ from sigmat.bounds import (
     check_simple_lower,
     check_tree_lower,
     check_triangle_free_upper,
-    check_variance_shift,
 )
 from sigmat.cli import canonical_json
 from sigmat.graph import Graph, graph_from_mask, pair_order
@@ -210,6 +209,87 @@ class TestLaplacianSandwich:
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             check_laplacian_sandwich(Graph(4, [(0, 1), (2, 3)]))
+
+
+# The sequence lemmas behind the paper's bounds. No command runs them, so
+# their validators live here, beside the fuzz runs that exercise them.
+
+def check_variance_shift(seq, i: int, j: int) -> BoundCheck:
+    """Variance strictly grows when entry i of a non-increasing sequence is
+    raised by one and entry j > i lowered by one (0-based indices).
+
+    The exact gap n*(Var(B) - Var(A)) = 2(a_i - a_j) + 2 is recomputed from
+    both variances and cross-checked.
+    """
+    vals = [Fraction(a) for a in seq]
+    n = len(vals)
+    if any(vals[t] < vals[t + 1] for t in range(n - 1)):
+        raise PreconditionError("variance-shift: sequence is not non-increasing")
+    if not 0 <= i < j < n:
+        raise PreconditionError(f"variance-shift: need 0 <= i < j < {n}, got ({i}, {j})")
+    shifted = vals[:]
+    shifted[i] += 1
+    shifted[j] -= 1
+    var_a = _variance(vals)
+    var_b = _variance(shifted)
+    gap = 2 * (vals[i] - vals[j]) + 2
+    if n * (var_b - var_a) != gap:
+        raise ArithmeticError("variance gap disagrees with 2(a_i - a_j) + 2")
+    return BoundCheck(
+        "variance-shift",
+        var_a,
+        var_b,
+        var_a < var_b,
+        False,
+        f"n*(Var(B) - Var(A)) = {gap} > 0",
+        exact=True,
+    )
+
+
+def _variance(vals: list[Fraction]) -> Fraction:
+    mean = sum(vals, Fraction(0)) / len(vals)
+    return sum(((v - mean) ** 2 for v in vals), Fraction(0)) / len(vals)
+
+
+def check_amgm_refinement(x: float, y: float) -> BoundCheck:
+    """sqrt(x/y) + sqrt(y/x) >= 2 + (x-y)^2 / (2(x^2+y^2)) for positive x, y;
+    equality exactly at x = y.
+
+    The verdict is exact. With x = a/D and y = b/D over a common
+    denominator, the left side is (a+b)/sqrt(ab), and the inequality is
+    homogeneous, so it holds iff
+    4(a+b)^2 (a^2+b^2)^2 >= (4(a^2+b^2) + (a-b)^2)^2 ab, in integers. The
+    float sides are kept for display only.
+    """
+    if x <= 0 or y <= 0:
+        raise PreconditionError(f"amgm-refinement: need x, y > 0, got ({x}, {y})")
+    rhs = math.sqrt(x / y) + math.sqrt(y / x)
+    lhs = 2 + (x - y) ** 2 / (2 * (x * x + y * y))
+    fx, fy = Fraction(x), Fraction(y)
+    a, b = fx.numerator * fy.denominator, fy.numerator * fx.denominator
+    squares = a * a + b * b
+    left = 4 * (a + b) ** 2 * squares ** 2
+    right = (4 * squares + (a - b) ** 2) ** 2 * a * b
+    eq = left == right
+    return BoundCheck("amgm-refinement", lhs, rhs, left >= right, eq, "x = y" if eq else "", exact=True)
+
+
+def check_bhatia_davis(seq, upper, lower) -> BoundCheck:
+    """Var(seq) <= (upper - mean)(mean - lower) for a sequence bounded in
+    [lower, upper]; equality exactly when every entry sits at a bound."""
+    vals = [Fraction(a) for a in seq]
+    if not vals:
+        raise PreconditionError("bhatia-davis: empty sequence")
+    hi, lo = Fraction(upper), Fraction(lower)
+    for t, v in enumerate(vals):
+        if not lo <= v <= hi:
+            raise PreconditionError(f"bhatia-davis: entry {t} = {v} outside [{lo}, {hi}]")
+    mean = sum(vals, Fraction(0)) / len(vals)
+    lhs = _variance(vals)
+    rhs = (hi - mean) * (mean - lo)
+    return _exact("bhatia-davis", lhs, rhs, lambda: (
+        "all entries at the bounds" if all(v == hi or v == lo for v in vals)
+        else "equality with interior entries"))
 
 
 class TestVarianceShift:

