@@ -8,9 +8,12 @@ Fractions; checks involving radicals or eigenvalues compare floats within
 the spectral tolerance, and their equality flags are advisory only.
 Individual checks raise PreconditionError when their hypotheses fail;
 ``check_all`` evaluates each graph once into a ``GraphFacts`` record and
-downgrades those failures to skip markers so batch reports are total;
+downgrades those failures to skip markers, one shared marker per bound id
+and reason, so batch reports are total. A ``GraphFacts`` record reads the
+degrees once, and everything the bounds read of them comes from that read;
 ``graph_facts`` builds the records of many graphs with the spectra of the
-connected ones solved together.
+connected ones solved together, by order, and reads the three values the
+bounds need straight from the eigenvalue arrays.
 A ``BoundCheck`` keeps its sides as they were compared (int, Fraction or
 float); the CLI writes a Fraction side as ``{"num": a, "den": b}``.
 """
@@ -20,19 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from operator import attrgetter
+from typing import Callable, NamedTuple, Sequence
 
-from .graph import (
-    Graph,
-    degree_stats,
-    find_triangle,
-    is_complete_bipartite,
-    is_connected,
-    is_path_graph,
-)
-from .invariants import sigma, sigma_t
-from .spectral import SpectralSummary, laplacian_spectra, laplacian_spectrum, spectral_tolerance
+from .graph import Graph, find_triangle, is_complete_bipartite, is_connected, is_path_graph
+from .spectral import spectra_by_order, spectrum_values
 
 
 class PreconditionError(ValueError):
@@ -60,25 +56,68 @@ class BoundCheck:
     skipped: str | None = None
 
 
+@lru_cache(maxsize=4096)
 def _skipped(bound_id: str, reason: str) -> BoundCheck:
+    """The skip marker of a bound id and reason, one shared frozen record
+    for each pair; the cache is bounded, since a reason may name vertices."""
     return BoundCheck(bound_id, None, None, True, False, "", False, skipped=reason)
 
 
+class Spectrum(NamedTuple):
+    """The three values of both spectra that the bounds read; mu2 is NaN
+    for n = 1."""
+
+    energy: float
+    mu2: float
+    mu_max: float
+
+
+def _spectra(values) -> list[Spectrum]:
+    """The Spectrum of each graph of a (k, 2, n) eigenvalue array."""
+    return list(map(Spectrum, *(column.tolist() for column in spectrum_values(values))))
+
+
 class GraphFacts:
-    """What the graph bounds read about one graph, each computed once:
-    degree statistics, connectivity, sigma_t, the spectral tolerance and
-    both spectra, solved on first use unless :func:`graph_facts` set them."""
+    """What the graph bounds read about one graph, each computed once.
+
+    One read of the degrees gives the degrees sorted non-increasing, n, m,
+    the largest and smallest degree and the count of the largest,
+    sigma_t = n*M1 - 4m^2 and the spectral tolerance 1e-8*max(1, n*maxdeg);
+    sigma, on first use, is one walk over the edges with those degrees.
+    Connectivity is one traversal. The spectrum is solved alone on first
+    use unless :func:`graph_facts` set it. ``invariants.sigma``,
+    ``invariants.sigma_t`` and ``spectral.spectral_tolerance`` are the
+    definitions these values are tested against."""
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.stats = degree_stats(g)
+        self._by_vertex = by_vertex = g.degrees()
+        n, total = g.n, sum(by_vertex)
+        degrees = sorted(by_vertex, reverse=True)
+        self.degrees = tuple(degrees)
+        self.n, self.m = n, total // 2
+        self.max_degree, self.min_degree = degrees[0], degrees[-1]
+        self.max_degree_count = degrees.count(degrees[0])
+        self.sigma_t = n * sum(d * d for d in by_vertex) - total * total
+        self.tol = 1e-8 * max(1.0, n * degrees[0])
         self.connected = is_connected(g)
-        self.sigma_t = sigma_t(g)
-        self.tol = spectral_tolerance(g)
 
     @cached_property
-    def spectrum(self) -> SpectralSummary:
-        return laplacian_spectrum(self.graph)
+    def sigma(self) -> int:
+        degrees, total = self._by_vertex, 0
+        for u, row in enumerate(self.graph.adj):
+            du, later = degrees[u], row >> u + 1  # the edges uv with v > u
+            while later:
+                low = later & -later
+                diff = du - degrees[u + low.bit_length()]
+                total += diff * diff
+                later ^= low
+        return total
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        [(_, values)] = spectra_by_order([self.graph])
+        return _spectra(values)[0]
 
     def require_connected(self, bound_id: str) -> None:
         if not self.connected:
@@ -87,12 +126,13 @@ class GraphFacts:
 
 def graph_facts(graphs: Sequence[Graph]) -> list[GraphFacts]:
     """The GraphFacts of each graph, in input order, with the spectra of the
-    connected ones filled in from one :func:`laplacian_spectra` call; only
-    the bounds of connected graphs read a spectrum."""
+    connected ones set from one :func:`sigmat.spectral.spectra_by_order`
+    call; only the bounds of connected graphs read a spectrum."""
     facts = [GraphFacts(g) for g in graphs]
     connected = [f for f in facts if f.connected]
-    for f, spectrum in zip(connected, laplacian_spectra([f.graph for f in connected])):
-        f.spectrum = spectrum
+    for members, values in spectra_by_order([f.graph for f in connected]):
+        for k, spectrum in zip(members, _spectra(values)):
+            connected[k].spectrum = spectrum
     return facts
 
 
@@ -118,8 +158,8 @@ def check_triangle_free_upper(g: Graph | GraphFacts) -> BoundCheck:
     tri = find_triangle(f.graph)
     if tri is not None:
         raise PreconditionError(f"triangle-free-upper: vertices {tri} form a triangle")
-    m = f.stats.m
-    return _exact("triangle-free-upper", f.sigma_t, m * (f.stats.n ** 2 - 4 * m), lambda: (
+    m = f.m
+    return _exact("triangle-free-upper", f.sigma_t, m * (f.n ** 2 - 4 * m), lambda: (
         "complete bipartite" if is_complete_bipartite(f.graph)
         else "equality without complete-bipartite structure"))
 
@@ -129,12 +169,11 @@ def check_sigma_t_upper_degree(g: Graph | GraphFacts) -> BoundCheck:
     for connected graphs with at least one edge."""
     f = _facts(g)
     f.require_connected("degree-upper")
-    stats = f.stats
-    if stats.m < 1:
+    if f.m < 1:
         raise PreconditionError("degree-upper: graph has no edges")
-    n, m = stats.n, stats.m
-    nsd = n * math.sqrt(stats.min_degree)
-    rhs = 4 * (math.sqrt(2 * m * n) - nsd) * (n * n * stats.max_degree ** 2 + 4 * m * m) / nsd
+    n, m = f.n, f.m
+    nsd = n * math.sqrt(f.min_degree)
+    rhs = 4 * (math.sqrt(2 * m * n) - nsd) * (n * n * f.max_degree ** 2 + 4 * m * m) / nsd
     return _toleranced("degree-upper", float(f.sigma_t), rhs, f.tol)
 
 
@@ -144,15 +183,14 @@ def check_energy_upper(g: Graph | GraphFacts) -> BoundCheck:
     sigma_t > 0."""
     f = _facts(g)
     f.require_connected("energy-upper")
-    stats = f.stats
-    n, m = stats.n, stats.m
+    n, m = f.n, f.m
     mcclelland = math.sqrt(2 * m * n)
     if f.sigma_t == 0:
         rhs = mcclelland
         cert = "reduces to sqrt(2mn) (regular)"
     else:
-        rhs = mcclelland - n * math.sqrt(stats.min_degree) * f.sigma_t / (
-            4 * (n * n * stats.max_degree ** 2 + 4 * m * m)
+        rhs = mcclelland - n * math.sqrt(f.min_degree) * f.sigma_t / (
+            4 * (n * n * f.max_degree ** 2 + 4 * m * m)
         )
         cert = ""
     return _toleranced("energy-upper", f.spectrum.energy, rhs, f.tol, cert)
@@ -164,15 +202,14 @@ def check_max_count_lower(g: Graph | GraphFacts) -> BoundCheck:
     other n-k degrees are all equal."""
     f = _facts(g)
     f.require_connected("max-count-lower")
-    stats = f.stats
-    k, n = stats.max_degree_count, stats.n
+    k, n = f.max_degree_count, f.n
     if k == n:
         raise PreconditionError("max-count-lower: graph is regular (k = n)")
-    lhs = Fraction(k, n - k) * (n * stats.max_degree - 2 * stats.m) ** 2
+    lhs = Fraction(k * (n * f.max_degree - 2 * f.m) ** 2, n - k)
     # the degrees are non-increasing, so the other n-k are equal iff the first and last are
     return _exact("max-count-lower", lhs, f.sigma_t, lambda: (
-        f"degrees {stats.max_degree}^{k} and {stats.degrees[k]}^{n - k}"
-        if stats.degrees[k] == stats.degrees[-1] else "equality without two-valued degrees"))
+        f"degrees {f.max_degree}^{k} and {f.degrees[k]}^{n - k}"
+        if f.degrees[k] == f.degrees[-1] else "equality without two-valued degrees"))
 
 
 def check_simple_lower(g: Graph | GraphFacts) -> BoundCheck:
@@ -180,17 +217,16 @@ def check_simple_lower(g: Graph | GraphFacts) -> BoundCheck:
     n >= 2 vertices."""
     f = _facts(g)
     f.require_connected("simple-lower")
-    stats = f.stats
-    if stats.n < 2:
+    if f.n < 2:
         raise PreconditionError("simple-lower: need n >= 2")
-    n = stats.n
-    lhs = Fraction((n * stats.max_degree - 2 * stats.m) ** 2, n - 1)
+    n = f.n
+    lhs = Fraction((n * f.max_degree - 2 * f.m) ** 2, n - 1)
 
     def certify() -> str:
-        if stats.max_degree == stats.min_degree:
+        if f.max_degree == f.min_degree:
             return "regular (degenerate)"
-        if stats.max_degree_count == 1 and stats.degrees[1] == stats.degrees[-1]:
-            return f"one vertex of degree {stats.max_degree}, rest of degree {stats.degrees[1]}"
+        if f.max_degree_count == 1 and f.degrees[1] == f.degrees[-1]:
+            return f"one vertex of degree {f.max_degree}, rest of degree {f.degrees[1]}"
         return ""
 
     return _exact("simple-lower", lhs, f.sigma_t, certify)
@@ -200,10 +236,10 @@ def check_tree_lower(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t >= 2n - 4 for trees on n >= 2 vertices; equality exactly on
     paths."""
     f = _facts(g)
-    n = f.stats.n
+    n = f.n
     if n < 2:
         raise PreconditionError("tree-lower: need n >= 2")
-    if f.stats.m != n - 1 or not f.connected:
+    if f.m != n - 1 or not f.connected:
         raise PreconditionError("tree-lower: graph is not a tree")
     return _exact("tree-lower", 2 * n - 4, f.sigma_t,
                   lambda: "path" if is_path_graph(f.graph) else "equality on a non-path")
@@ -212,13 +248,12 @@ def check_tree_lower(g: Graph | GraphFacts) -> BoundCheck:
 def check_nonregular_min(g: Graph | GraphFacts) -> BoundCheck:
     """sigma_t >= n-1 (n odd) or 2n-4 (n even) for non-regular graphs."""
     f = _facts(g)
-    stats = f.stats
-    if stats.max_degree == stats.min_degree:
+    if f.max_degree == f.min_degree:
         raise PreconditionError("nonregular-min: graph is regular")
-    n = stats.n
+    n = f.n
 
     def certify() -> str:
-        degs = sorted(set(stats.degrees))
+        degs = sorted(set(f.degrees))
         return f"near-regular degrees {degs}" if len(degs) == 2 and degs[1] - degs[0] == 1 else "equality"
 
     return _exact("nonregular-min", n - 1 if n % 2 else 2 * n - 4, f.sigma_t, certify)
@@ -234,8 +269,7 @@ def check_laplacian_sandwich(g: Graph | GraphFacts) -> tuple[BoundCheck, BoundCh
     if st == 0:
         return tuple(_exact(bound_id, 0, 0, lambda: "holds (degenerate 0 <= 0)")
                      for bound_id in ("laplacian-sigma-upper", "laplacian-sigma-t-upper"))
-    sg = sigma(f.graph)
-    n, spectrum = f.stats.n, f.spectrum
+    sg, n, spectrum = f.sigma, f.n, f.spectrum
     upper = _toleranced("laplacian-sigma-upper", float(sg), spectrum.mu_max / n * st, f.tol)
     lower = _toleranced("laplacian-sigma-t-upper", float(st), n / spectrum.mu2 * sg, f.tol)
     return (upper, lower)
@@ -253,11 +287,14 @@ _GRAPH_CHECKS = (
 )
 
 
+_BOUND_ID = attrgetter("bound_id")
+
+
 def check_all(g: Graph | GraphFacts) -> list[BoundCheck]:
     """Evaluate the graph once into a GraphFacts record (or take the one
     given) and run every graph bound of ``_GRAPH_CHECKS`` on it; a failed
-    precondition becomes one skip marker per bound id of its check. The
-    result is ordered by bound id."""
+    precondition becomes the shared skip marker of each bound id of its
+    check and the reason. The result is ordered by bound id."""
     facts = _facts(g)
     results: list[BoundCheck] = []
     for bound_ids, check in _GRAPH_CHECKS:
@@ -265,8 +302,11 @@ def check_all(g: Graph | GraphFacts) -> list[BoundCheck]:
             out = check(facts)
         except PreconditionError as exc:
             reason = str(exc).split(": ", 1)[-1]
-            results.extend(_skipped(bound_id, reason) for bound_id in bound_ids)
+            results.extend([_skipped(bound_id, reason) for bound_id in bound_ids])
             continue
-        results.extend(out if isinstance(out, tuple) else (out,))
-    results.sort(key=lambda c: c.bound_id)
+        if type(out) is tuple:
+            results.extend(out)
+        else:
+            results.append(out)
+    results.sort(key=_BOUND_ID)
     return results

@@ -273,16 +273,18 @@ def batched_spectra(n: int, masks: np.ndarray):
     their spectra. The 1,866,256 connected masks at n = 7 have 27,738
     prefix copies in 2,166 classes. The first mask of each class in input
     order is decoded to a Graph, all of them are solved by one
-    :func:`sigmat.spectral.laplacian_spectra` call, and each class's values
-    are copied to its other masks through one inverse index. The sort that
-    groups the prefix copies of all masks is the largest phase, about
-    0.06-0.11 s at n = 7. Masks must be integers below 2^C(n,2), for
-    1 <= n <= 8.
+    :func:`sigmat.spectral.spectra_by_order` call, the energy, mu2 and
+    mu_max of each class are read from the eigenvalue array by
+    :func:`sigmat.spectral.spectrum_values`, with no record built, and each
+    class's values are copied to its other masks through one inverse
+    index. The sort that groups the prefix copies of all masks is the
+    largest phase, about 0.06-0.11 s at n = 7. Masks must be integers below
+    2^C(n,2), for 1 <= n <= 8.
 
     Returns (energy, mu2, mu_max) float64 arrays aligned with ``masks``.
     For n == 1 mu2 is reported as NaN.
     """
-    from .spectral import laplacian_spectra
+    from .spectral import spectra_by_order, spectrum_values
 
     pairs = _mask_pairs(n)
     nedges = len(pairs)
@@ -305,10 +307,9 @@ def batched_spectra(n: int, masks: np.ndarray):
     first = firsts[classes]
     np.minimum.at(first, merged, firsts)  # each class's first mask in input order
     solving = time.perf_counter()
-    summaries = laplacian_spectra([graph_from_mask(n, mask, pairs) for mask in masks[first].tolist()])
-    energy = np.array([s.energy for s in summaries])[merged].take(inverse)
-    mu2 = np.array([np.nan if s.mu2 is None else s.mu2 for s in summaries])[merged].take(inverse)
-    mu_max = np.array([s.mu_max for s in summaries])[merged].take(inverse)
+    solved = spectra_by_order([graph_from_mask(n, mask, pairs) for mask in masks[first].tolist()])
+    values = solved[0][1] if solved else np.empty((0, 2, n))
+    energy, mu2, mu_max = (column[merged].take(inverse) for column in spectrum_values(values))
     end = time.perf_counter()
     log.debug("batched spectra at n=%d: %d masks, %d forms, %d eigensolves, %.3f s "
               "(relabel %.3f s, group %.3f s, solve %.3f s)", n, masks.size, first.size,

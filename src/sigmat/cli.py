@@ -6,7 +6,11 @@ JSON is byte-stable: fixed key order per command and floats rendered in
 reproduces the bytes. This module is the only one that knows the format: a
 result dataclass is written straight from its fields, in field order, each
 under its name in camelCase (or the key its ``json_key`` metadata names),
-and a field marked ``json_optional`` is left out while it is None. A
+and a field marked ``json_optional`` is left out while it is None. Each
+class's layout is compiled once into one function whose one expression
+writes every field, with str, int, float, bool and None values of exactly
+those types written inline; every other value goes through the one
+recursive writer, ``_write_json``. A
 Fraction is written as ``{"num": a, "den": b}`` (``a/b`` in a table), and
 an instance of a subclass of a JSON type (``np.float64``, a namedtuple, an
 IntEnum) as its value in that type, never through its own ``__str__``, and
@@ -110,7 +114,8 @@ def canonical_json(obj) -> str:
 def _write_json(obj, parts: list[str]) -> None:
     """Append the JSON text of ``obj`` to ``parts``: its exact type is tested
     first, the most frequent first, then whether it is a result dataclass,
-    and then each base in ``_BASE_VALUES`` in turn."""
+    written by its compiled layout (:func:`_record_writer`), and then each
+    base in ``_BASE_VALUES`` in turn."""
     cls = type(obj)
     if cls is str:
         parts.append(encode_basestring_ascii(obj))
@@ -142,22 +147,55 @@ def _write_json(obj, parts: list[str]) -> None:
             _write_json(value, parts)
         parts.append("}")
     elif is_dataclass(cls):
-        parts.append("{")
-        separator = ""
-        for name, _, encoded_key, optional in _layout(cls):
-            value = getattr(obj, name)
-            if optional and value is None:
-                continue
-            parts.append(separator + encoded_key)
-            _write_json(value, parts)
-            separator = ", "
-        parts.append("}")
+        parts.append(_record_writer(cls)(obj))
     else:
         for base, value in _BASE_VALUES:
             if isinstance(obj, base):
                 _write_json(value(obj), parts)
                 return
         raise TypeError(f"cannot serialize {cls.__name__}")
+
+
+def _inline(name: str, kind: str, other: str, value: str | None = None) -> str:
+    """The source of an expression that is the JSON text of the variable
+    ``name`` when its exact type, which it binds to ``kind``, is str, int,
+    float or bool, or it is None, and is ``other`` for anything else. With
+    ``value``, it first binds ``name`` to that expression. It quotes with
+    double quotes only, so that it fits in a single-quoted f-string."""
+    bound = name if value is None else f"{name} := {value}"
+    return (f'(_str({name}) if ({kind} := type({bound})) is str else _int({name}) if {kind} is int '
+            f'else _float({name}) if {kind} is float else ("true" if {name} else "false") '
+            f'if {kind} is bool else "null" if {name} is None else {other})')
+
+
+@lru_cache(maxsize=None)
+def _record_writer(cls):
+    """The JSON text of an instance of a result dataclass, from one function
+    compiled from ``_layout(cls)``: one f-string of every field's encoded
+    key and value. A str, int, float or bool value, or None, of exactly that
+    type is written inline, and so is each such item of a list or tuple
+    value; anything else goes through :func:`_write_json`. A
+    ``json_optional`` field is left out while it is None."""
+    layout = _layout(cls)
+    # a first field that may be left out: every key gets a separator, and
+    # the first one written loses it
+    leading_optional = bool(layout) and layout[0][3]
+    items = '"[" + ", ".join([' + _inline("x", "u", "_text(x)") + ' for x in v]) + "]"'
+    namespace = {"_str": encode_basestring_ascii, "_int": int.__repr__, "_float": format_float,
+                 "_text": canonical_json}
+    pieces = []
+    for k, (name, _, encoded_key, optional) in enumerate(layout):
+        # each key, with the separator before it, is a constant of the code
+        namespace[f"_key{k}"] = (", " if k or leading_optional else "") + encoded_key
+        value = _inline("v", "t", f"{items} if t is list or t is tuple else _text(v)",
+                        None if optional else f"obj.{name}")
+        pieces.append(f'{{(_key{k} + {value}) if (v := obj.{name}) is not None else ""}}' if optional
+                      else f"{{_key{k}}}{{{value}}}")
+    body = "".join(pieces)
+    source = f"'{{' + f'{body}'[2:] + '}}'" if leading_optional else f"f'{{{{{body}}}}}'"
+    exec(compile(f"def write(obj):\n    return {source}\n", f"<layout of {cls.__qualname__}>", "exec"),
+         namespace)
+    return namespace["write"]
 
 
 # (base, the value of an instance of a subclass as that exact type), in order
@@ -345,7 +383,10 @@ class ChunkOutput(NamedTuple):
 def _chunk_output(command: str, fmt: str, graphs: list[Graph]) -> ChunkOutput:
     """The output of ``compute``, ``bounds`` or ``spectral`` for one chunk:
     the spectra are solved by order, in stacked eigensolves, and the records
-    are rendered in input order."""
+    are rendered in input order. ``bounds`` reads each graph's degrees once
+    and its energy, mu2 and mu_max straight from the eigenvalue arrays
+    (:func:`sigmat.bounds.graph_facts`); only ``spectral`` builds spectrum
+    records."""
     start = time.perf_counter()
     violated = False
     if command == "bounds":

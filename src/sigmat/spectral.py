@@ -5,9 +5,14 @@ and the largest Laplacian eigenvalue, for one vector or a batch of them.
 The matrices of many graphs are built by order, as one (k, 2, n, n) stack
 per order, and each stack is solved by one ``np.linalg.eigvalsh`` call,
 looked up when it is called; a single graph is a list of one. This stack is
-the only place the package builds L and A and reads spectra from: the
-stream checks and :func:`sigmat.bulk.batched_spectra`, which hands it one
-graph per class of masks, all solve through :func:`laplacian_spectra`.
+the only place the package builds L and A and reads spectra from:
+:func:`spectra_by_order` gives each order's (k, 2, n) eigenvalue array, and
+:func:`spectrum_values` reads the energy, mu2 and mu_max of every graph
+from it. The ``spectral`` command prints :func:`laplacian_spectra`'s
+records, built from those arrays; the stream bounds
+(:func:`sigmat.bounds.graph_facts`) and
+:func:`sigmat.bulk.batched_spectra`, which hands it one graph per class of
+masks, read the three values straight from the arrays and build no record.
 numpy is imported by the functions that build arrays, so a command that
 never asks for a spectrum does not load it.
 
@@ -75,10 +80,12 @@ class SpectralSummary:
     mu_max: float = field(metadata={"json_key": "muN"})
 
 
-def laplacian_spectra(graphs: Sequence[Graph]) -> list[SpectralSummary]:
-    """Full dense symmetric eigensolves of D - A and A for each graph, in
-    input order: the graphs are grouped by order, and each order's
-    :func:`spectral_matrices` stack is solved by one ``eigvalsh`` call.
+def spectra_by_order(graphs: Sequence[Graph]) -> list[tuple[list[int], np.ndarray]]:
+    """Both spectra of each graph, solved by order: for each order, in order
+    of first appearance, the positions of its graphs in the input and their
+    (k, 2, n) float64 eigenvalues, each row ascending, the Laplacian's in
+    slot 0 and the adjacency matrix's in slot 1, from one ``eigvalsh`` call
+    on the order's :func:`spectral_matrices` stack.
 
     Raises numpy's LinAlgError if the eigensolver fails to converge on any
     of them; partial spectra are never returned.
@@ -88,10 +95,35 @@ def laplacian_spectra(graphs: Sequence[Graph]) -> list[SpectralSummary]:
     by_order: dict[int, list[int]] = {}
     for k, g in enumerate(graphs):
         by_order.setdefault(g.n, []).append(k)
+    return [(members, np.linalg.eigvalsh(spectral_matrices([graphs[k] for k in members])))
+            for members in by_order.values()]
+
+
+def spectrum_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The energy (the sum of the absolute adjacency eigenvalues), mu2 and
+    mu_max of each graph of a (k, 2, n) eigenvalue array from
+    :func:`spectra_by_order`, as three float64 arrays of k; mu2 is NaN at
+    n = 1."""
+    import numpy as np
+
+    lap = values[:, 0]
+    mu2 = lap[:, 1] if values.shape[-1] >= 2 else np.full(len(values), np.nan)
+    return np.abs(values[:, 1]).sum(axis=1), mu2, lap[:, -1]
+
+
+def laplacian_spectra(graphs: Sequence[Graph]) -> list[SpectralSummary]:
+    """Full dense symmetric eigensolves of D - A and A for each graph, in
+    input order, as the records the ``spectral`` command prints: one
+    :func:`spectra_by_order` call, with the energy from
+    :func:`spectrum_values`.
+
+    Raises numpy's LinAlgError if the eigensolver fails to converge on any
+    of them; partial spectra are never returned.
+    """
     spectra: list[SpectralSummary | None] = [None] * len(graphs)
-    for n, members in by_order.items():
-        values = np.linalg.eigvalsh(spectral_matrices([graphs[k] for k in members]))
-        energies = np.abs(values[:, 1]).sum(axis=1).tolist()
+    for members, values in spectra_by_order(graphs):
+        n = values.shape[-1]
+        energies = spectrum_values(values)[0].tolist()
         for k, (lap, adj), energy in zip(members, values.tolist(), energies):
             spectra[k] = SpectralSummary(
                 laplacian_eigenvalues=tuple(lap),

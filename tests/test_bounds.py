@@ -13,6 +13,7 @@ import pytest
 from sigmat import bounds
 from sigmat.bounds import (
     BoundCheck,
+    GraphFacts,
     PreconditionError,
     _exact,
     check_all,
@@ -26,8 +27,10 @@ from sigmat.bounds import (
     check_triangle_free_upper,
 )
 from sigmat.cli import canonical_json
-from sigmat.graph import Graph, graph_from_mask, pair_order
-from tests.test_graph import complete, complete_bipartite, cycle, path, star
+from sigmat.graph import Graph, degree_stats, graph_from_mask, is_connected, pair_order
+from sigmat.invariants import sigma, sigma_t
+from sigmat.spectral import laplacian_spectrum, spectral_tolerance
+from tests.test_graph import complete, complete_bipartite, cycle, labelled_graphs, path, seeded_graphs, star
 
 
 SPIDER6 = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])  # degrees 3,2,2,1,1,1
@@ -487,7 +490,9 @@ class TestGraphFacts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("degree_stats", "is_connected", "sigma_t", "laplacian_spectrum"):
+        for name in ("degrees", "edges"):
+            monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
+        for name in ("is_connected", "is_path_graph", "spectra_by_order"):
             monkeypatch.setattr(bounds, name, counted(name, getattr(bounds, name)))
         eigvalsh = np.linalg.eigvalsh
 
@@ -505,11 +510,40 @@ class TestGraphFacts:
     ])
     def test_each_fact_is_computed_once(self, calls, g, spectra):
         check_all(g)
-        once = {"degree_stats": 1, "is_connected": 1, "sigma_t": 1}
+        # the facts read the degrees once, and sigma walks the adjacency
+        # rows with them, not Graph.edges
+        once = {"degrees": 1, "is_connected": 1}
+        if g == path(5):
+            # tree-lower holds with equality, and its path certificate reads
+            # the degrees again
+            once.update({"degrees": 2, "is_path_graph": 1})
         if spectra:
             # both matrices go to one eigensolve as a (1, 2, n, n) stack
-            once.update({"laplacian_spectrum": 1, "eigvalsh": 1, "eigvalsh shapes": [(1, 2, g.n, g.n)]})
+            once.update({"spectra_by_order": 1, "eigvalsh": 1, "eigvalsh shapes": [(1, 2, g.n, g.n)]})
         assert calls == once
+
+    def test_facts_equal_the_definitions(self):
+        # every labelled graph on up to 6 vertices, K1 and the disconnected
+        # ones included
+        for g in labelled_graphs(6):
+            facts = GraphFacts(g)
+            stats = degree_stats(g)
+            assert (facts.n, facts.m, facts.degrees) == (stats.n, stats.m, stats.degrees)
+            assert (facts.max_degree, facts.min_degree, facts.max_degree_count) == \
+                (stats.max_degree, stats.min_degree, stats.max_degree_count)
+            assert (facts.sigma, facts.sigma_t, facts.connected) == (sigma(g), sigma_t(g), is_connected(g))
+            assert facts.tol == spectral_tolerance(g)
+
+    def test_spectra_are_the_records_values(self):
+        # from the stacked solves of graph_facts and from a bare graph's own
+        # solve, bit for bit; mu2 is NaN at n = 1
+        graphs = [Graph(1), path(2)] + list(seeded_graphs(random.Random(34), range(1, 16), 400))
+        for g, f in zip(graphs, bounds.graph_facts(graphs)):
+            assert ("spectrum" in vars(f)) == f.connected
+            s = laplacian_spectrum(g)
+            for spectrum in ([f.spectrum] if f.connected else []) + [GraphFacts(g).spectrum]:
+                assert (spectrum.energy.hex(), spectrum.mu_max.hex()) == (s.energy.hex(), s.mu_max.hex())
+                assert spectrum.mu2.hex() == s.mu2.hex() if g.n >= 2 else math.isnan(spectrum.mu2)
 
     def test_graph_facts_solve_the_connected_graphs_once_per_order(self, calls):
         graphs = [path(5), Graph(5, [(0, 1), (2, 3)]), cycle(6), Graph(1), star(5), complete(3), Graph(4)]
@@ -520,5 +554,5 @@ class TestGraphFacts:
         assert [f.connected for f in facts] == [True, False, True, True, True, True, False]
         assert [("spectrum" in vars(f)) for f in facts] == [f.connected for f in facts]
         checks = [check_all(f) for f in facts]
-        assert calls["eigvalsh"] == 4 and "laplacian_spectrum" not in calls
+        assert calls["eigvalsh"] == 4 and calls["spectra_by_order"] == 1
         assert checks == [check_all(g) for g in graphs]

@@ -2,6 +2,7 @@
 
 import contextlib
 import enum
+import importlib
 import io
 import json
 import logging
@@ -16,6 +17,7 @@ import sys
 import time
 import tracemalloc
 from collections import namedtuple
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
@@ -30,6 +32,7 @@ from sigmat.graph import Graph, encode_graph6, is_connected, pair_order, parse_g
 from sigmat.invariants import sigma_t
 from sigmat.cli import canonical_json
 from sigmat.oracle import ConjectureReport, IdentitySummary
+from tests.reference import reference_json
 from tests.test_graph import complete, cycle, path, seeded_graphs, star
 
 P4 = encode_graph6(path(4))       # "Ch"
@@ -1103,6 +1106,58 @@ class TestEncoder:
         parsed = json.loads(out)
         assert parsed == _parsed(value)
         assert cli.canonical_json(parsed) == out
+
+
+@dataclass(frozen=True)
+class Leading:
+    """A record whose first fields may be left out, as no package record's are."""
+
+    first: object = field(default=None, metadata={"json_optional": True})
+    second: object = field(default=None, metadata={"json_optional": True, "json_key": 'k"{}'})
+    third: object = None
+    fourth: object = field(default=None, metadata={"json_optional": True})
+
+
+def _records():
+    """Every dataclass the package defines, and ``Leading``."""
+    for name in ("bounds", "bulk", "cli", "extremal", "graph", "invariants", "oracle", "spectral", "trees"):
+        module = importlib.import_module(f"sigmat.{name}")
+        yield from (value for value in vars(module).values() if isinstance(value, type)
+                    and is_dataclass(value) and value.__module__ == module.__name__)
+    yield Leading
+
+
+class TestRecordLayouts:
+    """The compiled layout of each record class writes what the field by
+    field reference writes, whatever its fields hold."""
+
+    # exact JSON types written inline, their subclasses, containers of both,
+    # and a nested record; each field of a record takes each in turn
+    VALUES = (None, "s", 'q"\\\n\u00e9', 7, 1 << 70, 2.5, -0.0, True, False, Fraction(1, 3),
+              np.float64(1 / 3), Level.HIGH, Legacy.LOW, Label('a"b'), Shout("quiet"), Loud(7),
+              Pair(1, 2.5), (1, -0.0, "x", None, True, 1.5), [Fraction(2, 4), Pair(None, "a"), [1, (2,)]],
+              (), {"k": (1, 2), Loud(3): None}, oracle.IdentitySummary(1, 1, 0, None, Level.HIGH))
+
+    @pytest.mark.parametrize("cls", list(_records()), ids=lambda cls: cls.__qualname__)
+    def test_compiled_layout_matches_the_reference_writer(self, cls):
+        names = [f.name for f in fields(cls)]
+        assert names
+        for shift in range(len(self.VALUES) + 1):
+            record = object.__new__(cls)  # no __post_init__ or type checks
+            for k, name in enumerate(names):
+                # the last shift sets every field to None: each optional one is left out
+                value = self.VALUES[(k + shift) % len(self.VALUES)] if shift < len(self.VALUES) else None
+                object.__setattr__(record, name, value)
+            text = canonical_json(record)
+            assert text == reference_json(record)
+            assert list(json.loads(text)) == [key for name, key, _, optional in cli._layout(cls)
+                                              if not (optional and getattr(record, name) is None)]
+            assert canonical_json([record, (record,)]) == reference_json([record, (record,)])
+
+    def test_each_class_is_compiled_once(self):
+        record = bounds.BoundCheck("b", 1, 2.5, True, False, "", True)
+        assert cli._record_writer(bounds.BoundCheck) is cli._record_writer(bounds.BoundCheck)
+        assert cli._record_writer(bounds.BoundCheck)(record) == reference_json(record)
 
 
 PINNED = json.loads((Path(__file__).parent / "cli_output.json").read_text(encoding="utf-8"))

@@ -1,6 +1,6 @@
-"""Enumeration counts, Prüfer decoding, stream ingestion, search, the
-small tree sweeps and conjecture harnesses, and the cross-validation of
-the bulk mask tables and batched spectra."""
+"""Enumeration counts, stream ingestion, search and conjecture 1
+harnesses, and the cross-validation of the bulk mask tables and batched
+spectra."""
 
 import json
 import logging
@@ -54,7 +54,6 @@ from sigmat.oracle import (
     verify_identity_suite,
 )
 from sigmat.spectral import laplacian_spectra, laplacian_spectrum
-from sigmat.trees import prufer_edges, search_trees, tree_sweep, verify_conjecture2
 from tests.reference import enumerate_trees, is_star_graph
 from tests.test_graph import complete, cycle, path
 
@@ -94,50 +93,6 @@ class TestEnumeration:
         for lo, hi in chunk_ranges(4):
             pieces.extend(enumerate_connected_graphs(4, mask_range=(lo, hi)))
         assert pieces == whole
-
-
-def naive_prufer(seq, n):
-    """Textbook decoding: repeatedly join the smallest leaf to the next
-    sequence entry."""
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    alive = set(range(n))
-    edges = []
-    for x in seq:
-        leaf = min(v for v in alive if degree[v] == 1)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-        alive.remove(leaf)
-    edges.append(tuple(sorted(alive)))
-    return {tuple(sorted(e)) for e in edges}
-
-
-class TestTrees:
-    @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125)])
-    def test_cayley_counts(self, n, count):
-        labelled = list(enumerate_trees(n))
-        assert len(labelled) == count
-        assert len(set(labelled)) == count
-        assert all(is_tree(t) for t in labelled)
-
-    def test_n3_all_paths(self):
-        assert all(is_path_graph(t) for t in enumerate_trees(3))
-
-    def test_decode_matches_naive_exhaustively(self):
-        from itertools import product
-
-        for n in (5, 6):
-            for seq in product(range(n), repeat=n - 2):
-                fast = {tuple(sorted(e)) for e in prufer_edges(seq, n)}
-                assert fast == naive_prufer(seq, n)
-
-    def test_limits(self):
-        with pytest.raises(LimitError):
-            next(enumerate_trees(10))
-        with pytest.raises(LimitError):
-            next(enumerate_trees(1))
 
 
 class TestRandomGraphs:
@@ -435,47 +390,6 @@ class TestTally:
         assert chunked == streamed == one_pass
 
 
-class TestSearchTrees:
-    @pytest.mark.parametrize("n", [5, 6])
-    @pytest.mark.parametrize("objective", ["max", "min"])
-    def test_matches_stream_search(self, n, objective):
-        fast = search_trees(n, objective)
-        slow = search_extremal(enumerate_trees(n), objective)
-        assert fast.extreme_value == slow.extreme_value
-        assert fast.tie_count == slow.tie_count
-        assert set(fast.witnesses) == set(slow.witnesses)
-
-    def test_max_is_star(self):
-        result = search_trees(7, "max")
-        assert result.extreme_value == 6 * 25
-        assert result.tie_count == 7
-        assert all(is_star_graph(parse_graph6(w)) for w in result.witnesses)
-
-
-class TestTreeSweep:
-    def test_counts_and_extremes_n5(self):
-        sweep = tree_sweep(5)
-        assert sweep.trees == 125
-        assert sweep.max_value == 4 * 9 and sweep.max_count == 5 and sweep.max_all_stars
-        assert sweep.min_value == 6 and sweep.min_count == 60 and sweep.min_all_paths
-        assert sweep.ratio_violations == 0
-        assert sweep.ratio_equality_count == 60 and sweep.ratio_equality_all_paths
-        assert sweep.sigma_eq_count == sweep.star_count == 5
-        assert sweep.sigma_eq_all_stars
-
-    def test_witnesses_decode_to_the_right_shapes(self):
-        sweep = tree_sweep(6)
-        assert all(is_star_graph(parse_graph6(w)) for w in sweep.max_witnesses)
-        assert all(is_path_graph(parse_graph6(w)) for w in sweep.min_witnesses)
-
-    def test_sigma_eq_set_cross_check(self):
-        # independent pass over the enumerated trees
-        for n in (4, 5, 6):
-            sweep = tree_sweep(n)
-            expected = sum(1 for t in enumerate_trees(n) if sigma(t) == sigma_t(t))
-            assert sweep.sigma_eq_count == expected
-
-
 class TestConjecture1:
     def test_n5_internal(self):
         report = verify_conjecture1(5)
@@ -523,34 +437,6 @@ class TestConjecture1:
     def test_stream_filters_out_everything(self):
         with pytest.raises(ValueError, match="no connected triangle-free"):
             verify_conjecture1(4, [complete(4)])
-
-
-class TestConjecture2:
-    def test_n4(self):
-        report = verify_conjecture2(4)
-        assert report.status == "verified"
-        assert report.equality_count == 12
-        assert report.equality_all_paths
-        assert all(is_path_graph(parse_graph6(w)) for w in report.extremal_witnesses)
-        assert report.graphs_visited == 16
-
-    def test_n5_star_is_strict(self):
-        s = make_star(5)
-        assert sigma_t(s) == 36 < (5 - 2) * sigma(s) == 108
-        report = verify_conjecture2(5)
-        assert report.status == "verified" and report.equality_count == 60
-
-    def test_range(self):
-        with pytest.raises(LimitError):
-            verify_conjecture2(2)
-        with pytest.raises(LimitError):
-            verify_conjecture2(19)
-
-    def test_json_has_equality_fields(self):
-        d = json.loads(canonical_json(verify_conjecture2(4)))
-        assert d["status"] == "verified"
-        assert d["equalityCount"] == 12
-        assert d["equalityWitnesses"] == d["extremalWitnesses"]
 
 
 class TestIdentitySuite:
@@ -1002,13 +888,9 @@ class TestBatchedSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         return solved
 
-    @pytest.mark.parametrize("chunk", [None, 4096])
-    def test_one_eigensolve_pair_per_class_over_the_whole_input(self, monkeypatch, chunk):
-        # the sweep chunk does not split the classes
+    def test_one_eigensolve_pair_per_class_over_the_whole_input(self, monkeypatch):
         masks = bulk.connected_table(6).masks
         solved = self._count_eigensolves(monkeypatch)
-        if chunk is not None:
-            monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
         bulk.batched_spectra(6, masks)
         assert solved == [2 * _copy_count(6)] == [2 * 391]
 
@@ -1151,13 +1033,10 @@ class TestBatchedSpectra:
         assert first.tolist() == [firsts[v] for v in distinct]
         assert inverse.tolist() == [cls[v] for v in values]
 
-    @pytest.mark.parametrize("chunk", [None, 4096])
-    def test_bitwise_identical_to_keying_every_mask(self, monkeypatch, chunk):
+    def test_bitwise_identical_to_keying_every_mask(self):
         # the first original mask of each copy in input order is solved, not
-        # the copy, whatever the order and the sweep chunk
+        # the copy, whatever the order
         table = bulk.connected_table(6).masks
-        if chunk is not None:
-            monkeypatch.setattr(bulk, "CHUNK_MASKS", chunk)
         rows = np.arange(table.size)
         for order in (rows, rows[::-1], np.random.default_rng(6).permutation(rows)):
             masks = table[order]
@@ -1196,9 +1075,8 @@ class TestBatchedSpectra:
         assert (energy[0], energy[1], mu_max[0]) == pytest.approx((6.0, 0.0, 4.0))
         assert all(x.size == 0 for x in bulk.batched_spectra(4, np.array([], dtype=np.uint32)))
 
-    def test_logs_one_debug_line(self, monkeypatch, caplog, capsys):
+    def test_logs_one_debug_line(self, caplog, capsys):
         ref = _spectra_reference(4)
-        monkeypatch.setattr(bulk, "CHUNK_MASKS", 16)  # the sweep chunk does not split the input
         with caplog.at_level(logging.DEBUG, logger="sigmat.bulk"):
             bulk.batched_spectra(4, ref.masks)
         records = [r for r in caplog.records if r.name == "sigmat.bulk"]

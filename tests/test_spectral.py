@@ -20,8 +20,10 @@ from sigmat.spectral import (
     laplacian_spectrum,
     rayleigh_ratio,
     rayleigh_ratios,
+    spectra_by_order,
     spectral_matrices,
     spectral_tolerance,
+    spectrum_values,
 )
 from tests.test_graph import complete, graphs, labelled_graphs, path, seeded_graphs, star
 
@@ -147,8 +149,43 @@ def test_stacked_solves_equal_the_one_graph_solves_bit_for_bit():
         assert s == reference_spectrum(*reference_matrices(g))
 
 
+def assert_arrays_equal_the_records(graphs):
+    """spectra_by_order's eigenvalues, and the energy, mu2 and mu_max that
+    spectrum_values reads from them, equal each graph's laplacian_spectrum
+    bit for bit; mu2 is NaN at n = 1."""
+    solved = spectra_by_order(graphs)
+    assert sorted(k for members, _ in solved for k in members) == list(range(len(graphs)))
+    firsts = [members[0] for members, _ in solved]
+    assert firsts == sorted(firsts) and len({graphs[k].n for k in firsts}) == len(solved)
+    for members, values in solved:
+        n = graphs[members[0]].n
+        assert values.shape == (len(members), 2, n) and values.dtype == np.float64
+        columns = spectrum_values(values)
+        assert all(column.shape == (len(members),) and column.dtype == np.float64 for column in columns)
+        for row, k in enumerate(members):
+            s = laplacian_spectrum(graphs[k])
+            assert graphs[k].n == n
+            assert [x.hex() for x in values[row].ravel().tolist()] == \
+                [x.hex() for x in s.laplacian_eigenvalues + s.adjacency_eigenvalues]
+            energy, mu2, mu_max = (float(column[row]) for column in columns)
+            assert (energy.hex(), mu_max.hex()) == (s.energy.hex(), s.mu_max.hex())
+            assert mu2.hex() == s.mu2.hex() if n >= 2 else math.isnan(mu2) and s.mu2 is None
+
+
+def test_every_labelled_graph_up_to_n6_has_the_arrays_of_its_records():
+    assert_arrays_equal_the_records(list(labelled_graphs(6)))
+
+
+def test_seeded_stream_has_the_arrays_of_its_records():
+    graphs = [Graph(1), Graph(1), Graph(4), long_form_graph(), path(4), complete(7)]
+    graphs += seeded_graphs(random.Random(20261022), range(1, 31), 500)
+    random.Random(34).shuffle(graphs)
+    assert_arrays_equal_the_records(graphs)
+
+
 def test_spectra_of_no_graphs():
     assert laplacian_spectra([]) == []
+    assert spectra_by_order([]) == []
 
 
 def test_matrix_stack_of_several_graphs():

@@ -1,6 +1,8 @@
 """The free-tree classes and the tree sweep built on them, against the
-labeled Prüfer reference and counts computed other ways."""
+labeled Prüfer reference and counts computed other ways; Prüfer decoding,
+the tree search and conjecture 2."""
 
+import json
 import logging
 import math
 import re
@@ -15,9 +17,11 @@ from types import SimpleNamespace
 import pytest
 
 from sigmat import oracle, trees
-from sigmat.graph import Graph, encode_graph6, is_path_graph, is_tree
+from sigmat.cli import canonical_json
+from sigmat.extremal import make_star
+from sigmat.graph import Graph, encode_graph6, is_path_graph, is_tree, parse_graph6
 from sigmat.invariants import sigma, sigma_t
-from sigmat.oracle import LimitError
+from sigmat.oracle import LimitError, search_extremal
 from sigmat.trees import prufer_edges, search_trees, tree_sweep, verify_conjecture2
 from tests.reference import enumerate_trees, is_star_graph
 
@@ -320,3 +324,116 @@ class TestTreeSweepFastPath:
             tracemalloc.stop()
         assert sweep.trees == 16 ** 14
         assert peak < 2 * 2 ** 20
+
+
+def naive_prufer(seq, n):
+    """Textbook decoding: repeatedly join the smallest leaf to the next
+    sequence entry."""
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    alive = set(range(n))
+    edges = []
+    for x in seq:
+        leaf = min(v for v in alive if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+        alive.remove(leaf)
+    edges.append(tuple(sorted(alive)))
+    return {tuple(sorted(e)) for e in edges}
+
+
+class TestTrees:
+    @pytest.mark.parametrize("n,count", [(2, 1), (3, 3), (4, 16), (5, 125)])
+    def test_cayley_counts(self, n, count):
+        labelled = list(enumerate_trees(n))
+        assert len(labelled) == count
+        assert len(set(labelled)) == count
+        assert all(is_tree(t) for t in labelled)
+
+    def test_n3_all_paths(self):
+        assert all(is_path_graph(t) for t in enumerate_trees(3))
+
+    def test_decode_matches_naive_exhaustively(self):
+        from itertools import product
+
+        for n in (5, 6):
+            for seq in product(range(n), repeat=n - 2):
+                fast = {tuple(sorted(e)) for e in prufer_edges(seq, n)}
+                assert fast == naive_prufer(seq, n)
+
+    def test_limits(self):
+        with pytest.raises(LimitError):
+            next(enumerate_trees(10))
+        with pytest.raises(LimitError):
+            next(enumerate_trees(1))
+
+
+class TestSearchTrees:
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("objective", ["max", "min"])
+    def test_matches_stream_search(self, n, objective):
+        fast = search_trees(n, objective)
+        slow = search_extremal(enumerate_trees(n), objective)
+        assert fast.extreme_value == slow.extreme_value
+        assert fast.tie_count == slow.tie_count
+        assert set(fast.witnesses) == set(slow.witnesses)
+
+    def test_max_is_star(self):
+        result = search_trees(7, "max")
+        assert result.extreme_value == 6 * 25
+        assert result.tie_count == 7
+        assert all(is_star_graph(parse_graph6(w)) for w in result.witnesses)
+
+
+class TestTreeSweep:
+    def test_counts_and_extremes_n5(self):
+        sweep = tree_sweep(5)
+        assert sweep.trees == 125
+        assert sweep.max_value == 4 * 9 and sweep.max_count == 5 and sweep.max_all_stars
+        assert sweep.min_value == 6 and sweep.min_count == 60 and sweep.min_all_paths
+        assert sweep.ratio_violations == 0
+        assert sweep.ratio_equality_count == 60 and sweep.ratio_equality_all_paths
+        assert sweep.sigma_eq_count == sweep.star_count == 5
+        assert sweep.sigma_eq_all_stars
+
+    def test_witnesses_decode_to_the_right_shapes(self):
+        sweep = tree_sweep(6)
+        assert all(is_star_graph(parse_graph6(w)) for w in sweep.max_witnesses)
+        assert all(is_path_graph(parse_graph6(w)) for w in sweep.min_witnesses)
+
+    def test_sigma_eq_set_cross_check(self):
+        # independent pass over the enumerated trees
+        for n in (4, 5, 6):
+            sweep = tree_sweep(n)
+            expected = sum(1 for t in enumerate_trees(n) if sigma(t) == sigma_t(t))
+            assert sweep.sigma_eq_count == expected
+
+
+class TestConjecture2:
+    def test_n4(self):
+        report = verify_conjecture2(4)
+        assert report.status == "verified"
+        assert report.equality_count == 12
+        assert report.equality_all_paths
+        assert all(is_path_graph(parse_graph6(w)) for w in report.extremal_witnesses)
+        assert report.graphs_visited == 16
+
+    def test_n5_star_is_strict(self):
+        s = make_star(5)
+        assert sigma_t(s) == 36 < (5 - 2) * sigma(s) == 108
+        report = verify_conjecture2(5)
+        assert report.status == "verified" and report.equality_count == 60
+
+    def test_range(self):
+        with pytest.raises(LimitError):
+            verify_conjecture2(2)
+        with pytest.raises(LimitError):
+            verify_conjecture2(19)
+
+    def test_json_has_equality_fields(self):
+        d = json.loads(canonical_json(verify_conjecture2(4)))
+        assert d["status"] == "verified"
+        assert d["equalityCount"] == 12
+        assert d["equalityWitnesses"] == d["extremalWitnesses"]
