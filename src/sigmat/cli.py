@@ -27,8 +27,8 @@ parses the input, keeps at most two chunks per worker in flight, and
 writes the results in input order. A one-chunk input, one CPU or a
 platform without ``fork`` runs the chunks in this process, and never loads
 ``multiprocessing``. The output and the exit codes are the same either
-way, and every exit terminates and joins the workers. An input error
-prints the records read before it first.
+way, and every exit joins the workers once they have finished the chunks
+in flight. An input error prints the records read before it first.
 
 Exit codes: 0 success, 1 verification failure (violated bound or
 conjecture counterexample), 2 usage or input error, 3 internal error (a
@@ -168,6 +168,20 @@ def _inline(name: str, kind: str, other: str, value: str | None = None) -> str:
             f'if {kind} is bool else "null" if {name} is None else {other})')
 
 
+# the names the compiled writers call
+_WRITER_NAMES = {"_str": encode_basestring_ascii, "_int": int.__repr__, "_float": format_float,
+                 "_text": canonical_json}
+
+
+@lru_cache(maxsize=None)
+def _items_writer():
+    """The JSON text of a list or tuple, from one function compiled once:
+    each str, int, float or bool item, or None, of exactly that type is
+    written inline, and any other through :func:`_write_json`."""
+    source = 'lambda v: "[" + ", ".join([' + _inline("x", "t", "_text(x)") + ' for x in v]) + "]"'
+    return eval(compile(source, "<items>", "eval"), dict(_WRITER_NAMES))
+
+
 @lru_cache(maxsize=None)
 def _record_writer(cls):
     """The JSON text of an instance of a result dataclass, from one function
@@ -180,14 +194,12 @@ def _record_writer(cls):
     # a first field that may be left out: every key gets a separator, and
     # the first one written loses it
     leading_optional = bool(layout) and layout[0][3]
-    items = '"[" + ", ".join([' + _inline("x", "u", "_text(x)") + ' for x in v]) + "]"'
-    namespace = {"_str": encode_basestring_ascii, "_int": int.__repr__, "_float": format_float,
-                 "_text": canonical_json}
+    namespace = dict(_WRITER_NAMES, _items=_items_writer())
     pieces = []
     for k, (name, _, encoded_key, optional) in enumerate(layout):
         # each key, with the separator before it, is a constant of the code
         namespace[f"_key{k}"] = (", " if k or leading_optional else "") + encoded_key
-        value = _inline("v", "t", f"{items} if t is list or t is tuple else _text(v)",
+        value = _inline("v", "t", "_items(v) if t is list or t is tuple else _text(v)",
                         None if optional else f"obj.{name}")
         pieces.append(f'{{(_key{k} + {value}) if (v := obj.{name}) is not None else ""}}' if optional
                       else f"{{_key{k}}}{{{value}}}")
@@ -429,9 +441,10 @@ def _evaluate_chunks(work, chunks: Iterator[list[Graph]], write) -> int:
     ready, and at the latest when two chunks per worker are in flight, so
     the reader is never further ahead of the writer. An error reading the
     input ends the reading: the chunks read before it are still written,
-    and then it is raised. An error in a chunk is raised when that chunk is
-    due, so no later chunk is written. Every exit terminates and joins the
-    workers."""
+    and then it is raised. An error in a chunk is raised when that chunk
+    is due, so no later chunk is written. Every exit,
+    Ctrl-C included, closes the pool and joins the workers once they have
+    finished the chunks in flight, at most two per worker."""
     workers = _worker_count()
     if workers == 1:
         for chunk in chunks:
@@ -459,14 +472,17 @@ def _evaluate_chunks(work, chunks: Iterator[list[Graph]], write) -> int:
             raise error
     finally:
         if pool is not None:
-            pool.terminate()
+            # not terminate(): a worker terminated while it sends a result
+            # can leave the result pipe locked or holding part of a message,
+            # and the pool's teardown then waits on it forever
+            pool.close()
             pool.join()
     return 0 if pool is None else workers
 
 
 def _fork_pool(workers: int):
     """A ``fork`` pool of ``workers`` processes that ignore SIGINT, so that
-    Ctrl-C interrupts only this process, which then terminates them. The
+    Ctrl-C interrupts only this process, which then joins them. The
     stream commands fork with no other thread running: numpy, and with it
     the BLAS threads, is not loaded yet, and a pool starts its own threads
     after its workers."""

@@ -474,6 +474,26 @@ class TestWorkerPool:
         assert json.loads(first)[0]["holds"] is True
         assert code == 141 and (tmp_path / "stderr").read_bytes() == b""
 
+    def test_interrupt_joins_the_workers(self, tmp_path):
+        # Ctrl-C reaches this process only: it stops writing, and its workers
+        # finish the chunks in flight and exit
+        stream = tmp_path / "big.g6"
+        stream.write_text(f"{P4}\n" * 20000)
+        argv = [sys.executable, "-c", POOL_DRIVER, "0", "bounds", "--file", str(stream)]
+        with open(tmp_path / "stderr", "wb") as stderr, \
+                subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr, env=child_env(),
+                                 start_new_session=True) as child:
+            first = child.stdout.readline()
+            child.send_signal(signal.SIGINT)
+            rest = child.stdout.read()
+            try:
+                code = child.wait(timeout=120)
+            finally:
+                assert_group_is_empty(child.pid)
+        assert json.loads(first)[0]["holds"] is True
+        assert code == -signal.SIGINT and b"KeyboardInterrupt" in (tmp_path / "stderr").read_bytes()
+        assert rest.count(b"\n") < 20000 - 1
+
     def test_the_reader_stays_within_two_chunks_per_worker(self, tmp_path, monkeypatch):
         records = self.RECORDS * 4
         # the expected output runs cli.main per record, so it is made before
@@ -1136,7 +1156,7 @@ class TestRecordLayouts:
     VALUES = (None, "s", 'q"\\\n\u00e9', 7, 1 << 70, 2.5, -0.0, True, False, Fraction(1, 3),
               np.float64(1 / 3), Level.HIGH, Legacy.LOW, Label('a"b'), Shout("quiet"), Loud(7),
               Pair(1, 2.5), (1, -0.0, "x", None, True, 1.5), [Fraction(2, 4), Pair(None, "a"), [1, (2,)]],
-              (), {"k": (1, 2), Loud(3): None}, oracle.IdentitySummary(1, 1, 0, None, Level.HIGH))
+              (), {"k": (1, 2), Loud(3): None}, IdentitySummary(1, 1, 0, None, Level.HIGH))
 
     @pytest.mark.parametrize("cls", list(_records()), ids=lambda cls: cls.__qualname__)
     def test_compiled_layout_matches_the_reference_writer(self, cls):
