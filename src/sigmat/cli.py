@@ -441,10 +441,10 @@ def _evaluate_chunks(work, chunks: Iterator[list[Graph]], write) -> int:
     ready, and at the latest when two chunks per worker are in flight, so
     the reader is never further ahead of the writer. An error reading the
     input ends the reading: the chunks read before it are still written,
-    and then it is raised. An error in a chunk is raised when that chunk
-    is due, so no later chunk is written. Every exit,
-    Ctrl-C included, closes the pool and joins the workers once they have
-    finished the chunks in flight, at most two per worker."""
+    and then it is raised. An error in a chunk is raised when that chunk is
+    due, so no later chunk is written. Every exit, Ctrl-C included, closes
+    the pool and joins the workers once they have finished the chunks in
+    flight, at most two per worker."""
     workers = _worker_count()
     if workers == 1:
         for chunk in chunks:
